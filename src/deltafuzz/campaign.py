@@ -19,6 +19,7 @@ import csv
 import logging
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -30,6 +31,7 @@ from .driver import (
     ConfigError,
     DiffResult,
     DriverSpec,
+    ParseReject,
     get_driver,
     run_driver,
     with_domain,
@@ -42,6 +44,11 @@ log = logging.getLogger(__name__)
 VERDICT_NO_DIFFERENCE = "no-difference-found"
 VERDICT_BELOW_EPSILON = "below-epsilon"
 VERDICT_LEAK = "leak-indicated"
+
+# Decoded triples whose results a campaign remembers. The target sees only
+# the parser's (pub, sec_1, sec_2), so inputs that decode alike cost alike and
+# cover alike; a remembered one skips tracing, the target and the queue.
+MEMO_SIZE = 256
 
 STATS_HEADER = ("seconds", "executions", "max_delta", "coverage_count", "queue_size")
 
@@ -221,15 +228,34 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             )
             next_row_second += 1
 
+    # decoded triple -> its result, least recently used first
+    memo: OrderedDict[tuple[bytes, bytes, bytes], DiffResult] = OrderedDict()
+
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
         nonlocal executions, first_positive, harness_errors
-        cov = CoverageMap()
-        result = run_driver(spec, data, cov)
+        try:
+            decoded = spec.parse(data, spec.constraints)
+        except ParseReject:
+            decoded = None
+        result = memo.get(decoded)
+        cov = None
+        if result is None:
+            cov = CoverageMap()
+            result = run_driver(spec, data, cov)
+            if decoded is not None:
+                memo[decoded] = result
+                if len(memo) > MEMO_SIZE:
+                    memo.popitem(last=False)
+        else:
+            memo.move_to_end(decoded)
         executions += 1
         clock.on_evaluation()
         now = clock.now()
         if result.outcome != OUTCOME_PARSE_REJECT:
-            consider(queue, data, result, cov, global_cov, high, dim, now, parent_id)
+            if cov is not None:
+                # a repeat cannot be kept: global coverage already holds its
+                # map and the high score is already >= its delta
+                consider(queue, data, result, cov, global_cov, high, dim, now, parent_id)
             if result.delta_of(dim) > 0 and first_positive is None:
                 first_positive = now
             if result.note is not None:

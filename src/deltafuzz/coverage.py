@@ -9,9 +9,9 @@ flooding the queue while still rewarding order-of-magnitude escalation.
 
 from __future__ import annotations
 
+import functools
 import sys
 import zlib
-from dataclasses import dataclass
 
 MAP_SIZE = 65536
 
@@ -33,14 +33,6 @@ def bucketize(raw: int) -> int:
 _BUCKET_OF_BYTE = bytes(bucketize(n) for n in range(256))
 
 
-@dataclass
-class EdgeProbe:
-    """Rolling (current site, shifted previous site) pair."""
-
-    location_id: int = 0
-    prev_location: int = 0
-
-
 class CoverageMap:
     """Raw saturating hit counts for one candidate's executions."""
 
@@ -60,21 +52,6 @@ class CoverageMap:
 
     def nonzero_count(self) -> int:
         return len(self.touched)
-
-
-def record_edge(cov_map: CoverageMap, probe: EdgeProbe) -> None:
-    """Credit the edge ending at probe.location_id and roll the probe."""
-    loc = probe.location_id
-    if not 0 <= loc < MAP_SIZE:
-        raise ValueError("location_id out of range")
-    index = (loc ^ probe.prev_location) % MAP_SIZE
-    raw = cov_map.raw
-    count = raw[index]
-    if count == 0:
-        cov_map.touched.append(index)
-    if count != 255:
-        raw[index] = count + 1
-    probe.prev_location = loc >> 1
 
 
 class GlobalCoverage:
@@ -110,12 +87,6 @@ class GlobalCoverage:
         return self._touched
 
 
-def has_new_coverage(global_cov: GlobalCoverage, run: CoverageMap) -> bool:
-    """True iff the run shows some (edge, class) pair the campaign has not;
-    the global map absorbs all new pairs as a side effect."""
-    return bool(global_cov.absorb(run))
-
-
 def site_id(module: str, lineno: int) -> int:
     """Stable pseudo-random id for a source site; survives file relocation
     because it hashes the module name, not the file path."""
@@ -126,53 +97,86 @@ class EdgeTracer:
     """Records line-to-line edges of in-scope frames into a CoverageMap.
 
     Scope is a set of directory prefixes; frames whose code lives elsewhere
-    (the fuzzer itself, the stdlib) produce no events. Installed around each
-    target execution, so identical executions yield identical maps.
+    (the fuzzer itself, the stdlib) produce no events. Each in-scope code
+    object gets one line callback, built on its first call with its own
+    lineno -> site table; callbacks, tables and the per-file module names
+    persist for the tracer's life. Only the rolling previous site is reset,
+    at the start of each execution, so identical executions yield identical
+    maps. Not reentrant: a traced target must not start another traced run.
     """
 
-    def __init__(self, cov_map: CoverageMap, scope_prefixes: tuple[str, ...]):
-        self.cov_map = cov_map
-        self.probe = EdgeProbe()
-        self._scope = tuple(scope_prefixes)
-        self._in_scope: dict[str, bool] = {}
-        self._sites: dict[tuple[str, int], int] = {}
-        self._modnames: dict[str, str] = {}
-        self._prior = None
+    def __init__(self, scope_prefixes: tuple[str, ...]):
+        scope = tuple(scope_prefixes)
+        callbacks: dict[object, object] = {}  # code object -> callback or None
+        modnames: dict[str, str] = {}  # filename -> module name
+        # the execution being traced, rebound by begin()
+        raw = bytearray()
+        touched: list[int] = []
+        prev = 0
 
-    def _scoped(self, filename: str) -> bool:
-        verdict = self._in_scope.get(filename)
-        if verdict is None:
-            verdict = filename.startswith(self._scope)
-            self._in_scope[filename] = verdict
-        return verdict
+        def line_callback(modname: str):
+            sites: dict[int, int] = {}
 
-    def _trace_call(self, frame, event, arg):
-        if self._scoped(frame.f_code.co_filename):
-            return self._trace_line
-        return None
+            def on_line(frame, event, arg):
+                nonlocal prev
+                if event == "line":
+                    lineno = frame.f_lineno
+                    try:
+                        loc = sites[lineno]
+                    except KeyError:
+                        loc = sites[lineno] = site_id(modname, lineno)
+                    index = loc ^ prev
+                    count = raw[index]
+                    if count == 0:
+                        touched.append(index)
+                    if count != 255:
+                        raw[index] = count + 1
+                    prev = loc >> 1
+                return on_line
 
-    def _trace_line(self, frame, event, arg):
-        if event == "line":
-            key = (frame.f_code.co_filename, frame.f_lineno)
-            loc = self._sites.get(key)
-            if loc is None:
-                filename = key[0]
-                modname = self._modnames.get(filename)
+            return on_line
+
+        def on_call(frame, event, arg):
+            code = frame.f_code
+            try:
+                return callbacks[code]
+            except KeyError:
+                pass
+            filename = code.co_filename
+            callback = None
+            if filename.startswith(scope):
+                modname = modnames.get(filename)
                 if modname is None:
                     modname = frame.f_globals.get("__name__", filename)
-                    self._modnames[filename] = modname
-                loc = site_id(modname, key[1])
-                self._sites[key] = loc
-            self.probe.location_id = loc
-            record_edge(self.cov_map, self.probe)
-        return self._trace_line
+                    modnames[filename] = modname
+                callback = line_callback(modname)
+            callbacks[code] = callback
+            return callback
 
-    def __enter__(self) -> "EdgeTracer":
-        self.probe.location_id = 0
-        self.probe.prev_location = 0
-        self._prior = sys.gettrace()
-        sys.settrace(self._trace_call)
-        return self
+        def begin(cov_map: CoverageMap) -> None:
+            nonlocal raw, touched, prev
+            raw = cov_map.raw
+            touched = cov_map.touched
+            prev = 0
 
-    def __exit__(self, *exc) -> None:
-        sys.settrace(self._prior)
+        self._on_call = on_call
+        self._begin = begin
+
+    def run(self, cov_map: CoverageMap, fn, *args):
+        """Call fn(*args) with its in-scope lines traced into cov_map; the
+        prior trace function is back in place when this returns or raises."""
+        self._begin(cov_map)
+        prior = sys.gettrace()
+        sys.settrace(self._on_call)
+        try:
+            return fn(*args)
+        finally:
+            sys.settrace(prior)
+
+
+@functools.cache
+def tracer_for(scope: tuple[str, ...]) -> EdgeTracer:
+    """The process-wide tracer for a scope, built on first use. What a tracer
+    keeps between executions (callbacks, site tables, module names) depends
+    only on the code it has seen, so sharing one cannot change a map."""
+    return EdgeTracer(scope)

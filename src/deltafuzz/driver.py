@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-from .coverage import CoverageMap, EdgeTracer
+from .coverage import CoverageMap, tracer_for
 from .metering import DIMENSIONS, CostReading, Meter
 
 OUTCOME_OK = "ok"
@@ -129,7 +129,7 @@ def run_driver(
     except ParseReject as exc:
         return DiffResult(outcome=OUTCOME_PARSE_REJECT, note=str(exc))
 
-    tracer = EdgeTracer(cov_map, spec.scope()) if cov_map is not None else None
+    tracer = tracer_for(spec.scope()) if cov_map is not None else None
     meter = Meter()
     costs: list[CostReading] = []
     outputs: list[object] = []
@@ -138,8 +138,7 @@ def run_driver(
         meter.clear()
         try:
             if tracer is not None:
-                with tracer:
-                    out = spec.target(pub, sec, meter)
+                out = tracer.run(cov_map, spec.target, pub, sec, meter)
             else:
                 out = spec.target(pub, sec, meter)
             outputs.append(out)

@@ -3,18 +3,20 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltafuzz.coverage import (
     MAP_SIZE,
     CoverageMap,
-    EdgeProbe,
     EdgeTracer,
     GlobalCoverage,
     bucketize,
-    has_new_coverage,
-    record_edge,
     site_id,
+    tracer_for,
 )
+from deltafuzz.driver import driver_names, get_driver, run_driver
+from deltafuzz.metering import Meter
 
 
 def reference_bucket(raw):
@@ -56,46 +58,6 @@ def test_bucketize_monotone():
     assert classes == sorted(classes)
 
 
-def test_record_edge_index_and_counts():
-    cov = CoverageMap()
-    probe = EdgeProbe(location_id=12, prev_location=5)
-    record_edge(cov, probe)
-    assert cov.raw[12 ^ 5] == 1
-    assert probe.prev_location == 12 >> 1
-
-    # same edge again: same index, count 2
-    probe.location_id = 12
-    probe.prev_location = 5
-    record_edge(cov, probe)
-    assert cov.raw[12 ^ 5] == 2
-    assert cov.nonzero_count() == 1
-
-
-def test_distinct_probes_may_collide():
-    cov = CoverageMap()
-    a = EdgeProbe(location_id=0b1100, prev_location=0b0011)
-    b = EdgeProbe(location_id=0b0011, prev_location=0b1100)
-    record_edge(cov, a)
-    record_edge(cov, b)
-    assert cov.raw[0b1111] == 2  # identical XOR lands in one cell
-
-
-def test_record_edge_validates_range():
-    with pytest.raises(ValueError):
-        record_edge(CoverageMap(), EdgeProbe(location_id=MAP_SIZE))
-
-
-def test_raw_counts_saturate():
-    cov = CoverageMap()
-    probe = EdgeProbe(location_id=7, prev_location=0)
-    for _ in range(300):
-        probe.location_id = 7
-        probe.prev_location = 0
-        record_edge(cov, probe)
-    assert cov.raw[7] == 255
-    assert cov.class_at(7) == 8
-
-
 def poke(cov, index, raw):
     if cov.raw[index] == 0:
         cov.touched.append(index)
@@ -107,15 +69,19 @@ def test_has_new_coverage_rules():
 
     run = CoverageMap()
     poke(run, 100, 1)
-    assert has_new_coverage(g, run) is True  # empty global, class 1 edge
+    assert g.absorb(run) == [(100, 1)]  # empty global, class 1 edge
 
     again = CoverageMap()
     poke(again, 100, 1)
-    assert has_new_coverage(g, again) is False  # identical run absorbed
+    assert g.absorb(again) == []  # identical run absorbed
 
     escalated = CoverageMap()
     poke(escalated, 100, 5)  # raw 5 -> class 4 at the same index
-    assert has_new_coverage(g, escalated) is True
+    assert g.absorb(escalated) == [(100, 4)]
+
+    lower = CoverageMap()
+    poke(lower, 100, 2)  # an unseen lower class is new as well
+    assert g.absorb(lower) == [(100, 2)]
 
 
 def test_absorb_reports_new_pairs_and_fixpoint():
@@ -150,12 +116,63 @@ def branchy(flag):
     return x
 
 
+def straight():
+    a = 1
+    b = 2
+    return a + b
+
+
+def ping_pong(n):
+    for _ in range(n):
+        x = 1
+    return x
+
+
+SCOPE = (branchy.__code__.co_filename,)
+
+
 def trace(fn, *args):
     cov = CoverageMap()
-    scope = (branchy.__code__.co_filename,)
-    with EdgeTracer(cov, scope_prefixes=scope):
-        fn(*args)
+    EdgeTracer(SCOPE).run(cov, fn, *args)
     return cov
+
+
+def line_sites(fn, *offsets):
+    """Site ids of the lines `offsets` below fn's def line."""
+    first = fn.__code__.co_firstlineno
+    return [site_id(__name__, first + k) for k in offsets]
+
+
+def test_tracer_edge_index_and_counts():
+    s1, s2, s3 = line_sites(straight, 1, 2, 3)
+    edges = [s1, s2 ^ (s1 >> 1), s3 ^ (s2 >> 1)]  # site ^ (previous site >> 1)
+    assert len(set(edges)) == 3
+    tracer = EdgeTracer(SCOPE)
+    cov = CoverageMap()
+    tracer.run(cov, straight)
+    assert cov.touched == edges
+    assert [cov.raw[i] for i in edges] == [1, 1, 1]
+
+    # the next execution starts again from previous site 0: same cells
+    tracer.run(cov, straight)
+    assert cov.touched == edges
+    assert [cov.raw[i] for i in edges] == [2, 2, 2]
+
+
+def test_tracer_edge_direction_matters():
+    loop, body = line_sites(ping_pong, 1, 2)
+    there, back = body ^ (loop >> 1), loop ^ (body >> 1)
+    assert there != back
+    cov = trace(ping_pong, 3)
+    assert cov.raw[there] == 3
+    assert cov.raw[back] == 3
+
+
+def test_raw_counts_saturate():
+    loop, body = line_sites(ping_pong, 1, 2)
+    cov = trace(ping_pong, 300)
+    assert cov.raw[body ^ (loop >> 1)] == 255
+    assert cov.class_at(body ^ (loop >> 1)) == 8
 
 
 def test_tracer_is_deterministic():
@@ -173,13 +190,79 @@ def test_tracer_separates_branches():
 
 def test_tracer_scope_excludes_foreign_code():
     cov = CoverageMap()
-    with EdgeTracer(cov, scope_prefixes=("/nonexistent/scope",)):
-        branchy(True)
+    EdgeTracer(("/nonexistent/scope",)).run(cov, branchy, True)
     assert cov.nonzero_count() == 0
 
 
 def test_tracer_restores_prior_trace():
+    def boom():
+        raise RuntimeError("target failure")
+
     before = sys.gettrace()
-    with EdgeTracer(CoverageMap(), scope_prefixes=("/tmp",)):
-        pass
+    tracer = EdgeTracer(SCOPE)
+    assert tracer.run(CoverageMap(), straight) == 3
     assert sys.gettrace() is before
+    with pytest.raises(RuntimeError):
+        tracer.run(CoverageMap(), boom)
+    assert sys.gettrace() is before
+
+
+def test_one_tracer_per_scope():
+    assert tracer_for(SCOPE) is tracer_for(SCOPE)
+    assert tracer_for(SCOPE) is not tracer_for(("/nonexistent/scope",))
+
+
+# --- the traced harness against the original per-input line tracer -----------
+
+
+def reference_map(spec, data):
+    """Both executions' edges as the original tracer recorded them: fresh
+    state per execution, sites keyed by (file, line), module name per file."""
+    cov, scope = CoverageMap(), spec.scope()
+    pub, sec1, sec2 = spec.parse(data, spec.constraints)
+    for sec in (sec1, sec2):
+        prev, modnames = 0, {}
+
+        def on_line(frame, event, arg):
+            nonlocal prev
+            if event == "line":
+                name = frame.f_code.co_filename
+                modname = modnames.setdefault(name, frame.f_globals.get("__name__", name))
+                loc = site_id(modname, frame.f_lineno)
+                index = (loc ^ prev) % MAP_SIZE
+                if cov.raw[index] == 0:
+                    cov.touched.append(index)
+                cov.raw[index] = min(cov.raw[index] + 1, 255)
+                prev = loc >> 1
+            return on_line
+
+        def on_call(frame, event, arg):
+            return on_line if frame.f_code.co_filename.startswith(scope) else None
+
+        prior = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            spec.target(pub, sec, Meter())
+        except Exception:  # noqa: BLE001 - an aborted run keeps its edges
+            pass
+        finally:
+            sys.settrace(prior)
+    return cov
+
+
+BENCHMARK_DRIVERS = [
+    name
+    for name in driver_names()
+    if get_driver(name).target.__module__.startswith("deltafuzz.benchmarks")
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(BENCHMARK_DRIVERS), data=st.binary(min_size=3, max_size=48))
+def test_traced_map_matches_reference_algorithm(name, data):
+    spec = get_driver(name)
+    cov = CoverageMap()
+    run_driver(spec, data, cov)
+    expected = reference_map(spec, data)
+    assert cov.touched == expected.touched
+    assert cov.raw == expected.raw
