@@ -11,7 +11,7 @@ Run: python3 demos/04_mutation_stages.py
 import random
 from collections import Counter
 
-from deltafuzz.mutation import MutationBudget, deterministic_stage, havoc, splice
+from deltafuzz.mutation import deterministic_stage, havoc, splice
 
 
 def main():
@@ -27,21 +27,21 @@ def main():
     print(f"all deterministic mutants keep the length: {dict(lengths)}")
     print()
 
-    budget = MutationBudget(havoc_iterations=256, max_input_len=16, rng_seed=0)
+    max_len = 16  # the campaign's input byte cap
     rng = random.Random(0)
     print("havoc: stacked random edits, lengths may grow or shrink")
     for _ in range(6):
-        out = havoc(data, budget, rng)
+        out = havoc(data, max_len, rng)
         print(f"  {out.hex():32} len={len(out)}")
     print()
 
     other = bytes.fromhex("a1a2a3a4a5a6")
     print(f"splice with {other.hex()}: head of one input, tail of the other")
     for _ in range(4):
-        out = splice(data, other, budget, rng)
+        out = splice(data, other, max_len, rng)
         print(f"  {out.hex()}")
     print()
-    print(f"splice of identical inputs is refused: {splice(data, data, budget, rng)}")
+    print(f"splice of identical inputs is refused: {splice(data, data, max_len, rng)}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ under replay indicates a side channel in the metered dimension.
 """
 
 from .campaign import (
-    CampaignClock,
     CampaignConfig,
     CampaignReport,
     replay,
@@ -31,7 +30,7 @@ from .driver import (
     with_domain,
 )
 from .metering import DIMENSIONS, CostReading, HarnessError, Meter
-from .mutation import MutationBudget, deterministic_stage, havoc, splice
+from .mutation import deterministic_stage, havoc, splice
 from .oracle import OracleResult, exhaustive_max_delta, structured_max_delta
 
 from . import benchmarks  # noqa: E402  (import registers the stock drivers)
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHARSETS",
     "DIMENSIONS",
-    "CampaignClock",
     "CampaignConfig",
     "CampaignReport",
     "ConfigError",
@@ -55,7 +53,6 @@ __all__ = [
     "HarnessError",
     "HighScore",
     "Meter",
-    "MutationBudget",
     "OracleResult",
     "ParseReject",
     "QueueEntry",

@@ -8,9 +8,11 @@ or strictly raises the delta high score. Progress lands in stats.csv at one
 row per second; the final report carries the verdict, the witness triple,
 and the reminder that finding nothing proves nothing.
 
-The clock is swappable: wall mode times out on real seconds, while paced
+The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
-pure function of (config, seeds, rng_seed).
+pure function of (config, seeds, rng_seed). At the end the witness is
+replayed once, after the artifacts are written, and must reproduce the
+reported delta.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from .driver import (
     DiffResult,
     DriverSpec,
     ParseReject,
+    default_parse,
     get_driver,
+    replay_check,
     run_driver,
     with_domain,
 )
 from .metering import DIMENSION_ALIASES, DIMENSIONS
-from .mutation import MutationBudget, deterministic_stage, havoc, splice
+from .mutation import deterministic_stage, havoc, splice
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +53,10 @@ VERDICT_LEAK = "leak-indicated"
 # the parser's (pub, sec_1, sec_2), so inputs that decode alike cost alike and
 # cover alike; a remembered one skips tracing, the target and the queue.
 MEMO_SIZE = 256
+
+# mutants per queue visit, after the entry's one deterministic stage
+HAVOC_ITERATIONS = 256
+SPLICE_ITERATIONS = 32
 
 STATS_HEADER = ("seconds", "executions", "max_delta", "coverage_count", "queue_size")
 
@@ -80,30 +88,6 @@ def verdict(max_delta: int, report_epsilon: Optional[float] = None) -> str:
     return VERDICT_LEAK
 
 
-class CampaignClock:
-    """Campaign time source.
-
-    Wall mode (pace=None) reports real elapsed seconds. Paced mode reports
-    evaluations/pace, so timeouts, stats rows, and every downstream artifact
-    depend only on the evaluation sequence, never on host speed.
-    """
-
-    def __init__(self, pace: Optional[int] = None):
-        if pace is not None and pace < 1:
-            raise ConfigError("pace must be >= 1 evaluations per second")
-        self._pace = pace
-        self._evals = 0
-        self._start = time.monotonic()
-
-    def on_evaluation(self) -> None:
-        self._evals += 1
-
-    def now(self) -> float:
-        if self._pace is None:
-            return time.monotonic() - self._start
-        return self._evals / self._pace
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     driver_name: str
@@ -116,8 +100,6 @@ class CampaignConfig:
     report_epsilon: Optional[float] = None
     segment_cap: Optional[int] = None
     charset: Optional[str] = None
-    havoc_iterations: int = 256
-    splice_iterations: int = 32
     deterministic_stage_enabled: bool = True
     pace: Optional[int] = None
     stop_on_delta: Optional[int] = None
@@ -131,10 +113,8 @@ class CampaignConfig:
             raise ConfigError("epsilon must be >= 0")
         if self.max_input_len < 1:
             raise ConfigError("max input length must be >= 1")
-        if self.havoc_iterations < 1:
-            raise ConfigError("havoc iterations must be >= 1")
-        if self.splice_iterations < 0:
-            raise ConfigError("splice iterations must be >= 0")
+        if self.pace is not None and self.pace < 1:
+            raise ConfigError("pace must be >= 1 evaluations per second")
         if self.stop_on_delta is not None and self.stop_on_delta < 1:
             raise ConfigError("stop-delta must be >= 1")
 
@@ -146,7 +126,7 @@ class CampaignReport:
     verdict: str
     max_delta: int
     witness_data: bytes
-    witness_decoded: tuple[bytes, bytes, bytes] | None
+    witness_decoded: tuple[bytes, bytes, bytes]
     first_positive_at: Optional[float]
     executions: int
     coverage_count: int
@@ -166,45 +146,39 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def _hex_triple(decoded: tuple[bytes, bytes, bytes] | None) -> tuple[str, str, str]:
-    if decoded is None:
-        return ("", "", "")
-    return tuple(part.hex() for part in decoded)  # type: ignore[return-value]
-
-
-def _resolve_spec(config: CampaignConfig) -> DriverSpec:
-    spec = get_driver(config.driver_name)
-    dimension = (
-        canonical_dimension(config.cost_dimension)
-        if config.cost_dimension is not None
-        else None
-    )
+def _resolve_spec(
+    driver_name: str,
+    dimension: Optional[str] = None,
+    segment_cap: Optional[int] = None,
+    charset: Optional[str] = None,
+) -> DriverSpec:
     return with_domain(
-        spec,
-        segment_cap=config.segment_cap,
-        charset=config.charset,
-        dimension=dimension,
+        get_driver(driver_name),
+        segment_cap=segment_cap,
+        charset=charset,
+        dimension=canonical_dimension(dimension) if dimension is not None else None,
     )
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    spec = _resolve_spec(config)
+    spec = _resolve_spec(
+        config.driver_name, config.cost_dimension, config.segment_cap, config.charset
+    )
     dim = spec.cost_dimension
     seeds = load_seeds(config.seed_dir, config.max_input_len)
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    queue = FuzzQueue(out_dir / "queue")
+    queue_dir = out_dir / "queue"
+    if queue_dir.is_dir() and any(queue_dir.iterdir()):
+        raise ConfigError(f"output directory holds an earlier run's queue: {out_dir}")
+    queue = FuzzQueue(queue_dir)
     global_cov = GlobalCoverage()
     high = HighScore()
     rng = random.Random(config.rng_seed)
-    budget = MutationBudget(
-        havoc_iterations=config.havoc_iterations,
-        max_input_len=config.max_input_len,
-        rng_seed=config.rng_seed,
-    )
-    clock = CampaignClock(config.pace)
+    max_len = config.max_input_len
+    pace = config.pace
+    start = time.monotonic()
 
     executions = 0
     first_positive: Optional[float] = None
@@ -213,19 +187,21 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     stats_rows: list[tuple[int, int, int, int, int]] = []
     next_row_second = 0
 
+    def now() -> float:
+        """Campaign time: evaluations/pace when paced, so every artifact
+        depends only on the evaluation sequence; else real elapsed seconds."""
+        if pace is None:
+            return time.monotonic() - start
+        return executions / pace
+
+    def row(second: int) -> tuple[int, int, int, int, int]:
+        return (second, executions, high.value, global_cov.nonzero_count(), len(queue))
+
     def emit_rows() -> None:
         nonlocal next_row_second
-        current = int(clock.now())
+        current = int(now())
         while next_row_second <= current:
-            stats_rows.append(
-                (
-                    next_row_second,
-                    executions,
-                    high.value,
-                    global_cov.nonzero_count(),
-                    len(queue),
-                )
-            )
+            stats_rows.append(row(next_row_second))
             next_row_second += 1
 
     # decoded triple -> its result, least recently used first
@@ -234,7 +210,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
         nonlocal executions, first_positive, harness_errors
         try:
-            decoded = spec.parse(data, spec.constraints)
+            decoded = default_parse(data, spec.constraints)
         except ParseReject:
             decoded = None
         result = memo.get(decoded)
@@ -249,15 +225,14 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         else:
             memo.move_to_end(decoded)
         executions += 1
-        clock.on_evaluation()
-        now = clock.now()
+        at = now()
         if result.outcome != OUTCOME_PARSE_REJECT:
             if cov is not None:
                 # a repeat cannot be kept: global coverage already holds its
                 # map and the high score is already >= its delta
-                consider(queue, data, result, cov, global_cov, high, dim, now, parent_id)
+                consider(queue, data, result, cov, global_cov, high, dim, at, parent_id)
             if result.delta_of(dim) > 0 and first_positive is None:
-                first_positive = now
+                first_positive = at
             if result.note is not None:
                 harness_errors += 1
                 if len(error_notes) < 8:
@@ -267,7 +242,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             raise _Stop("stop-condition")
         if config.stop_on_delta is not None and high.value >= config.stop_on_delta:
             raise _Stop("delta-target-reached")
-        if clock.now() >= config.timeout_seconds:
+        if now() >= config.timeout_seconds:
             raise _Stop("timeout")
         return result
 
@@ -288,55 +263,40 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 raise ConfigError(f"seed {name!r} does not parse: {result.note}")
             if not queue.seen(data):
                 # seeds are enqueued even when boring; they anchor the corpus
-                queue.add(
-                    data,
-                    best_delta=result.delta_of(dim),
-                    discovered_at=clock.now(),
-                )
+                queue.add(data, best_delta=result.delta_of(dim), discovered_at=now())
         while True:
             entry = queue.next()
             if entry.entry_id not in det_done:
                 det_done.add(entry.entry_id)
                 if config.deterministic_stage_enabled:
                     for mutant in deterministic_stage(entry.data):
-                        evaluate(mutant[: config.max_input_len], entry.entry_id)
-            for _ in range(config.havoc_iterations):
-                evaluate(havoc(entry.data, budget, rng), entry.entry_id)
-            for _ in range(config.splice_iterations):
+                        evaluate(mutant[:max_len], entry.entry_id)
+            for _ in range(HAVOC_ITERATIONS):
+                evaluate(havoc(entry.data, max_len, rng), entry.entry_id)
+            for _ in range(SPLICE_ITERATIONS):
                 partner = rng.choice(queue.entries).data
-                mutant = splice(entry.data, partner, budget, rng)
+                mutant = splice(entry.data, partner, max_len, rng)
                 if mutant is not None:
                     evaluate(mutant, entry.entry_id)
     except _Stop as stop:
         stop_reason = stop.reason
+    except KeyboardInterrupt:
+        # stop like any other stop: the artifacts below still get written
+        stop_reason = "interrupted"
 
     emit_rows()
-    duration = clock.now()
-    # final snapshot row, even when the campaign ended mid-second
-    stats_rows.append(
-        (
-            int(duration),
-            executions,
-            high.value,
-            global_cov.nonzero_count(),
-            len(queue),
-        )
-    )
+    duration = now()
+    stats_rows.append(row(int(duration)))  # final snapshot, even mid-second
 
-    witness_data = high.witness_data
-    witness_decoded = high.witness_decoded
-    if witness_data is None:
-        # no positive delta: fall back to the first seed as the exhibit
-        witness_data = seeds[0][1]
-        witness_decoded = run_driver(spec, witness_data).decoded
-
+    # with no positive delta, the first seed stands as the exhibit
+    witness_data = high.witness_data or seeds[0][1]
     report = CampaignReport(
         driver=spec.name,
         dimension=dim,
         verdict=verdict(high.value, config.report_epsilon),
         max_delta=high.value,
         witness_data=witness_data,
-        witness_decoded=witness_decoded,
+        witness_decoded=default_parse(witness_data, spec.constraints),
         first_positive_at=first_positive,
         executions=executions,
         coverage_count=global_cov.nonzero_count(),
@@ -350,6 +310,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         stats_rows=tuple(stats_rows),
     )
     _write_outputs(out_dir, report)
+    # checked once the artifacts are on disk: a witness that does not replay
+    # is a fault of the target. With no evaluation done (Ctrl-C in the first
+    # run) there is nothing to check, and re-running could hang again.
+    if executions:
+        replay_check(spec, witness_data, high.value)
     log.info(
         "campaign done: verdict=%s max_delta=%d executions=%d (%s)",
         report.verdict,
@@ -368,7 +333,7 @@ def _write_outputs(out_dir: Path, report: CampaignReport) -> None:
 
     (out_dir / "witness.bin").write_bytes(report.witness_data)
 
-    pub, sec1, sec2 = _hex_triple(report.witness_decoded)
+    pub, sec1, sec2 = (part.hex() for part in report.witness_decoded)
     witness_lines = [
         f"driver: {report.driver}",
         f"dimension: {report.dimension}",
@@ -422,10 +387,4 @@ def replay(
 ) -> DiffResult:
     """One harness pass over raw input bytes, under the same domain knobs
     the campaign used; replaying a campaign witness reproduces its delta."""
-    spec = with_domain(
-        get_driver(driver_name),
-        segment_cap=segment_cap,
-        charset=charset,
-        dimension=canonical_dimension(dimension) if dimension is not None else None,
-    )
-    return run_driver(spec, data)
+    return run_driver(_resolve_spec(driver_name, dimension, segment_cap, charset), data)

@@ -7,6 +7,7 @@ successful outcome), 2 on configuration errors, 3 on internal errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import statistics
@@ -225,25 +226,13 @@ def _read_run(out_dir: Path) -> tuple[int, int | None]:
     stats = out_dir / "stats.csv"
     if not stats.is_file():
         raise ConfigError(f"missing stats.csv in {out_dir}")
-    max_delta = 0
-    first_positive: int | None = None
     with open(stats, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            sec_col = header.index("seconds")
-            delta_col = header.index("max_delta")
-        except ValueError:
-            raise ConfigError(f"unrecognized stats.csv header in {out_dir}") from None
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            seconds = int(cells[sec_col])
-            delta = int(cells[delta_col])
-            max_delta = max(max_delta, delta)
-            if delta > 0 and first_positive is None:
-                first_positive = seconds
+        reader = csv.DictReader(fh)
+        if not {"seconds", "max_delta"} <= set(reader.fieldnames or ()):
+            raise ConfigError(f"unrecognized stats.csv header in {out_dir}")
+        rows = [(int(row["seconds"]), int(row["max_delta"])) for row in reader]
+    max_delta = max((delta for _, delta in rows), default=0)
+    first_positive = next((sec for sec, delta in rows if delta > 0), None)
     return max_delta, first_positive
 
 

@@ -22,7 +22,6 @@ class QueueEntry:
     entry_id: int
     data: bytes
     best_delta: int
-    coverage_signature: frozenset[tuple[int, int]]
     discovered_at: float
     parent_id: int | None = None
 
@@ -43,22 +42,12 @@ class HighScore:
 
     value: int = 0
     witness_data: bytes | None = None
-    witness_decoded: tuple[bytes, bytes, bytes] | None = None
-    achieved_at: float | None = None
 
-    def update(
-        self,
-        delta: int,
-        data: bytes,
-        decoded: tuple[bytes, bytes, bytes] | None,
-        now: float,
-    ) -> None:
+    def update(self, delta: int, data: bytes) -> None:
         if delta <= self.value and self.witness_data is not None:
             raise ValueError("high score only moves up")
         self.value = delta
         self.witness_data = data
-        self.witness_decoded = decoded
-        self.achieved_at = now
 
 
 class FuzzQueue:
@@ -84,7 +73,6 @@ class FuzzQueue:
         data: bytes,
         *,
         best_delta: int,
-        coverage_signature: frozenset[tuple[int, int]] = frozenset(),
         discovered_at: float = 0.0,
         parent_id: int | None = None,
     ) -> QueueEntry:
@@ -92,7 +80,6 @@ class FuzzQueue:
             entry_id=len(self.entries),
             data=data,
             best_delta=best_delta,
-            coverage_signature=coverage_signature,
             discovered_at=discovered_at,
             parent_id=parent_id,
         )
@@ -133,18 +120,12 @@ def consider(
     delta = result.delta_of(dimension)
     improved = delta > high_score.value
     if improved:
-        high_score.update(delta, data, result.decoded, now)
+        high_score.update(delta, data)
     if not new_pairs and not improved:
         return False
     if not data or queue.seen(data):
         return False
-    queue.add(
-        data,
-        best_delta=delta,
-        coverage_signature=frozenset(new_pairs),
-        discovered_at=now,
-        parent_id=parent_id,
-    )
+    queue.add(data, best_delta=delta, discovered_at=now, parent_id=parent_id)
     return True
 
 

@@ -42,14 +42,6 @@ class CoverageMap:
         self.raw = bytearray(MAP_SIZE)
         self.touched: list[int] = []  # first-touch order, no duplicates
 
-    def class_at(self, index: int) -> int:
-        return _BUCKET_OF_BYTE[self.raw[index]]
-
-    def nonzero_items(self) -> list[tuple[int, int]]:
-        """(index, bucket class) for every touched edge."""
-        raw = self.raw
-        return [(i, _BUCKET_OF_BYTE[raw[i]]) for i in self.touched]
-
     def nonzero_count(self) -> int:
         return len(self.touched)
 

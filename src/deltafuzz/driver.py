@@ -85,19 +85,15 @@ class DriverSpec:
     description: str = ""
     cost_dimension: str = "ops"
     constraints: Constraints = field(default_factory=Constraints)
-    parse: Callable[[bytes, Constraints], tuple[bytes, bytes, bytes]] = default_parse
     statistic: Optional[Statistic] = None
-    trace_scope: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.cost_dimension not in DIMENSIONS:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
 
     def scope(self) -> tuple[str, ...]:
-        """Directories whose code is coverage-traced; defaults to wherever
-        the target function is defined."""
-        if self.trace_scope is not None:
-            return self.trace_scope
+        """Directories whose code is coverage-traced: wherever the target
+        function is defined."""
         return (os.path.dirname(self.target.__code__.co_filename),)
 
 
@@ -125,7 +121,7 @@ def run_driver(
     costs accumulated up to the abort; they are findings, not crashes.
     """
     try:
-        pub, sec1, sec2 = spec.parse(data, spec.constraints)
+        pub, sec1, sec2 = default_parse(data, spec.constraints)
     except ParseReject as exc:
         return DiffResult(outcome=OUTCOME_PARSE_REJECT, note=str(exc))
 
@@ -157,6 +153,18 @@ def run_driver(
         output_mismatch=failure is None and outputs[0] != outputs[1],
         note=failure,
     )
+
+
+def replay_check(spec: DriverSpec, data: bytes, expected: int) -> DiffResult:
+    """Run data once, untraced, and insist it reproduces the expected delta
+    in the spec's dimension; a reported delta must replay exactly."""
+    result = run_driver(spec, data)
+    got = result.delta_of(spec.cost_dimension)
+    if got != expected:
+        raise RuntimeError(
+            f"witness failed replay: expected delta {expected}, got {got}"
+        )
+    return result
 
 
 _REGISTRY: dict[str, DriverSpec] = {}

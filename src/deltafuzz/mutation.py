@@ -11,10 +11,7 @@ stream is reproducible from its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
-
-FuzzInput = bytes
 
 ARITH_MAX = 35
 HAVOC_STACK_POW2 = 6  # stacks of 1 << (0..6) = 1..64 operations
@@ -27,13 +24,6 @@ INTERESTING_16 = INTERESTING_8 + [
 INTERESTING_32 = INTERESTING_16 + [
     -2147483648, -100663046, -32769, 32768, 65535, 65536, 100663045, 2147483647,
 ]
-
-
-@dataclass(frozen=True)
-class MutationBudget:
-    havoc_iterations: int = 256
-    max_input_len: int = 48
-    rng_seed: int = 0
 
 
 def bitflips(data: bytes, width: int) -> Iterator[bytes]:
@@ -136,12 +126,11 @@ def _block_len(rng: random.Random, limit: int) -> int:
     return rng.randint(1, min(HAVOC_BLOCK_MAX, limit))
 
 
-def havoc(data: bytes, budget: MutationBudget, rng: random.Random) -> bytes:
-    """One stacked-random-edit mutant; length stays within [1, max_input_len]."""
+def havoc(data: bytes, max_len: int, rng: random.Random) -> bytes:
+    """One stacked-random-edit mutant; length stays within [1, max_len]."""
     if not data:
         raise ValueError("input must be non-empty")
     buf = bytearray(data)
-    max_len = budget.max_input_len
     for _ in range(1 << rng.randint(0, HAVOC_STACK_POW2)):
         op = rng.randrange(7)
         n = len(buf)
@@ -183,14 +172,13 @@ def havoc(data: bytes, budget: MutationBudget, rng: random.Random) -> bytes:
     return bytes(buf)
 
 
-def splice(
-    a: bytes, b: bytes, budget: MutationBudget, rng: random.Random
-) -> bytes | None:
-    """Prefix of a + suffix of b at random split points; None if a == b."""
+def splice(a: bytes, b: bytes, max_len: int, rng: random.Random) -> bytes | None:
+    """Prefix of a + suffix of b at random split points, cut to max_len;
+    None if a == b."""
     if not a or not b:
         raise ValueError("inputs must be non-empty")
     if a == b:
         return None
     i = rng.randint(1, len(a))
     j = rng.randint(0, len(b))
-    return (a[:i] + b[j:])[: budget.max_input_len]
+    return (a[:i] + b[j:])[:max_len]

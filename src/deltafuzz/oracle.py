@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .driver import (
-    ConfigError,
-    DriverSpec,
-    default_parse,
-    run_driver,
-    with_domain,
-)
+from .driver import ConfigError, DriverSpec, replay_check, run_driver, with_domain
 
 DEFAULT_BUDGET = 2**24
 
@@ -43,17 +37,6 @@ class OracleResult:
     statistic: str | None = None
 
 
-def _scoped(spec: DriverSpec, segment_len: int, charset: str | None) -> DriverSpec:
-    if segment_len < 1:
-        raise ConfigError("segment length must be >= 1")
-    if spec.parse is not default_parse:
-        raise ConfigError(
-            f"driver {spec.name!r} uses a custom parser; the oracle can only "
-            "compose inputs for the standard three-segment layout"
-        )
-    return with_domain(spec, segment_cap=segment_len, charset=charset)
-
-
 def _symbols(spec: DriverSpec) -> bytes:
     alphabet = spec.constraints.alphabet()
     return bytes(range(256)) if alphabet is None else alphabet
@@ -71,13 +54,28 @@ def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
         ) from None
 
 
-def _replay_check(spec: DriverSpec, witness: bytes, expected: int) -> None:
-    res = run_driver(spec, witness)
-    got = res.delta_of(spec.cost_dimension)
-    if got != expected:
-        raise RuntimeError(
-            f"oracle witness failed replay: expected delta {expected}, got {got}"
-        )
+def _result(
+    aspec: DriverSpec,
+    mode: str,
+    segment_len: int,
+    witness: bytes,
+    max_delta: int,
+    executions: int,
+) -> OracleResult:
+    """Replay the witness once and package the verdict around it."""
+    replayed = replay_check(aspec, witness, max_delta)
+    return OracleResult(
+        driver=aspec.name,
+        dimension=aspec.cost_dimension,
+        mode=mode,
+        segment_len=segment_len,
+        charset=aspec.constraints.charset,
+        max_delta=max_delta,
+        witness=witness,
+        decoded=replayed.decoded,
+        executions=executions,
+        statistic=aspec.statistic.name if mode == "structured" else None,
+    )
 
 
 def exhaustive_max_delta(
@@ -91,9 +89,8 @@ def exhaustive_max_delta(
     Refuses with DomainTooLarge when the triple domain |A|**(3*len)
     exceeds the budget; cost enumeration itself needs |A|**(2*len) runs.
     """
-    aspec = _scoped(spec, segment_len, charset)
-    alphabet = aspec.constraints.alphabet()
-    n = 256 if alphabet is None else len(alphabet)
+    aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
+    n = len(_symbols(aspec))
     cardinality = n ** (3 * segment_len)
     if cardinality > budget:
         raise DomainTooLarge(
@@ -129,19 +126,7 @@ def exhaustive_max_delta(
             best_delta = delta
             best_witness = pub + hi_sec + lo_sec
 
-    _replay_check(aspec, best_witness, best_delta)
-    decoded = run_driver(aspec, best_witness).decoded
-    return OracleResult(
-        driver=aspec.name,
-        dimension=dim,
-        mode="exhaustive",
-        segment_len=segment_len,
-        charset=aspec.constraints.charset,
-        max_delta=best_delta,
-        witness=best_witness,
-        decoded=decoded,
-        executions=executions,
-    )
+    return _result(aspec, "exhaustive", segment_len, best_witness, best_delta, executions)
 
 
 def structured_max_delta(
@@ -155,7 +140,7 @@ def structured_max_delta(
     cost-relevant feature of the secret; refuses when the driver declares
     no statistic or the alphabet cannot express its witnesses.
     """
-    aspec = _scoped(spec, segment_len, charset)
+    aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
     if aspec.statistic is None:
         raise ConfigError(
             f"driver {aspec.name!r} declares no cost statistic; "
@@ -184,17 +169,4 @@ def structured_max_delta(
             f"statistic {aspec.statistic.name!r} produced no witnesses"
         )
 
-    _replay_check(aspec, best_witness, best_delta)
-    decoded = run_driver(aspec, best_witness).decoded
-    return OracleResult(
-        driver=aspec.name,
-        dimension=dim,
-        mode="structured",
-        segment_len=segment_len,
-        charset=aspec.constraints.charset,
-        max_delta=best_delta,
-        witness=best_witness,
-        decoded=decoded,
-        executions=executions,
-        statistic=aspec.statistic.name,
-    )
+    return _result(aspec, "structured", segment_len, best_witness, best_delta, executions)

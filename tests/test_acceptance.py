@@ -18,7 +18,7 @@ from deltafuzz.campaign import CampaignConfig, replay, run_campaign
 from deltafuzz.cli import main
 from deltafuzz.coverage import bucketize
 from deltafuzz.driver import driver_names, get_driver
-from deltafuzz.mutation import MutationBudget, deterministic_stage, havoc
+from deltafuzz.mutation import deterministic_stage, havoc
 from deltafuzz.oracle import exhaustive_max_delta, structured_max_delta
 
 MUST_REACH_ORACLE = ("pwcheck_unsafe", "pad_unsafe", "straightline_unsafe")
@@ -259,11 +259,10 @@ def reference_bucket(raw):
 
 def test_mutation_engine_bounds_and_closed_forms():
     """100k havoc outputs stay within length bounds; stage counts and hit-count buckets match their closed forms."""
-    budget = MutationBudget(havoc_iterations=256, max_input_len=48, rng_seed=9)
     rng = random.Random(9)
     pool = [rng.randbytes(rng.randint(1, 48)) for _ in range(64)]
     for i in range(100_000):
-        out = havoc(pool[i % len(pool)], budget, rng)
+        out = havoc(pool[i % len(pool)], 48, rng)
         assert 1 <= len(out) <= 48
 
     for length in (4, 5, 8, 16, 32):

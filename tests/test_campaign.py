@@ -1,24 +1,26 @@
 """Campaign orchestration: verdicts, clocks, liveness, reproducibility,
-stop conditions, and the output files."""
+stop conditions, the output files, and the witness self-check."""
 
 import csv
 
 import pytest
 
+from deltafuzz import driver as driver_module
 from deltafuzz.campaign import (
     NO_PROOF_NOTE,
     STATS_HEADER,
     VERDICT_BELOW_EPSILON,
     VERDICT_LEAK,
     VERDICT_NO_DIFFERENCE,
-    CampaignClock,
     CampaignConfig,
     canonical_dimension,
     replay,
     run_campaign,
     verdict,
 )
-from deltafuzz.driver import ConfigError
+from deltafuzz.driver import ConfigError, DriverSpec, driver_names
+
+ARTIFACTS = ("stats.csv", "witness.bin", "witness.txt", "report.txt")
 
 
 def seeds_dir(tmp_path, files=None):
@@ -72,9 +74,8 @@ def test_canonical_dimension():
         ("timeout_seconds", 0.5),
         ("report_epsilon", -1.0),
         ("max_input_len", 0),
-        ("havoc_iterations", 0),
-        ("splice_iterations", -1),
         ("stop_on_delta", 0),
+        ("pace", 0),
     ],
 )
 def test_config_validation(tmp_path, field, value):
@@ -86,24 +87,35 @@ def test_config_validation(tmp_path, field, value):
 # --- clock ----------------------------------------------------------------------
 
 
-def test_paced_clock_counts_evaluations():
-    clock = CampaignClock(pace=10)
-    assert clock.now() == 0.0
-    for _ in range(25):
-        clock.on_evaluation()
-    assert clock.now() == 2.5
+def read_stats(out_dir):
+    with open(out_dir / "stats.csv", newline="") as fh:
+        return [tuple(int(cell) for cell in row) for row in list(csv.reader(fh))[1:]]
 
 
-def test_wall_clock_moves_forward():
-    clock = CampaignClock()
-    assert clock.now() >= 0.0
-    clock.on_evaluation()  # evaluations do not drive wall time
-    assert clock.now() < 5.0
+def test_paced_clock_counts_evaluations(tmp_path):
+    # paced seconds are evaluations / pace: the row for second s is written
+    # by evaluation s * pace, and the campaign ends at 25 / 10 = 2.5 s
+    report = run_campaign(paced_config(tmp_path, pace=10, timeout_seconds=2.5))
+    rows = read_stats(tmp_path / "out")
+    assert rows[0][:2] == (0, 1)  # written by the first evaluation
+    assert [(sec, execs) for sec, execs, *_ in rows[1:-1]] == [(1, 10), (2, 20)]
+    assert rows[-1][:2] == (2, 25)
+    assert report.executions == 25 and report.duration == 2.5
 
 
-def test_pace_must_be_positive():
-    with pytest.raises(ConfigError):
-        CampaignClock(pace=0)
+def test_wall_clock_moves_forward(tmp_path):
+    report = run_campaign(paced_config(tmp_path, pace=None, timeout_seconds=1.0))
+    assert report.stop_reason == "timeout"
+    assert 1.0 <= report.duration < 30.0
+    # wall time is not derived from the evaluation count
+    seconds = [row[0] for row in report.stats_rows]
+    assert seconds[0] == 0 and seconds[-1] == int(report.duration)
+
+
+def test_pace_must_be_positive(tmp_path):
+    with pytest.raises(ConfigError, match="pace"):
+        run_campaign(paced_config(tmp_path, pace=0))
+    assert not (tmp_path / "out").exists()
 
 
 # --- liveness and stats -----------------------------------------------------------
@@ -269,3 +281,91 @@ def test_paced_campaigns_are_reproducible(tmp_path):
         assert a == b, name
     assert reports[0].max_delta == reports[1].max_delta
     assert reports[0].executions == reports[1].executions
+
+
+def test_earlier_queue_in_out_dir_is_refused(tmp_path):
+    first = run_campaign(paced_config(tmp_path, timeout_seconds=1.0))
+    queue = sorted((tmp_path / "out" / "queue").iterdir())
+    assert len(queue) == first.queue_size
+    with pytest.raises(ConfigError, match=str(tmp_path / "out")):
+        run_campaign(paced_config(tmp_path, timeout_seconds=2.0))
+    # the refused run touched nothing
+    assert sorted((tmp_path / "out" / "queue").iterdir()) == queue
+
+
+def test_out_dir_without_a_queue_is_accepted(tmp_path):
+    (tmp_path / "out" / "queue").mkdir(parents=True)
+    (tmp_path / "out" / "notes.txt").write_text("kept")
+    run_campaign(paced_config(tmp_path, timeout_seconds=1.0))
+    assert (tmp_path / "out" / "notes.txt").read_text() == "kept"
+
+
+def test_interrupt_stops_and_writes_every_artifact(tmp_path):
+    evaluations = []
+
+    def interrupt_at_300(result):
+        evaluations.append(result)
+        if len(evaluations) == 300:
+            raise KeyboardInterrupt
+        return False
+
+    report = run_campaign(paced_config(tmp_path, stop_condition=interrupt_at_300))
+    assert report.stop_reason == "interrupted"
+    assert report.executions == 300
+    out = tmp_path / "out"
+    for name in ARTIFACTS:
+        assert (out / name).is_file(), name
+    assert "stop reason:       interrupted" in (out / "report.txt").read_text()
+    assert read_stats(out)[-1][1] == 300
+    witness = (out / "witness.bin").read_bytes()
+    assert replay("pwcheck_unsafe", witness).delta_of("ops") == report.max_delta
+
+
+def test_interrupt_in_the_first_run_writes_outputs_without_replay(tmp_path, monkeypatch):
+    def hangs(pub, sec, meter):
+        raise KeyboardInterrupt  # Ctrl-C while the first run never returns
+
+    spec = DriverSpec(name="local_hangs", target=hangs)
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    report = run_campaign(paced_config(tmp_path, driver=spec.name))
+    assert report.stop_reason == "interrupted"
+    assert report.executions == 0 and report.max_delta == 0
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).is_file(), name
+
+
+# --- witness self-check ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", driver_names())
+def test_campaign_witness_replays_for_every_driver(tmp_path, name):
+    report = run_campaign(
+        paced_config(
+            tmp_path,
+            driver=name,
+            seed_dir=seeds_dir(tmp_path, {"seed": bytes(range(1, 49))}),
+            pace=200,
+            timeout_seconds=1.0,
+        )
+    )
+    replayed = replay(name, report.witness_data, dimension=report.dimension)
+    assert replayed.delta_of(report.dimension) == report.max_delta
+    assert replayed.decoded == report.witness_decoded
+
+
+def test_witness_that_does_not_replay_fails_after_writing(tmp_path, monkeypatch):
+    calls = [0]
+
+    def drifting(pub, sec, meter):
+        # cost grows with the number of earlier calls: no delta replays
+        calls[0] += 1
+        meter.tick(calls[0] ** 2)
+
+    spec = DriverSpec(name="local_drifting", target=drifting)
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    with pytest.raises(RuntimeError, match="failed replay"):
+        run_campaign(paced_config(tmp_path, driver=spec.name, timeout_seconds=1.0))
+    out = tmp_path / "out"
+    for name in ARTIFACTS:
+        assert (out / name).is_file(), name
+    assert "leak-indicated" in (out / "report.txt").read_text()

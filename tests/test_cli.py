@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import deltafuzz.campaign as campaign
 import deltafuzz.cli as cli
 from deltafuzz.cli import main
 
@@ -153,6 +154,50 @@ def test_fuzz_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def fuzz_args(tmp_path, *extra):
+    return [
+        "fuzz",
+        "--driver",
+        "pwcheck_unsafe",
+        "--seeds",
+        make_seeds(tmp_path),
+        "--out",
+        str(tmp_path / "out"),
+        "--pace",
+        "500",
+        *extra,
+    ]
+
+
+def test_fuzz_into_earlier_run_is_exit_two(tmp_path, capsys):
+    assert main(fuzz_args(tmp_path, "--timeout", "2")) == 0
+    queue = sorted((tmp_path / "out" / "queue").iterdir())
+    capsys.readouterr()
+    assert main(fuzz_args(tmp_path, "--timeout", "1")) == 2
+    err = capsys.readouterr().err
+    assert "earlier run" in err and str(tmp_path / "out") in err
+    assert sorted((tmp_path / "out" / "queue").iterdir()) == queue
+
+
+def test_fuzz_interrupted_is_exit_zero_with_outputs(tmp_path, monkeypatch, capsys):
+    real_havoc = campaign.havoc
+    calls = [0]
+
+    def havoc_then_interrupt(*args):
+        calls[0] += 1
+        if calls[0] == 50:
+            raise KeyboardInterrupt
+        return real_havoc(*args)
+
+    monkeypatch.setattr(campaign, "havoc", havoc_then_interrupt)
+    assert main(fuzz_args(tmp_path, "--timeout", "600")) == 0
+    assert "verdict:" in capsys.readouterr().out
+    for name in ("stats.csv", "witness.bin", "witness.txt", "report.txt"):
+        assert (tmp_path / "out" / name).is_file()
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "stop reason:       interrupted" in report
 
 
 # --- replay ------------------------------------------------------------------------

@@ -13,7 +13,7 @@ _RAW_FOR_CLASS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 8, 6: 16, 7: 32, 8: 128}
 
 
 def cov_with(*pairs):
-    """Run map whose nonzero_items equal the given (index, class) pairs."""
+    """Run map whose touched edges have the given (index, class) pairs."""
     m = CoverageMap()
     for index, cls in pairs:
         m.raw[index] = _RAW_FOR_CLASS[cls]
@@ -34,18 +34,18 @@ def result_with(delta_ops):
 
 def test_entry_rejects_empty_data():
     with pytest.raises(ValueError):
-        QueueEntry(0, b"", 0, frozenset(), 0.0)
+        QueueEntry(0, b"", 0, 0.0)
 
 
 def test_entry_rejects_negative_delta():
     with pytest.raises(ValueError):
-        QueueEntry(0, b"x", -1, frozenset(), 0.0)
+        QueueEntry(0, b"x", -1, 0.0)
 
 
 def test_entry_filename_format():
-    entry = QueueEntry(7, b"x", 12, frozenset(), 0.0, parent_id=3)
+    entry = QueueEntry(7, b"x", 12, 0.0, parent_id=3)
     assert entry.filename() == "id:0007,src:0003,delta:12"
-    root = QueueEntry(0, b"x", 0, frozenset(), 0.0)
+    root = QueueEntry(0, b"x", 0, 0.0)
     assert root.filename() == "id:0000,src:-,delta:0"
 
 
@@ -54,20 +54,20 @@ def test_entry_filename_format():
 
 def test_high_score_is_strictly_monotone():
     hs = HighScore()
-    hs.update(5, b"a", None, 1.0)
-    assert hs.value == 5 and hs.witness_data == b"a" and hs.achieved_at == 1.0
+    hs.update(5, b"a")
+    assert hs.value == 5 and hs.witness_data == b"a"
     with pytest.raises(ValueError):
-        hs.update(5, b"b", None, 2.0)
+        hs.update(5, b"b")
     with pytest.raises(ValueError):
-        hs.update(4, b"b", None, 2.0)
-    hs.update(6, b"b", None, 2.0)
+        hs.update(4, b"b")
+    hs.update(6, b"b")
     assert hs.value == 6 and hs.witness_data == b"b"
 
 
 def test_high_score_accepts_zero_as_first_witness():
     # campaigns record the first seed as a baseline witness at delta 0
     hs = HighScore()
-    hs.update(0, b"seed", (b"p", b"s", b"s"), 0.0)
+    hs.update(0, b"seed")
     assert hs.value == 0 and hs.witness_data == b"seed"
 
 
@@ -132,7 +132,7 @@ def make_state():
 def test_consider_discards_nothing_new():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
-    hs.update(3, b"base", None, 0.0)
+    hs.update(3, b"base")
     kept = consider(q, b"dup", result_with(0), cov_with((5, 1)), g, hs, "ops", 1.0)
     assert kept is False
     assert len(q) == 0
@@ -142,30 +142,29 @@ def test_consider_discards_nothing_new():
 def test_consider_enqueues_on_delta_improvement_alone():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
-    hs.update(3, b"base", None, 0.0)
+    hs.update(3, b"base")
     kept = consider(q, b"better", result_with(5), cov_with((5, 1)), g, hs, "ops", 2.0)
     assert kept is True
     assert hs.value == 5 and hs.witness_data == b"better"
     entry = q.entries[0]
     assert entry.best_delta == 5
-    assert entry.coverage_signature == frozenset()
     assert entry.discovered_at == 2.0
 
 
 def test_consider_enqueues_on_new_edge_without_improvement():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
-    hs.update(5, b"base", None, 0.0)
+    hs.update(5, b"base")
     kept = consider(q, b"novel", result_with(2), cov_with((9, 3)), g, hs, "ops", 3.0)
     assert kept is True
     assert hs.value == 5 and hs.witness_data == b"base"  # unchanged
-    assert q.entries[0].coverage_signature == frozenset({(9, 3)})
+    assert q.entries[0].data == b"novel"
 
 
 def test_consider_ties_are_discarded():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
-    hs.update(4, b"base", None, 0.0)
+    hs.update(4, b"base")
     assert not consider(q, b"tie", result_with(4), cov_with((5, 1)), g, hs, "ops", 1.0)
     assert len(q) == 0 and hs.value == 4
 
@@ -173,7 +172,7 @@ def test_consider_ties_are_discarded():
 def test_consider_updates_high_score_even_when_dedup_blocks():
     q, g, hs = make_state()
     q.add(b"same", best_delta=1)
-    hs.update(1, b"same", None, 0.0)
+    hs.update(1, b"same")
     kept = consider(q, b"same", result_with(9), cov_with((7, 2)), g, hs, "ops", 4.0)
     assert kept is False  # bytes already queued
     assert hs.value == 9  # but the score still moved
@@ -188,7 +187,7 @@ def test_consider_respects_escalated_hit_class():
     consider(q, b"one", result_with(0), cov_with((11, 1)), g, hs, "ops", 0.0)
     kept = consider(q, b"many", result_with(0), cov_with((11, 4)), g, hs, "ops", 1.0)
     assert kept is True
-    assert q.entries[-1].coverage_signature == frozenset({(11, 4)})
+    assert q.entries[-1].data == b"many"
 
 
 # --- load_seeds --------------------------------------------------------------------

@@ -15,7 +15,7 @@ from deltafuzz.coverage import (
     site_id,
     tracer_for,
 )
-from deltafuzz.driver import driver_names, get_driver, run_driver
+from deltafuzz.driver import default_parse, driver_names, get_driver, run_driver
 from deltafuzz.metering import Meter
 
 
@@ -172,7 +172,7 @@ def test_raw_counts_saturate():
     loop, body = line_sites(ping_pong, 1, 2)
     cov = trace(ping_pong, 300)
     assert cov.raw[body ^ (loop >> 1)] == 255
-    assert cov.class_at(body ^ (loop >> 1)) == 8
+    assert bucketize(cov.raw[body ^ (loop >> 1)]) == 8
 
 
 def test_tracer_is_deterministic():
@@ -219,7 +219,7 @@ def reference_map(spec, data):
     """Both executions' edges as the original tracer recorded them: fresh
     state per execution, sites keyed by (file, line), module name per file."""
     cov, scope = CoverageMap(), spec.scope()
-    pub, sec1, sec2 = spec.parse(data, spec.constraints)
+    pub, sec1, sec2 = default_parse(data, spec.constraints)
     for sec in (sec1, sec2):
         prev, modnames = 0, {}
 

@@ -13,7 +13,6 @@ from deltafuzz.mutation import (
     INTERESTING_8,
     INTERESTING_16,
     INTERESTING_32,
-    MutationBudget,
     arith,
     bitflips,
     byteflips,
@@ -110,32 +109,28 @@ def test_interesting_set_sizes():
 )
 @settings(max_examples=200)
 def test_havoc_respects_length_bounds(data, seed):
-    budget = MutationBudget(max_input_len=48)
-    out = havoc(data[:48], budget, random.Random(seed))
-    assert 1 <= len(out) <= budget.max_input_len
+    out = havoc(data[:48], 48, random.Random(seed))
+    assert 1 <= len(out) <= 48
 
 
 def test_havoc_reproducible_under_seed():
-    budget = MutationBudget(max_input_len=32)
     data = bytes(range(20))
-    a = [havoc(data, budget, random.Random(1234)) for _ in range(50)]
-    b = [havoc(data, budget, random.Random(1234)) for _ in range(50)]
+    a = [havoc(data, 32, random.Random(1234)) for _ in range(50)]
+    b = [havoc(data, 32, random.Random(1234)) for _ in range(50)]
     assert a == b
 
 
 def test_havoc_insert_suppressed_at_cap():
-    budget = MutationBudget(max_input_len=8)
     data = b"\xab" * 8
     rng = random.Random(99)
     for _ in range(500):
-        assert len(havoc(data, budget, rng)) <= 8
+        assert len(havoc(data, 8, rng)) <= 8
 
 
 def test_havoc_delete_keeps_one_byte():
-    budget = MutationBudget(max_input_len=8)
     rng = random.Random(5)
     for _ in range(500):
-        assert len(havoc(b"\x77", budget, rng)) >= 1
+        assert len(havoc(b"\x77", 8, rng)) >= 1
 
 
 class ScriptedRng:
@@ -154,7 +149,7 @@ def test_splice_construction():
     out = splice(
         bytes([1, 1, 1, 1]),
         bytes([2, 2, 2, 2]),
-        MutationBudget(max_input_len=48),
+        48,
         ScriptedRng([2, 2]),
     )
     assert out == bytes([1, 1, 2, 2])
@@ -162,16 +157,15 @@ def test_splice_construction():
 
 def test_splice_identical_inputs_yield_none():
     rng = random.Random(0)
-    assert splice(b"xyz", b"xyz", MutationBudget(), rng) is None
+    assert splice(b"xyz", b"xyz", 48, rng) is None
 
 
 def test_splice_sides_and_cap():
     a = b"\x01" * 10
     b = b"\x02" * 10
-    budget = MutationBudget(max_input_len=12)
     rng = random.Random(3)
     for _ in range(200):
-        out = splice(a, b, budget, rng)
+        out = splice(a, b, 12, rng)
         assert out is not None
         assert 1 <= len(out) <= 12
         switched = False

@@ -150,21 +150,6 @@ def test_segment_length_must_be_positive():
         exhaustive_max_delta(get_driver("pwcheck_unsafe"), 0, charset="binary")
 
 
-def test_custom_parser_refused():
-    def parse(data, constraints):
-        return data[:1], data[1:2], data[2:3]
-
-    spec = DriverSpec(
-        name="local_custom",
-        target=lambda pub, sec, meter: meter.tick(1),
-        parse=parse,
-    )
-    with pytest.raises(ConfigError, match="custom parser"):
-        exhaustive_max_delta(spec, 1, charset="binary")
-    with pytest.raises(ConfigError, match="custom parser"):
-        structured_max_delta(spec, 1, charset="binary")
-
-
 def test_structured_requires_a_statistic():
     with pytest.raises(ConfigError, match="no cost statistic"):
         structured_max_delta(get_driver("array_unsafe"), 2)
