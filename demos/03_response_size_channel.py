@@ -28,22 +28,23 @@ def main():
     print(f"observable difference:             {size_fresh - size_sharing} bytes")
     print()
 
-    workdir = Path(tempfile.mkdtemp(prefix="deltafuzz-demo-"))
-    seeds = workdir / "seeds"
-    seeds.mkdir()
-    (seeds / "spread").write_bytes(bytes(range(48)))  # no shared 4-grams yet
+    with tempfile.TemporaryDirectory(prefix="deltafuzz-demo-") as tmp:
+        workdir = Path(tmp)
+        seeds = workdir / "seeds"
+        seeds.mkdir()
+        (seeds / "spread").write_bytes(bytes(range(48)))  # no shared 4-grams yet
 
-    report = run_campaign(
-        CampaignConfig(
-            driver_name="crime_compress",
-            seed_dir=str(seeds),
-            out_dir=str(workdir / "out"),
-            timeout_seconds=60.0,
-            rng_seed=5,
-            pace=3000,
-            stop_on_delta=4,
+        report = run_campaign(
+            CampaignConfig(
+                driver_name="crime_compress",
+                seed_dir=str(seeds),
+                out_dir=str(workdir / "out"),
+                timeout_seconds=60.0,
+                rng_seed=5,
+                pace=3000,
+                stop_on_delta=4,
+            )
         )
-    )
     print(f"campaign verdict: {report.verdict} (dimension {report.dimension})")
     print(f"max response-size delta: {report.max_delta} bytes")
     pub, sec1, sec2 = report.witness_decoded

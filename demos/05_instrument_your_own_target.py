@@ -1,10 +1,12 @@
 """Wire your own function into the two-run harness.
 
-A target is any callable (pub, sec, meter) -> output. The meter charges
+A target is any Python function (pub, sec, meter) -> output. The meter charges
 whatever cost model you choose (abstract ops, peak allocation, response
 bytes); the harness parses one fuzz input into (pub, sec_1, sec_2), runs
 the target once per secret, and reports the absolute cost difference.
-Coverage tracing shows which lines each candidate exercised.
+With a coverage map, both runs execute a probed copy of the target's code,
+and the map records which branches each candidate took; that needs the
+target's source file, as here.
 
 Run: python3 demos/05_instrument_your_own_target.py
 """

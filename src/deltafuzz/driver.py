@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-from .coverage import CoverageMap, tracer_for
+from .coverage import CoverageMap, InstrumentError, tracer_for
 from .metering import DIMENSIONS, CostReading, Meter
 
 OUTCOME_OK = "ok"
@@ -92,9 +92,14 @@ class DriverSpec:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
 
     def scope(self) -> tuple[str, ...]:
-        """Directories whose code is coverage-traced: wherever the target
-        function is defined."""
-        return (os.path.dirname(self.target.__code__.co_filename),)
+        """Directories whose code is coverage-traced: the one the target
+        function is defined in, with its subdirectories."""
+        code = getattr(self.target, "__code__", None)
+        if code is None:
+            raise ConfigError(
+                f"cannot trace driver {self.name!r}: its target is not a Python function"
+            )
+        return (os.path.dirname(os.path.abspath(code.co_filename)),)
 
 
 @dataclass(frozen=True)
@@ -117,15 +122,23 @@ def run_driver(
     """Parse, run the target on each secret with a cleared meter, and diff.
 
     When cov_map is given, both executions are edge-traced into it (their
-    union). Target exceptions become a harness_error outcome carrying the
-    costs accumulated up to the abort; they are findings, not crashes.
+    union); code that cannot be instrumented is a ConfigError, raised before
+    the target runs. Target exceptions become a harness_error outcome
+    carrying the costs accumulated up to the abort; they are findings, not
+    crashes.
     """
     try:
         pub, sec1, sec2 = default_parse(data, spec.constraints)
     except ParseReject as exc:
         return DiffResult(outcome=OUTCOME_PARSE_REJECT, note=str(exc))
 
-    tracer = tracer_for(spec.scope()) if cov_map is not None else None
+    tracer = None
+    if cov_map is not None:
+        tracer = tracer_for(spec.scope())
+        try:
+            tracer.instrument(spec.target)
+        except InstrumentError as exc:
+            raise ConfigError(f"cannot trace driver {spec.name!r}: {exc}") from None
     meter = Meter()
     costs: list[CostReading] = []
     outputs: list[object] = []

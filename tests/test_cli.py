@@ -6,6 +6,7 @@ import pytest
 
 import deltafuzz.campaign as campaign
 import deltafuzz.cli as cli
+import deltafuzz.driver as driver_module
 from deltafuzz.cli import main
 
 
@@ -134,6 +135,18 @@ def test_fuzz_bad_timeout(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_fuzz_sourceless_target_is_exit_two(tmp_path, monkeypatch, capsys):
+    namespace = {}
+    source = "def ghost(pub, sec, meter):\n    meter.tick(1)\n"
+    exec(compile(source, "<string>", "exec"), namespace)
+    spec = driver_module.DriverSpec(name="ghost", target=namespace["ghost"])
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    seeds, out = make_seeds(tmp_path), str(tmp_path / "out")
+    code = main(["fuzz", "--driver", "ghost", "--seeds", seeds, "--out", out])
+    assert code == 2
+    assert "no source" in capsys.readouterr().err
 
 
 def test_fuzz_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
-"""Edge bitmap, hit-count bucketing, and the line tracer."""
+"""Edge bitmap, hit-count bucketing, and the probe tracer."""
 
+import os
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltafuzz import coverage
 from deltafuzz.coverage import (
     MAP_SIZE,
     CoverageMap,
@@ -15,7 +18,7 @@ from deltafuzz.coverage import (
     site_id,
     tracer_for,
 )
-from deltafuzz.driver import default_parse, driver_names, get_driver, run_driver
+from deltafuzz.driver import Constraints, default_parse, driver_names, get_driver, run_driver
 from deltafuzz.metering import Meter
 
 
@@ -128,6 +131,51 @@ def ping_pong(n):
     return x
 
 
+def trace_in_use():
+    return sys.gettrace()
+
+
+def code_in_use():
+    return sys._getframe().f_code
+
+
+def raise_after_straight(exc_type):
+    straight()
+    raise exc_type("target failure")
+
+
+class Gauge:
+    def __init__(self, level):
+        self.level = level
+
+    @classmethod
+    def empty(cls):
+        return cls(0)
+
+    @staticmethod
+    def clamp(n):
+        return min(n, 9)
+
+    @property
+    def full(self):
+        return self.level == 9
+
+
+def make_tabled():
+    def tabled():
+        return 1
+
+    return tabled
+
+
+TABLE = [make_tabled()]  # reachable through this list alone
+
+
+def uses_classes_and_tables():
+    gauge = Gauge.empty()
+    return gauge.full, Gauge.clamp(12), TABLE[0]()
+
+
 SCOPE = (branchy.__code__.co_filename,)
 
 
@@ -143,36 +191,56 @@ def line_sites(fn, *offsets):
     return [site_id(__name__, first + k) for k in offsets]
 
 
+def recorded_sites(fn, *args):
+    """The sites fn's probes report, in order, through a stub probe."""
+    sites = []
+    tracer = EdgeTracer(SCOPE)
+    with mock.patch.object(tracer, "_hit", sites.append):
+        tracer.run(CoverageMap(), fn, *args)
+    return sites
+
+
+def test_probe_sites_follow_blocks():
+    # entry: the def line; block heads: their first line; join: the header
+    entry, if_line, then_head, else_head = line_sites(branchy, 0, 2, 3, 6)
+    assert recorded_sites(branchy, True) == [entry, then_head, if_line]
+    assert recorded_sites(branchy, False) == [entry, else_head, if_line]
+    entry, for_line, body = line_sites(ping_pong, 0, 1, 2)
+    assert recorded_sites(ping_pong, 2) == [entry, body, body, for_line]
+    assert recorded_sites(straight) == line_sites(straight, 0)
+
+
 def test_tracer_edge_index_and_counts():
-    s1, s2, s3 = line_sites(straight, 1, 2, 3)
-    edges = [s1, s2 ^ (s1 >> 1), s3 ^ (s2 >> 1)]  # site ^ (previous site >> 1)
+    entry, if_line, head = line_sites(branchy, 0, 2, 3)
+    edges = [entry, head ^ (entry >> 1), if_line ^ (head >> 1)]  # site ^ (previous >> 1)
     assert len(set(edges)) == 3
     tracer = EdgeTracer(SCOPE)
     cov = CoverageMap()
-    tracer.run(cov, straight)
+    assert tracer.run(cov, branchy, True) == 3
     assert cov.touched == edges
     assert [cov.raw[i] for i in edges] == [1, 1, 1]
 
     # the next execution starts again from previous site 0: same cells
-    tracer.run(cov, straight)
+    tracer.run(cov, branchy, True)
     assert cov.touched == edges
     assert [cov.raw[i] for i in edges] == [2, 2, 2]
 
 
 def test_tracer_edge_direction_matters():
-    loop, body = line_sites(ping_pong, 1, 2)
-    there, back = body ^ (loop >> 1), loop ^ (body >> 1)
+    entry, body = line_sites(ping_pong, 0, 2)
+    there, back = body ^ (entry >> 1), entry ^ (body >> 1)
     assert there != back
     cov = trace(ping_pong, 3)
-    assert cov.raw[there] == 3
-    assert cov.raw[back] == 3
+    assert cov.raw[there] == 1  # entry -> first loop body
+    assert cov.raw[back] == 0  # never taken
+    assert cov.raw[body ^ (body >> 1)] == 2  # body -> body
 
 
 def test_raw_counts_saturate():
-    loop, body = line_sites(ping_pong, 1, 2)
-    cov = trace(ping_pong, 300)
-    assert cov.raw[body ^ (loop >> 1)] == 255
-    assert bucketize(cov.raw[body ^ (loop >> 1)]) == 8
+    (body,) = line_sites(ping_pong, 2)
+    cov = trace(ping_pong, 300)  # 299 body -> body edges
+    assert cov.raw[body ^ (body >> 1)] == 255
+    assert bucketize(cov.raw[body ^ (body >> 1)]) == 8
 
 
 def test_tracer_is_deterministic():
@@ -195,16 +263,109 @@ def test_tracer_scope_excludes_foreign_code():
 
 
 def test_tracer_restores_prior_trace():
-    def boom():
-        raise RuntimeError("target failure")
-
+    # probes need no trace function: whatever is installed stays installed
     before = sys.gettrace()
     tracer = EdgeTracer(SCOPE)
-    assert tracer.run(CoverageMap(), straight) == 3
+    assert tracer.run(CoverageMap(), trace_in_use) is before
     assert sys.gettrace() is before
     with pytest.raises(RuntimeError):
-        tracer.run(CoverageMap(), boom)
+        tracer.run(CoverageMap(), raise_after_straight, RuntimeError)
     assert sys.gettrace() is before
+
+
+def test_original_code_is_back_after_return_raise_and_interrupt():
+    tracer = EdgeTracer(SCOPE)
+    original = code_in_use.__code__
+    assert tracer.run(CoverageMap(), code_in_use) is not original  # the probed copy ran
+    assert code_in_use.__code__ is original
+
+    codes = (raise_after_straight.__code__, straight.__code__)
+    for exc_type in (RuntimeError, KeyboardInterrupt):
+        cov = CoverageMap()
+        with pytest.raises(exc_type):
+            tracer.run(cov, raise_after_straight, exc_type)
+        assert (raise_after_straight.__code__, straight.__code__) == codes
+        assert cov.nonzero_count() == 2  # both functions' entries ran probed
+
+
+def test_prior_trace_function_still_sees_target_lines():
+    first = branchy.__code__.co_firstlineno
+    lines = []
+
+    def spy(frame, event, arg):
+        if frame.f_code.co_name != "branchy":
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno - first)
+        return spy
+
+    prior = sys.gettrace()
+    sys.settrace(spy)
+    try:
+        cov = trace(branchy, True)
+    finally:
+        sys.settrace(prior)
+    assert lines == [1, 2, 3, 4, 7]  # the lines an uninstrumented run shows
+    assert cov.nonzero_count() == 3
+
+
+def test_helper_in_another_in_scope_module_gets_edges():
+    spec = get_driver("modpow_unsafe")
+    callers = []
+
+    def probe(site):
+        callers.append(sys._getframe(1).f_code.co_name)
+
+    pub, sec, _ = default_parse(bytes(range(1, 49)), spec.constraints)
+    u32le = spec.target.__globals__["u32le"]  # defined in benchmarks/support.py
+    original = u32le.__code__
+    tracer = tracer_for(spec.scope())
+    with mock.patch.object(tracer, "_hit", probe):
+        tracer.run(CoverageMap(), spec.target, pub, sec, Meter())
+    assert set(callers) == {"modpow_unsafe_target", "_decode", "u32le", "mod_pow_unsafe"}
+    assert u32le.__code__ is original
+
+
+def test_local_helper_in_a_closure_gets_edges():
+    def helper(flag):
+        if flag:
+            return 1
+        return 0
+
+    def target(flag):
+        return helper(flag)
+
+    callers = []
+
+    def probe(site):
+        callers.append(sys._getframe(1).f_code.co_name)
+
+    tracer = EdgeTracer(SCOPE)
+    with mock.patch.object(tracer, "_hit", probe):
+        assert tracer.run(CoverageMap(), target, True) == 1
+    assert callers == ["target", "helper", "helper"]  # helper: entry, then block head
+
+
+def test_methods_and_tabled_functions_get_edges():
+    callers = []
+
+    def probe(site):
+        callers.append(sys._getframe(1).f_code.co_name)
+
+    tracer = EdgeTracer(SCOPE)
+    with mock.patch.object(tracer, "_hit", probe):
+        assert tracer.run(CoverageMap(), uses_classes_and_tables) == (False, 9, 1)
+    assert callers == ["uses_classes_and_tables", "empty", "__init__", "full", "clamp", "tabled"]
+
+
+def test_the_probe_itself_is_never_probed():
+    # a scope holding deltafuzz's own sources reaches the bound probe, and a
+    # probed probe would call itself
+    tracer = EdgeTracer((os.path.dirname(coverage.__file__),))
+    tracer.run(CoverageMap(), default_parse, bytes(9), Constraints())
+    cov = CoverageMap()
+    assert tracer.run(cov, get_driver, "pwcheck_unsafe").name == "pwcheck_unsafe"
+    assert cov.nonzero_count() > 0
 
 
 def test_one_tracer_per_scope():
@@ -212,41 +373,31 @@ def test_one_tracer_per_scope():
     assert tracer_for(SCOPE) is not tracer_for(("/nonexistent/scope",))
 
 
-# --- the traced harness against the original per-input line tracer -----------
+# --- the traced harness against the edge algorithm, from recorded sites ------
 
 
 def reference_map(spec, data):
-    """Both executions' edges as the original tracer recorded them: fresh
-    state per execution, sites keyed by (file, line), module name per file."""
-    cov, scope = CoverageMap(), spec.scope()
+    """Both executions' edges recomputed from the sites their probes report:
+    index site ^ prev with prev reset per execution, then prev = site >> 1;
+    counts saturate at 255 and first touches keep their order."""
+    cov = CoverageMap()
+    tracer = tracer_for(spec.scope())
     pub, sec1, sec2 = default_parse(data, spec.constraints)
     for sec in (sec1, sec2):
-        prev, modnames = 0, {}
-
-        def on_line(frame, event, arg):
-            nonlocal prev
-            if event == "line":
-                name = frame.f_code.co_filename
-                modname = modnames.setdefault(name, frame.f_globals.get("__name__", name))
-                loc = site_id(modname, frame.f_lineno)
-                index = (loc ^ prev) % MAP_SIZE
-                if cov.raw[index] == 0:
-                    cov.touched.append(index)
-                cov.raw[index] = min(cov.raw[index] + 1, 255)
-                prev = loc >> 1
-            return on_line
-
-        def on_call(frame, event, arg):
-            return on_line if frame.f_code.co_filename.startswith(scope) else None
-
-        prior = sys.gettrace()
-        sys.settrace(on_call)
-        try:
-            spec.target(pub, sec, Meter())
-        except Exception:  # noqa: BLE001 - an aborted run keeps its edges
-            pass
-        finally:
-            sys.settrace(prior)
+        sites = []
+        with mock.patch.object(tracer, "_hit", sites.append):
+            try:
+                tracer.run(CoverageMap(), spec.target, pub, sec, Meter())
+            except Exception:  # noqa: BLE001 - an aborted run keeps its edges
+                pass
+        assert sites, "every target has at least its entry probe"
+        prev = 0
+        for site in sites:
+            index = site ^ prev
+            if cov.raw[index] == 0:
+                cov.touched.append(index)
+            cov.raw[index] = min(cov.raw[index] + 1, 255)
+            prev = site >> 1
     return cov
 
 

@@ -1,8 +1,13 @@
 """Two-execution harness: parsing, delta math, outcomes, registry."""
 
+import functools
+import importlib.util
+import sys
+from unittest import mock
+
 import pytest
 
-from deltafuzz.coverage import CoverageMap
+from deltafuzz.coverage import CoverageMap, tracer_for
 from deltafuzz.driver import (
     OUTCOME_HARNESS_ERROR,
     OUTCOME_OK,
@@ -167,6 +172,94 @@ def test_coverage_union_of_both_runs():
     only_odd = CoverageMap()
     run_driver(spec, bytes([0, 1, 1]), only_odd)
     assert union.nonzero_count() > only_odd.nonzero_count()
+
+
+def load_module(path, source, **names):
+    """Import source written to path under a fresh module name, with extra
+    names in its namespace; it is not added to sys.modules."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    module_spec = importlib.util.spec_from_file_location(f"loaded_{path.parent.name}", path)
+    module = importlib.util.module_from_spec(module_spec)
+    vars(module).update(names)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_scope_stops_at_a_path_boundary(tmp_path):
+    helper = load_module(
+        tmp_path / "t_old" / "helper.py",
+        "def check(sec, meter):\n    if sec[0]:\n        meter.tick(1)\n    return sec\n",
+    )
+    target = load_module(
+        tmp_path / "t" / "target.py",
+        "def target(pub, sec, meter):\n    meter.tick(1)\n    return helper.check(sec, meter)\n",
+        helper=helper,
+    )
+    spec = DriverSpec(name="bounded", target=target.target)
+    assert spec.scope() == (str(tmp_path / "t"),)
+    files = []
+
+    def probe(site):
+        files.append(sys._getframe(1).f_code.co_filename)
+
+    with mock.patch.object(tracer_for(spec.scope()), "_hit", probe):
+        res = run_driver(spec, bytes([1, 2, 0]), CoverageMap())
+    assert res.delta.ops == 1  # the helper ran, unprobed
+    assert set(files) == {str(tmp_path / "t" / "target.py")}  # not t_old/helper.py
+
+
+def test_sourceless_target_is_refused_when_traced():
+    namespace = {}
+    source = "def ghost(pub, sec, meter):\n    meter.tick(1)\n"
+    exec(compile(source, "<string>", "exec"), namespace)
+    spec = DriverSpec(name="ghost", target=namespace["ghost"])
+    with pytest.raises(ConfigError, match="no source"):
+        run_driver(spec, bytes(3), CoverageMap())
+    assert run_driver(spec, bytes(3)).outcome == OUTCOME_OK  # untraced runs need no source
+
+
+class Vault:
+    def __init__(self, key):
+        self.key = key
+
+    def check(self, pub, sec, meter):
+        meter.tick(1)
+        if sec == self.key:
+            meter.tick(1)
+
+
+def test_bound_method_target_gets_edges():
+    spec = DriverSpec(name="vault", target=Vault(b"k").check)
+    original = Vault.check.__code__
+    cov = CoverageMap()
+    assert run_driver(spec, b"xkz", cov).delta.ops == 1
+    assert cov.nonzero_count() == 4  # entry, taken block, join; entry -> join
+    assert Vault.check.__code__ is original
+
+
+def test_partial_target_is_refused_when_traced():
+    spec = DriverSpec(name="partial", target=functools.partial(toy_compare))
+    with pytest.raises(ConfigError, match="not a Python function"):
+        run_driver(spec, bytes(3), CoverageMap())
+    assert run_driver(spec, bytes(3)).outcome == OUTCOME_OK
+
+
+@pytest.mark.parametrize(
+    "edited",
+    [
+        "# a new first line moves the def\ndef target(pub, sec, meter):\n    meter.tick(1)\n",
+        "def target(pub, sec, meter, extra=1):\n    meter.tick(extra)\n",
+    ],
+    ids=["def-moved", "signature-changed"],
+)
+def test_changed_source_is_a_config_error_not_a_finding(tmp_path, edited):
+    path = tmp_path / "edited" / "target.py"
+    module = load_module(path, "def target(pub, sec, meter):\n    meter.tick(1)\n")
+    path.write_text(edited)
+    spec = DriverSpec(name="edited", target=module.target)
+    with pytest.raises(ConfigError, match="no longer matches"):
+        run_driver(spec, bytes(3), CoverageMap())
 
 
 def test_registry_lookup_and_duplicates():

@@ -73,25 +73,25 @@ CAMPAIGNS = {
 # sha256 of each artifact and of the newline-joined sorted queue filenames
 GOLDEN = {
     "pwcheck_unsafe": {
-        "stats.csv": "574e8416ab63ea114d660a3a1575fa0e5320d0b6a76627fc502581625a1b7dff",
+        "stats.csv": "6dbfbcd3962711f8047bfc2e557c1349d8cd60f8f1cbc802f32b557c314891db",
         "witness.bin": "e3c5b4ffe2b3498a93ec8e8985a48f152a64de6bc66998f32bf4dd479e066b47",
         "witness.txt": "c513a16e50f841fc275451cbda72e546b26d5052064cb3262186e3542d3e8e06",
-        "report.txt": "7693965ffe496f8c0b18a51235c2e37abaebc0066bebed8f35cdd60c6df055e1",
-        "queue": "c0e5d3aa1687910f36c7511a9f73ff6b4feb70755f57ce9b7d606619f0929f6e",
+        "report.txt": "a74e4499e63130cbee9300102bd27182533af42a1567704de3147f8d4e061bbb",
+        "queue": "d65367576dd7c2cb5edd2db47ae0c1ee1d1fcaba5d857ee62c2f2609005de706",
     },
     "pad_unsafe_cap4": {
-        "stats.csv": "80944858ef9eaa9adfb5f13a7378c7f3195c6905b0ec2be757fb545cffa98245",
+        "stats.csv": "5f0a46e174164d52cd307bcc59472cbe74e2edcd80cc1208738edea891c43c14",
         "witness.bin": "f71fdc9adfb268d1848c3adb1261977ac8c8d1973c42f672e9e2d06ae048ef8f",
         "witness.txt": "95b9d519b46df34e59527fefa429df4f2ca53cdaaa665ef96206b4d548442d4d",
-        "report.txt": "f6c4ded05e2511e5711b986109543c555cb35acb40e2bdb5de27bb085fc5e68a",
+        "report.txt": "415f128dea7465b88ae0b761bc97c28f2016e30d27ae2a5c41f07fa1c5118360",
         "queue": "85c41648005236ebc89cd0acb936b3c1545f893d65670c2d62a3fa85efe88a2e",
     },
     "modpow_unsafe": {
-        "stats.csv": "31ce1813fef321ffbdcbb29dfcc12296ce09f4328fb31099ceba3c0451178cc0",
-        "witness.bin": "d2016baf9be2df93dffcb9f98ed0b331e635f7ea22bd7feaa062a30d56a3bada",
-        "witness.txt": "04aa5a89e96b193181af425970796af78fab3d9173a0c558c67e8fe511a431ad",
-        "report.txt": "a263c26baef9384faa496bb57f7eb08e5599647c848af968c27161f9776721ba",
-        "queue": "d763818910a96ded41138fbb9634125308e5edce8615ace80e9a0db5154e403d",
+        "stats.csv": "5efac65135e7f3151a5aee24a09fe867eec56999fcc4350003d6ec4a3d01aa74",
+        "witness.bin": "c4adc9337a408a1a1e0eb852a95b56e3f329a519ea5efc2dfa2426617b9fb874",
+        "witness.txt": "1a6dda4e4ba7253235c06a5a44162e829662cea57c41da14ced28b85caf67c0f",
+        "report.txt": "80adbc93f9dc3ff51997dfdeb0c8066aa602b39f8ef431be2785c71d6dacfeae",
+        "queue": "6884f42d6ee5f460fc30479280d2e72c85d1670bc5be9ca5c73bc41ce02ed4d4",
     },
 }
 
@@ -129,10 +129,10 @@ def test_paced_artifacts_match_golden(tmp_path, name):
 
 COUNTING_SEED = b"\x01" + bytes(11)
 COUNTING_GOLDEN = {
-    "stats.csv": "06f3b8f5b1b0ba1624abf12a37d6363faa0cd02ec2f16b57f81c4f9e5e0ccef9",
+    "stats.csv": "1a33f4cf62b31db393b931f8aa18b1bc88d8074136d0e89d197378c4080b0632",
     "witness.bin": "7d450465ceb49083708a6970827f0e0b116ed285072a95b451e55f583f56da8d",
     "witness.txt": "60b9da33331bf8124fb33e2cbe3334971d249531ec3820d8711acab9da067e44",
-    "report.txt": "ad42ebd78257c14ba069e090bc7d620fff753148a089674279462a7ffd832e4b",
+    "report.txt": "190331b802592ff4a379880211123a5f7739356c3a1932288b27a7178074a9b6",
     "queue": "c1e740e57585d8b1d89876ff0019cd51eac6c90a652d2d00bf44d31060a91f07",
 }
 
