@@ -230,7 +230,15 @@ def _read_run(out_dir: Path) -> tuple[int, int | None]:
         reader = csv.DictReader(fh)
         if not {"seconds", "max_delta"} <= set(reader.fieldnames or ()):
             raise ConfigError(f"unrecognized stats.csv header in {out_dir}")
-        rows = [(int(row["seconds"]), int(row["max_delta"])) for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                rows.append((int(row["seconds"]), int(row["max_delta"])))
+            except (TypeError, ValueError):  # a missing cell reads as None
+                raise ConfigError(
+                    f"{stats}, line {reader.line_num}: seconds and max_delta "
+                    "must be integers"
+                ) from None
     max_delta = max((delta for _, delta in rows), default=0)
     first_positive = next((sec for sec, delta in rows if delta > 0), None)
     return max_delta, first_positive

@@ -5,9 +5,13 @@ entry, at the head of every block of a compound statement and where those
 blocks join again, the way AFL instruments basic blocks at compile time.
 Each probe carries a pseudo-random site id; an edge is the pair of
 consecutive sites hashed as (site XOR prev) with prev shifted right one bit,
-so A->B and B->A land in different cells. Raw hit counts are compressed into
-nine coarse classes before novelty checks, which keeps loop-count noise from
-flooding the queue while still rewarding order-of-magnitude escalation.
+so A->B and B->A land in different cells. A probe only appends its site id
+to a list, so a traced execution holds 8 bytes per probe it runs until it
+returns. Its path, the tuple of those sites, is then reduced to per-edge hit
+counts, once per distinct path, and added to the map with counts saturating
+at 255. Raw hit counts are compressed into nine coarse classes before
+novelty checks, which keeps loop-count noise from flooding the queue while
+still rewarding order-of-magnitude escalation.
 """
 
 from __future__ import annotations
@@ -101,30 +105,20 @@ class InstrumentError(Exception):
     """Code to be traced has no source, or its source no longer matches it."""
 
 
-def _edge_recorder():
-    """The probe function and the call that points it at a map."""
-    raw = bytearray(MAP_SIZE)
-    touched: list[int] = []
-    prev = 0
+# Cached paths hold at most this many sites between them; a miss that would
+# pass it clears the cache first, and a longer path is never cached.
+PATH_CACHE_SITES = 65536
 
-    def hit(site: int) -> None:
-        nonlocal prev
+
+def _path_edges(path: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(edge index, hits) for one execution's sites, in first-hit order."""
+    hits: dict[int, int] = {}
+    prev = 0
+    for site in path:
         index = site ^ prev
         prev = site >> 1
-        count = raw[index]
-        if count == 0:
-            raw[index] = 1
-            touched.append(index)
-        elif count != 255:
-            raw[index] = count + 1
-
-    def begin(cov_map: CoverageMap) -> None:
-        nonlocal raw, touched, prev
-        raw = cov_map.raw
-        touched = cov_map.touched
-        prev = 0
-
-    return hit, begin
+        hits[index] = hits.get(index, 0) + 1
+    return list(hits.items())
 
 
 def _probe(site: int, at: ast.stmt) -> ast.stmt:
@@ -231,10 +225,11 @@ class EdgeTracer:
     parsed and compiled with probes once; a run swaps the probed code
     objects into those function objects and restores the originals when it
     returns or raises. Functions the run creates (closures, nested defs)
-    come from probed code already. Only the rolling previous site is reset
-    at the start of each execution, so identical executions yield identical
-    maps. Not reentrant, and the swap is visible to every thread: a traced
-    target must not run on another thread during a traced run.
+    come from probed code already; one that outlives its run still appends
+    to the site list, which each run clears before it starts. Each execution
+    hashes its edges from previous site 0, so identical executions yield
+    identical maps. Not reentrant, and the swap is visible to every thread:
+    a traced target must not run on another thread during a traced run.
     """
 
     def __init__(self, scope: tuple[str, ...]):
@@ -243,7 +238,33 @@ class EdgeTracer:
         self._dirs = tuple(os.path.join(path, "") for path in paths)
         self._probed: dict[str, dict[tuple[str, int], CodeType]] = {}  # by filename
         self._plans: dict[object, tuple[list[dict], list[tuple]]] = {}  # by function
-        self._hit, self._begin = _edge_recorder()
+        self._sites: list[int] = []  # the running execution's path
+        self._hit = self._sites.append  # the probe: record the site, nothing else
+        self._paths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self._cached_sites = 0
+
+    def _fold(self, cov_map: CoverageMap) -> None:
+        """Add the path just run to cov_map, reduced to edge counts once per
+        distinct path: the same map a saturating update per probe gives."""
+        path = tuple(self._sites)
+        self._sites.clear()
+        edges = self._paths.get(path)
+        if edges is None:
+            edges = _path_edges(path)
+            if self._cached_sites + len(path) > PATH_CACHE_SITES:
+                self._paths.clear()
+                self._cached_sites = 0
+            if len(path) <= PATH_CACHE_SITES:
+                self._paths[path] = edges
+                self._cached_sites += len(path)
+        raw = cov_map.raw
+        touched = cov_map.touched
+        for index, hits in edges:
+            count = raw[index]
+            if count == 0:
+                touched.append(index)
+            count += hits
+            raw[index] = count if count < 255 else 255  # min() here would triple the loop's time
 
     def _covers(self, filename: str | None) -> bool:
         if not filename or _pseudo(filename):
@@ -338,7 +359,7 @@ class EdgeTracer:
         namespaces, swaps = self.instrument(fn)
         for namespace in namespaces:
             namespace[_PROBE] = self._hit
-        self._begin(cov_map)
+        self._sites.clear()  # sites a probed closure recorded outside a run
         for func, _, probed in swaps:
             func.__code__ = probed
         try:
@@ -346,6 +367,7 @@ class EdgeTracer:
         finally:
             for func, original, _ in swaps:
                 func.__code__ = original
+            self._fold(cov_map)
 
 
 @functools.cache

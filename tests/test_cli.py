@@ -311,6 +311,19 @@ def test_report_bad_header(tmp_path, capsys):
     assert "unrecognized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row", ["1,101,abc,1,1", "1,101"], ids=["non_integer_cell", "missing_cell"]
+)
+def test_report_bad_row_is_a_config_error(tmp_path, capsys, row):
+    d = stats_dir(tmp_path, "bad", [(0, 0)])
+    with open(f"{d}/stats.csv", "a") as fh:
+        fh.write(row + "\n")
+    assert main(["report", d]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{d}/stats.csv, line 3" in err
+
+
 def test_report_reads_real_campaign_output(tmp_path, capsys):
     assert (
         main(

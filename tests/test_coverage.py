@@ -376,18 +376,17 @@ def test_one_tracer_per_scope():
 # --- the traced harness against the edge algorithm, from recorded sites ------
 
 
-def reference_map(spec, data):
-    """Both executions' edges recomputed from the sites their probes report:
-    index site ^ prev with prev reset per execution, then prev = site >> 1;
-    counts saturate at 255 and first touches keep their order."""
+def reference_map(tracer, executions):
+    """The edges of executions, each (fn, *args), recomputed from the sites
+    their probes report: index site ^ prev with prev reset per execution, then
+    prev = site >> 1; counts saturate at 255 and first touches keep their
+    order. One saturating update per probe, independent of the tracer's fold."""
     cov = CoverageMap()
-    tracer = tracer_for(spec.scope())
-    pub, sec1, sec2 = default_parse(data, spec.constraints)
-    for sec in (sec1, sec2):
+    for fn, *args in executions:
         sites = []
         with mock.patch.object(tracer, "_hit", sites.append):
             try:
-                tracer.run(CoverageMap(), spec.target, pub, sec, Meter())
+                tracer.run(CoverageMap(), fn, *args)
             except Exception:  # noqa: BLE001 - an aborted run keeps its edges
                 pass
         assert sites, "every target has at least its entry probe"
@@ -414,6 +413,90 @@ def test_traced_map_matches_reference_algorithm(name, data):
     spec = get_driver(name)
     cov = CoverageMap()
     run_driver(spec, data, cov)
-    expected = reference_map(spec, data)
+    pub, sec1, sec2 = default_parse(data, spec.constraints)
+    executions = [(spec.target, pub, sec, Meter()) for sec in (sec1, sec2)]
+    assert_maps_equal(cov, reference_map(tracer_for(spec.scope()), executions))
+
+
+# --- folding each path into the map: the same map as one update per probe ----
+
+
+def traced_map(tracer, executions):
+    """executions, each (fn, *args), traced into one map; a raise is kept."""
+    cov = CoverageMap()
+    for fn, *args in executions:
+        try:
+            tracer.run(cov, fn, *args)
+        except RuntimeError:
+            pass
+    return cov
+
+
+def assert_maps_equal(cov, expected):
     assert cov.touched == expected.touched
     assert cov.raw == expected.raw
+
+
+def test_fold_saturates_an_edge_hit_over_255_times_in_one_execution():
+    (body,) = line_sites(ping_pong, 2)
+    tracer = EdgeTracer(SCOPE)
+    cov = traced_map(tracer, [(ping_pong, 400)])
+    assert cov.raw[body ^ (body >> 1)] == 255
+    assert_maps_equal(cov, reference_map(tracer, [(ping_pong, 400)]))
+
+
+def test_fold_saturates_when_two_executions_pass_255():
+    (body,) = line_sites(ping_pong, 2)
+    tracer = EdgeTracer(SCOPE)
+    executions = [(ping_pong, 200), (ping_pong, 200)]  # 199 + 199 body -> body
+    cov = traced_map(tracer, executions)  # the second is a cached path
+    assert cov.raw[body ^ (body >> 1)] == 255
+    assert_maps_equal(cov, reference_map(tracer, executions))
+
+
+def test_fold_keeps_first_touch_order_across_a_cached_path():
+    tracer = EdgeTracer(SCOPE)
+    traced_map(tracer, [(branchy, False)])  # cache the else path
+    executions = [(branchy, True), (branchy, False), (branchy, True)]
+    cov = traced_map(tracer, executions)  # both share the entry edge
+    assert_maps_equal(cov, reference_map(tracer, executions))
+    assert len(cov.touched) == 5  # entry, then head, join; else head, join
+
+
+def test_fold_of_a_path_longer_than_the_cache_budget(monkeypatch):
+    monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 8)
+    tracer = EdgeTracer(SCOPE)
+    executions = [(ping_pong, 20), (ping_pong, 20), (branchy, True)]  # 22 sites each
+    cov = traced_map(tracer, executions)
+    assert_maps_equal(cov, reference_map(tracer, executions))
+    assert tracer._cached_sites == 3  # only the branchy path is cached
+
+
+def test_fold_maps_unchanged_when_the_cache_is_cleared_at_its_budget(monkeypatch):
+    monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 10)
+    tracer = EdgeTracer(SCOPE)
+    counts = [1, 2, 3, 1, 4, 2, 5, 1, 3, 6, 9, 2]  # paths of n + 2 sites
+    executions = [(ping_pong, n) for n in counts] + [(branchy, True), (branchy, False)]
+    cov = CoverageMap()
+    for fn, *args in executions:
+        tracer.run(cov, fn, *args)
+        assert tracer._cached_sites <= 10
+        assert sum(map(len, tracer._paths)) == tracer._cached_sites
+    assert_maps_equal(cov, reference_map(tracer, executions))
+
+
+def test_fold_keeps_the_partial_path_of_a_raise_and_starts_the_next_clean():
+    tracer = EdgeTracer(SCOPE)
+    executions = [(raise_after_straight, RuntimeError), (branchy, True)]
+    cov = traced_map(tracer, executions)
+    assert cov.nonzero_count() == 5  # entry -> straight's entry, then branchy's 3
+    assert_maps_equal(cov, reference_map(tracer, executions))
+
+
+def test_a_probed_closure_called_outside_a_run_leaves_the_next_map_unchanged():
+    tracer = EdgeTracer(SCOPE)
+    escaped = tracer.run(CoverageMap(), make_tabled)  # a nested def of probed code
+    assert escaped() == 1  # its entry probe runs outside any traced run
+    assert len(tracer._sites) == 1
+    cov = traced_map(tracer, [(branchy, True)])
+    assert_maps_equal(cov, reference_map(EdgeTracer(SCOPE), [(branchy, True)]))
