@@ -33,7 +33,6 @@ from .driver import (
     ConfigError,
     DiffResult,
     DriverSpec,
-    ParseReject,
     default_parse,
     get_driver,
     replay_check,
@@ -48,11 +47,6 @@ log = logging.getLogger(__name__)
 VERDICT_NO_DIFFERENCE = "no-difference-found"
 VERDICT_BELOW_EPSILON = "below-epsilon"
 VERDICT_LEAK = "leak-indicated"
-
-# Decoded triples whose results a campaign remembers. The target sees only
-# the parser's (pub, sec_1, sec_2), so inputs that decode alike cost alike and
-# cover alike; a remembered one skips tracing, the target and the queue.
-MEMO_SIZE = 256
 
 # mutants per queue visit, after the entry's one deterministic stage
 HAVOC_ITERATIONS = 256
@@ -204,34 +198,22 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             stats_rows.append(row(next_row_second))
             next_row_second += 1
 
-    # decoded triple -> its result, least recently used first
-    memo: OrderedDict[tuple[bytes, bytes, bytes], DiffResult] = OrderedDict()
+    # One map for every evaluation, and the memo of the executions traced
+    # into it. An evaluation whose two executions are both remembered still
+    # goes through consider: they may come from two earlier evaluations, so
+    # their delta and their summed hit counts can be new.
+    cov = CoverageMap()
+    cov.memo = OrderedDict()
 
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
         nonlocal executions, first_positive, harness_errors
-        try:
-            decoded = default_parse(data, spec.constraints)
-        except ParseReject:
-            decoded = None
-        result = memo.get(decoded)
-        cov = None
-        if result is None:
-            cov = CoverageMap()
-            result = run_driver(spec, data, cov)
-            if decoded is not None:
-                memo[decoded] = result
-                if len(memo) > MEMO_SIZE:
-                    memo.popitem(last=False)
-        else:
-            memo.move_to_end(decoded)
+        cov.clear()
+        result = run_driver(spec, data, cov)
         executions += 1
         at = now()
         if result.outcome != OUTCOME_PARSE_REJECT:
-            if cov is not None:
-                # a repeat cannot be kept: global coverage already holds its
-                # map and the high score is already >= its delta
-                consider(queue, data, result, cov, global_cov, high, dim, at, parent_id)
-            if result.delta_of(dim) > 0 and first_positive is None:
+            consider(queue, data, result, cov, global_cov, high, dim, parent_id)
+            if first_positive is None and result.delta_of(dim) > 0:
                 first_positive = at
             if result.note is not None:
                 harness_errors += 1
@@ -263,7 +245,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 raise ConfigError(f"seed {name!r} does not parse: {result.note}")
             if not queue.seen(data):
                 # seeds are enqueued even when boring; they anchor the corpus
-                queue.add(data, best_delta=result.delta_of(dim), discovered_at=now())
+                queue.add(data, best_delta=result.delta_of(dim))
         while True:
             entry = queue.next()
             if entry.entry_id not in det_done:

@@ -16,9 +16,10 @@ from pathlib import Path
 
 from .campaign import CampaignConfig, replay, run_campaign
 from .driver import CHARSETS, ConfigError, driver_names, get_driver
+from .metering import DIMENSION_ALIASES
 from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
 
-DIMENSION_CHOICES = ("ops", "mem", "response")
+DIMENSION_CHOICES = tuple(DIMENSION_ALIASES)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,6 @@ class QueueEntry:
     entry_id: int
     data: bytes
     best_delta: int
-    discovered_at: float
     parent_id: int | None = None
 
     def __post_init__(self):
@@ -73,14 +72,12 @@ class FuzzQueue:
         data: bytes,
         *,
         best_delta: int,
-        discovered_at: float = 0.0,
         parent_id: int | None = None,
     ) -> QueueEntry:
         entry = QueueEntry(
             entry_id=len(self.entries),
             data=data,
             best_delta=best_delta,
-            discovered_at=discovered_at,
             parent_id=parent_id,
         )
         self.entries.append(entry)
@@ -110,7 +107,6 @@ def consider(
     global_cov: GlobalCoverage,
     high_score: HighScore,
     dimension: str,
-    now: float,
     parent_id: int | None = None,
 ) -> bool:
     """Enqueue iff the run found new coverage or strictly beat the high
@@ -125,7 +121,7 @@ def consider(
         return False
     if not data or queue.seen(data):
         return False
-    queue.add(data, best_delta=delta, discovered_at=now, parent_id=parent_id)
+    queue.add(data, best_delta=delta, parent_id=parent_id)
     return True
 
 

@@ -22,6 +22,7 @@ import linecache
 import os
 import sys
 import zlib
+from collections import OrderedDict
 from types import CodeType, FunctionType, MethodType, ModuleType
 
 MAP_SIZE = 65536
@@ -45,16 +46,41 @@ _BUCKET_OF_BYTE = bytes(bucketize(n) for n in range(256))
 
 
 class CoverageMap:
-    """Raw saturating hit counts for one candidate's executions."""
+    """Raw saturating hit counts for one candidate's executions.
 
-    __slots__ = ("raw", "touched")
+    A campaign reuses one map, cleared between candidates, and gives it a
+    memo of the executions traced into it: run_driver replays one it
+    remembers instead of running the target again.
+    """
+
+    __slots__ = ("raw", "touched", "memo")
 
     def __init__(self) -> None:
         self.raw = bytearray(MAP_SIZE)
         self.touched: list[int] = []  # first-touch order, no duplicates
+        self.memo: OrderedDict | None = None
 
     def nonzero_count(self) -> int:
         return len(self.touched)
+
+    def add(self, edges: list[tuple[int, int]]) -> None:
+        """Add (edge index, hits) pairs in order, counts saturating at 255:
+        the map a saturating update per probe gives."""
+        raw = self.raw
+        touched = self.touched
+        for index, hits in edges:
+            count = raw[index]
+            if count == 0:
+                touched.append(index)
+            count += hits
+            raw[index] = count if count < 255 else 255  # min() here would triple the loop's time
+
+    def clear(self) -> None:
+        """Zero the map through its touched list, far cheaper than a new one."""
+        raw = self.raw
+        for index in self.touched:
+            raw[index] = 0
+        self.touched.clear()
 
 
 class GlobalCoverage:
@@ -242,10 +268,11 @@ class EdgeTracer:
         self._hit = self._sites.append  # the probe: record the site, nothing else
         self._paths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self._cached_sites = 0
+        self.last_edges: list[tuple[int, int]] = []  # of the last run
 
-    def _fold(self, cov_map: CoverageMap) -> None:
-        """Add the path just run to cov_map, reduced to edge counts once per
-        distinct path: the same map a saturating update per probe gives."""
+    def _fold(self) -> list[tuple[int, int]]:
+        """The path just run as (edge index, hits) pairs, reduced once per
+        distinct path."""
         path = tuple(self._sites)
         self._sites.clear()
         edges = self._paths.get(path)
@@ -257,14 +284,7 @@ class EdgeTracer:
             if len(path) <= PATH_CACHE_SITES:
                 self._paths[path] = edges
                 self._cached_sites += len(path)
-        raw = cov_map.raw
-        touched = cov_map.touched
-        for index, hits in edges:
-            count = raw[index]
-            if count == 0:
-                touched.append(index)
-            count += hits
-            raw[index] = count if count < 255 else 255  # min() here would triple the loop's time
+        return edges
 
     def _covers(self, filename: str | None) -> bool:
         if not filename or _pseudo(filename):
@@ -354,8 +374,9 @@ class EdgeTracer:
         return probed
 
     def run(self, cov_map: CoverageMap, fn, *args):
-        """Call fn(*args) on the probed code, its edges going into cov_map;
-        every original code object is back when this returns or raises."""
+        """Call fn(*args) on the probed code, its edges going into cov_map
+        and into last_edges; every original code object is back when this
+        returns or raises."""
         namespaces, swaps = self.instrument(fn)
         for namespace in namespaces:
             namespace[_PROBE] = self._hit
@@ -367,7 +388,8 @@ class EdgeTracer:
         finally:
             for func, original, _ in swaps:
                 func.__code__ = original
-            self._fold(cov_map)
+            self.last_edges = self._fold()
+            cov_map.add(self.last_edges)
 
 
 @functools.cache

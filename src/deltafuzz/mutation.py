@@ -97,31 +97,6 @@ def deterministic_stage(data: bytes) -> Iterator[bytes]:
         yield from gen(data, width)
 
 
-def deterministic_stage_counts(length: int) -> dict[str, int]:
-    """Closed-form mutant count per sub-stage for an input of `length` bytes.
-
-    Exact when no interesting-value substitution collides with the input's
-    existing bytes/words (collisions are skipped as no-ops); always an upper
-    bound otherwise.
-    """
-    counts = {
-        "bitflip_1": max(0, 8 * length),
-        "bitflip_2": max(0, 8 * length - 1),
-        "bitflip_4": max(0, 8 * length - 3),
-        "byteflip_1": length,
-        "byteflip_2": max(0, length - 1),
-        "byteflip_4": max(0, length - 3),
-        "arith_8": 2 * ARITH_MAX * length,
-        "arith_16": 2 * ARITH_MAX * max(0, length - 1),
-        "arith_32": 2 * ARITH_MAX * max(0, length - 3),
-        "interesting_8": len(INTERESTING_8) * length,
-        "interesting_16": len(INTERESTING_16) * max(0, length - 1),
-        "interesting_32": len(INTERESTING_32) * max(0, length - 3),
-    }
-    counts["total"] = sum(counts.values())
-    return counts
-
-
 def _block_len(rng: random.Random, limit: int) -> int:
     return rng.randint(1, min(HAVOC_BLOCK_MAX, limit))
 

@@ -5,6 +5,7 @@ outcome in the terminal summary. Campaigns that need a wall-clock budget run
 in parallel worker processes so their timeouts overlap instead of stacking.
 """
 
+import itertools
 import json
 import random
 import time
@@ -20,9 +21,6 @@ from deltafuzz.coverage import bucketize
 from deltafuzz.driver import driver_names, get_driver
 from deltafuzz.mutation import deterministic_stage, havoc
 from deltafuzz.oracle import exhaustive_max_delta, structured_max_delta
-
-MUST_REACH_ORACLE = ("pwcheck_unsafe", "pad_unsafe", "straightline_unsafe")
-
 
 def seed_dir(root, data, name="seed"):
     d = root / "seeds"
@@ -84,36 +82,49 @@ def test_campaigns_reach_password_check_ground_truth(pwcheck_campaigns):
         assert r.first_positive_at < 60.0
 
 
+# Every decoded triple of 6-byte inputs at segment cap 2 over the binary
+# charset: 64 with 2-byte segments and 8 with 1-byte ones (inputs of 3-5 bytes).
+BINARY_TRIPLES = {
+    triple
+    for n in (1, 2)
+    for triple in itertools.product(map(bytes, itertools.product(b"\x00\x01", repeat=n)), repeat=3)
+}
+FULL_DOMAIN_RNG_SEEDS = (1, 2, 3)
+FULL_DOMAIN_BUDGET = 20_000  # evaluations; rng seeds 1-5 cover the domain in 2,464-9,926
+
+
 def test_campaign_high_scores_bounded_by_exhaustive_truth(tmp_path):
-    """No 60 s campaign beats the exhaustive oracle on two-byte binary domains; three known leaks are fully recovered."""
-    drivers = driver_names()
-    maxima = {}
-    for name in drivers:
-        spec = get_driver(name)
-        maxima[name] = max(
-            exhaustive_max_delta(spec, 1, charset="binary").max_delta,
-            exhaustive_max_delta(spec, 2, charset="binary").max_delta,
-        )
+    """On two-byte binary domains, paced campaigns on 3 rng seeds evaluate all 72 decoded triples and reach the exhaustive maximum for every driver."""
+    assert len(BINARY_TRIPLES) == 72
     seeds = seed_dir(tmp_path, b"\x00" * 6)
-    configs = [
-        CampaignConfig(
-            driver_name=name,
-            seed_dir=seeds,
-            out_dir=str(tmp_path / name),
-            timeout_seconds=60.0,
-            max_input_len=6,
-            segment_cap=2,
-            charset="binary",
-            rng_seed=3,
-            stop_on_delta=max(1, maxima[name]),
-        )
-        for name in drivers
-    ]
-    reports = dict(zip(drivers, run_all(configs)))
-    for name in drivers:
-        assert reports[name].max_delta <= maxima[name], name
-    for name in MUST_REACH_ORACLE:
-        assert reports[name].max_delta == maxima[name], name
+    for name in driver_names():
+        spec = get_driver(name)
+        truth = max(exhaustive_max_delta(spec, n, charset="binary").max_delta for n in (1, 2))
+        for rng_seed in FULL_DOMAIN_RNG_SEEDS:
+            evaluated = set()
+
+            def record(result, evaluated=evaluated):
+                """Stop once every triple of the domain has been evaluated."""
+                if result.decoded is not None:
+                    evaluated.add(result.decoded)
+                return len(evaluated) == len(BINARY_TRIPLES)
+
+            report = run_campaign(
+                CampaignConfig(
+                    driver_name=name,
+                    seed_dir=seeds,
+                    out_dir=str(tmp_path / f"{name}-{rng_seed}"),
+                    timeout_seconds=FULL_DOMAIN_BUDGET / 1000,
+                    max_input_len=6,
+                    segment_cap=2,
+                    charset="binary",
+                    rng_seed=rng_seed,
+                    pace=1000,
+                    stop_condition=record,
+                )
+            )
+            assert evaluated == BINARY_TRIPLES, (name, rng_seed, report.executions)
+            assert report.max_delta == truth, (name, rng_seed)
 
 
 def test_leak_witness_is_clean_on_repaired_variant(pwcheck_campaigns):

@@ -18,7 +18,7 @@ from deltafuzz.campaign import (
     run_campaign,
     verdict,
 )
-from deltafuzz.driver import ConfigError, DriverSpec, driver_names
+from deltafuzz.driver import ConfigError, Constraints, DriverSpec, driver_names
 
 ARTIFACTS = ("stats.csv", "witness.bin", "witness.txt", "report.txt")
 
@@ -232,6 +232,43 @@ def test_deterministic_stage_can_be_disabled(tmp_path):
         paced_config(tmp_path, deterministic_stage_enabled=False, timeout_seconds=2.0)
     )
     assert report.executions > 0
+
+
+# --- the execution memo -------------------------------------------------------
+
+SECRET_CALLS: list[tuple[bytes, bytes]] = []
+
+
+def secret_priced(pub, sec, meter):
+    """One tick, plus one per unit of the secret's first byte."""
+    SECRET_CALLS.append((pub, sec))
+    meter.tick(sec[0] + 1)
+
+
+def test_two_remembered_executions_can_raise_the_high_score(tmp_path, monkeypatch):
+    """Seeds 1 and 2 each run one execution, (p, 0) and (p, 5), and score 0.
+    Seed 3 pairs them: both of its executions come from the memo, yet its
+    triple is new and its delta of 5 the first above 0, so it must still go
+    through the novelty check."""
+    spec = DriverSpec(
+        name="secret_priced", target=secret_priced, constraints=Constraints(max_segment_len=1)
+    )
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    SECRET_CALLS.clear()
+    seeds = seeds_dir(tmp_path, {"1": b"p\x00\x00", "2": b"p\x05\x05", "3": b"p\x00\x05"})
+    report = run_campaign(
+        paced_config(tmp_path, driver=spec.name, seed_dir=seeds, stop_on_delta=5)
+    )
+    # seeds 1 and 2 ran the target once each; the witness replay runs it
+    # twice more, since an untraced run never uses the memo
+    assert SECRET_CALLS == [(b"p", b"\x00"), (b"p", b"\x05")] * 2
+    assert report.stop_reason == "delta-target-reached"
+    assert report.executions == 3
+    assert report.max_delta == 5
+    assert report.witness_data == b"p\x00\x05"
+    assert report.first_positive_at == 3 / 500
+    queue = sorted(p.name for p in (tmp_path / "out" / "queue").iterdir())
+    assert queue == ["id:0000,src:-,delta:0", "id:0001,src:-,delta:0", "id:0002,src:-,delta:5"]
 
 
 # --- output files -----------------------------------------------------------------

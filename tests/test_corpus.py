@@ -34,18 +34,18 @@ def result_with(delta_ops):
 
 def test_entry_rejects_empty_data():
     with pytest.raises(ValueError):
-        QueueEntry(0, b"", 0, 0.0)
+        QueueEntry(0, b"", 0)
 
 
 def test_entry_rejects_negative_delta():
     with pytest.raises(ValueError):
-        QueueEntry(0, b"x", -1, 0.0)
+        QueueEntry(0, b"x", -1)
 
 
 def test_entry_filename_format():
-    entry = QueueEntry(7, b"x", 12, 0.0, parent_id=3)
+    entry = QueueEntry(7, b"x", 12, parent_id=3)
     assert entry.filename() == "id:0007,src:0003,delta:12"
-    root = QueueEntry(0, b"x", 0, 0.0)
+    root = QueueEntry(0, b"x", 0)
     assert root.filename() == "id:0000,src:-,delta:0"
 
 
@@ -133,7 +133,7 @@ def test_consider_discards_nothing_new():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
     hs.update(3, b"base")
-    kept = consider(q, b"dup", result_with(0), cov_with((5, 1)), g, hs, "ops", 1.0)
+    kept = consider(q, b"dup", result_with(0), cov_with((5, 1)), g, hs, "ops")
     assert kept is False
     assert len(q) == 0
     assert hs.value == 3
@@ -143,19 +143,19 @@ def test_consider_enqueues_on_delta_improvement_alone():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
     hs.update(3, b"base")
-    kept = consider(q, b"better", result_with(5), cov_with((5, 1)), g, hs, "ops", 2.0)
+    kept = consider(q, b"better", result_with(5), cov_with((5, 1)), g, hs, "ops", 4)
     assert kept is True
     assert hs.value == 5 and hs.witness_data == b"better"
     entry = q.entries[0]
-    assert entry.best_delta == 5
-    assert entry.discovered_at == 2.0
+    assert (entry.entry_id, entry.data, entry.best_delta, entry.parent_id) == (0, b"better", 5, 4)
+    assert entry.filename() == "id:0000,src:0004,delta:5"
 
 
 def test_consider_enqueues_on_new_edge_without_improvement():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
     hs.update(5, b"base")
-    kept = consider(q, b"novel", result_with(2), cov_with((9, 3)), g, hs, "ops", 3.0)
+    kept = consider(q, b"novel", result_with(2), cov_with((9, 3)), g, hs, "ops")
     assert kept is True
     assert hs.value == 5 and hs.witness_data == b"base"  # unchanged
     assert q.entries[0].data == b"novel"
@@ -165,7 +165,7 @@ def test_consider_ties_are_discarded():
     q, g, hs = make_state()
     g.absorb(cov_with((5, 1)))
     hs.update(4, b"base")
-    assert not consider(q, b"tie", result_with(4), cov_with((5, 1)), g, hs, "ops", 1.0)
+    assert not consider(q, b"tie", result_with(4), cov_with((5, 1)), g, hs, "ops")
     assert len(q) == 0 and hs.value == 4
 
 
@@ -173,19 +173,19 @@ def test_consider_updates_high_score_even_when_dedup_blocks():
     q, g, hs = make_state()
     q.add(b"same", best_delta=1)
     hs.update(1, b"same")
-    kept = consider(q, b"same", result_with(9), cov_with((7, 2)), g, hs, "ops", 4.0)
+    kept = consider(q, b"same", result_with(9), cov_with((7, 2)), g, hs, "ops")
     assert kept is False  # bytes already queued
     assert hs.value == 9  # but the score still moved
     # and the coverage was absorbed: replaying the same edges is stale now
-    again = consider(q, b"fresh", result_with(0), cov_with((7, 2)), g, hs, "ops", 5.0)
+    again = consider(q, b"fresh", result_with(0), cov_with((7, 2)), g, hs, "ops")
     assert again is False
 
 
 def test_consider_respects_escalated_hit_class():
     # same edge index, higher hit-count class: still novel
     q, g, hs = make_state()
-    consider(q, b"one", result_with(0), cov_with((11, 1)), g, hs, "ops", 0.0)
-    kept = consider(q, b"many", result_with(0), cov_with((11, 4)), g, hs, "ops", 1.0)
+    consider(q, b"one", result_with(0), cov_with((11, 1)), g, hs, "ops")
+    kept = consider(q, b"many", result_with(0), cov_with((11, 4)), g, hs, "ops")
     assert kept is True
     assert q.entries[-1].data == b"many"
 

@@ -2,6 +2,7 @@
 
 import os
 import sys
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -416,6 +417,28 @@ def test_traced_map_matches_reference_algorithm(name, data):
     pub, sec1, sec2 = default_parse(data, spec.constraints)
     executions = [(spec.target, pub, sec, Meter()) for sec in (sec1, sec2)]
     assert_maps_equal(cov, reference_map(tracer_for(spec.scope()), executions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(BENCHMARK_DRIVERS),
+    pool=st.lists(st.binary(min_size=4, max_size=4), min_size=3, max_size=3),
+    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=8),
+)
+def test_remembered_executions_give_the_results_and_maps_of_running_again(name, pool, picks):
+    """Inputs whose thirds come from a pool of three, so executions repeat
+    across evaluations in either secret slot: with one memo kept over them
+    all, each result and map equals a fresh traced run's."""
+    spec = get_driver(name)
+    cov = CoverageMap()
+    cov.memo = OrderedDict()
+    for picked in picks:
+        data = b"".join(pool[i] for i in picked)
+        cov.clear()
+        got = run_driver(spec, data, cov)
+        fresh = CoverageMap()
+        assert got == run_driver(spec, data, fresh)
+        assert_maps_equal(cov, fresh)
 
 
 # --- folding each path into the map: the same map as one update per probe ----

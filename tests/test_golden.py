@@ -147,9 +147,11 @@ def counting_driver(monkeypatch):
 
 def test_repeated_decodings_skip_the_target_but_count(tmp_path, counting_driver):
     results = []
+    calls = []  # target calls per evaluation
 
     def record(result):
         results.append(result)
+        calls.append(len(TARGET_CALLS) - sum(calls))
         return False
 
     report, out_dir = run_paced(
@@ -166,3 +168,14 @@ def test_repeated_decodings_skip_the_target_but_count(tmp_path, counting_driver)
     assert report.harness_error_count == len(errors)
     # some raising inputs were repeats, and each still counted
     assert len(errors) > len({r.decoded for r in errors})
+    # a raising execution served from the memo keeps its note, also when its
+    # evaluation's triple is new: the memo holds executions, not triples
+    assert {r.note for r in errors} == {"ValueError: odd public byte"}
+    assert report.harness_error_notes == ("ValueError: odd public byte",)
+    seen = set()
+    served_in_new_triples = 0
+    for result, n in zip(results, calls):
+        if result.outcome == OUTCOME_HARNESS_ERROR and n < 2 and result.decoded not in seen:
+            served_in_new_triples += 1
+        seen.add(result.decoded)
+    assert served_in_new_triples > 0

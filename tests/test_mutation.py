@@ -17,11 +17,35 @@ from deltafuzz.mutation import (
     bitflips,
     byteflips,
     deterministic_stage,
-    deterministic_stage_counts,
     havoc,
     interesting,
     splice,
 )
+
+
+def deterministic_stage_counts(length: int) -> dict[str, int]:
+    """Closed-form mutant count per sub-stage for an input of `length` bytes.
+
+    Exact when no interesting-value substitution collides with the input's
+    existing bytes/words (collisions are skipped as no-ops); always an upper
+    bound otherwise.
+    """
+    counts = {
+        "bitflip_1": max(0, 8 * length),
+        "bitflip_2": max(0, 8 * length - 1),
+        "bitflip_4": max(0, 8 * length - 3),
+        "byteflip_1": length,
+        "byteflip_2": max(0, length - 1),
+        "byteflip_4": max(0, length - 3),
+        "arith_8": 2 * ARITH_MAX * length,
+        "arith_16": 2 * ARITH_MAX * max(0, length - 1),
+        "arith_32": 2 * ARITH_MAX * max(0, length - 3),
+        "interesting_8": len(INTERESTING_8) * length,
+        "interesting_16": len(INTERESTING_16) * max(0, length - 1),
+        "interesting_32": len(INTERESTING_32) * max(0, length - 3),
+    }
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def test_single_bitflips_of_zero_byte():
