@@ -32,14 +32,12 @@ from .driver import (
     OUTCOME_PARSE_REJECT,
     ConfigError,
     DiffResult,
-    DriverSpec,
     default_parse,
     get_driver,
     replay_check,
     run_driver,
     with_domain,
 )
-from .metering import DIMENSION_ALIASES, DIMENSIONS
 from .mutation import deterministic_stage, havoc, splice
 
 log = logging.getLogger(__name__)
@@ -60,16 +58,6 @@ NO_PROOF_NOTE = (
     "within this campaign's budget; it does not prove the absence of side\n"
     "channels."
 )
-
-
-def canonical_dimension(name: str) -> str:
-    """Accept CLI aliases (ops/mem/response) and canonical names alike."""
-    if name in DIMENSION_ALIASES:
-        return DIMENSION_ALIASES[name]
-    if name in DIMENSIONS:
-        return name
-    known = ", ".join(sorted(set(DIMENSION_ALIASES) | set(DIMENSIONS)))
-    raise ConfigError(f"unknown cost dimension {name!r}; known: {known}")
 
 
 def verdict(max_delta: int, report_epsilon: Optional[float] = None) -> str:
@@ -140,24 +128,10 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def _resolve_spec(
-    driver_name: str,
-    dimension: Optional[str] = None,
-    segment_cap: Optional[int] = None,
-    charset: Optional[str] = None,
-) -> DriverSpec:
-    return with_domain(
-        get_driver(driver_name),
-        segment_cap=segment_cap,
-        charset=charset,
-        dimension=canonical_dimension(dimension) if dimension is not None else None,
-    )
-
-
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     config.validate()
-    spec = _resolve_spec(
-        config.driver_name, config.cost_dimension, config.segment_cap, config.charset
+    spec = with_domain(
+        get_driver(config.driver_name), config.segment_cap, config.charset, config.cost_dimension
     )
     dim = spec.cost_dimension
     seeds = load_seeds(config.seed_dir, config.max_input_len)
@@ -166,7 +140,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     queue_dir = out_dir / "queue"
     if queue_dir.is_dir() and any(queue_dir.iterdir()):
         raise ConfigError(f"output directory holds an earlier run's queue: {out_dir}")
-    queue = FuzzQueue(queue_dir)
+    try:
+        queue = FuzzQueue(queue_dir)
+    except OSError as exc:  # out_dir is, or lies under, a file; or is not writable
+        raise ConfigError(f"cannot create output directory {queue_dir}: {exc.strerror}") from None
     global_cov = GlobalCoverage()
     high = HighScore()
     rng = random.Random(config.rng_seed)
@@ -369,4 +346,4 @@ def replay(
 ) -> DiffResult:
     """One harness pass over raw input bytes, under the same domain knobs
     the campaign used; replaying a campaign witness reproduces its delta."""
-    return run_driver(_resolve_spec(driver_name, dimension, segment_cap, charset), data)
+    return run_driver(with_domain(get_driver(driver_name), segment_cap, charset, dimension), data)

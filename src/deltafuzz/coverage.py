@@ -1,23 +1,24 @@
-"""Edge coverage in a fixed 65,536-entry hit-count bitmap.
+"""Edge coverage: per-candidate edge hit counts, and a campaign-wide record.
 
 Traced code runs as a copy compiled with probes: one at each function's
 entry, at the head of every block of a compound statement and where those
 blocks join again, the way AFL instruments basic blocks at compile time.
-Each probe carries a pseudo-random site id; an edge is the pair of
-consecutive sites hashed as (site XOR prev) with prev shifted right one bit,
-so A->B and B->A land in different cells. A probe only appends its site id
-to a list, so a traced execution holds 8 bytes per probe it runs until it
-returns. Its path, the tuple of those sites, is then reduced to per-edge hit
-counts, once per distinct path, and added to the map with counts saturating
-at 255. Raw hit counts are compressed into nine coarse classes before
-novelty checks, which keeps loop-count noise from flooding the queue while
-still rewarding order-of-magnitude escalation.
+Each probe carries a pseudo-random site id in a 65,536-cell space; an edge
+is the pair of consecutive sites hashed as (site XOR prev) with prev shifted
+right one bit, so A->B and B->A land in different cells. A probe only
+appends its site id to a list, so a traced execution holds 8 bytes per probe
+it runs until it returns. Its path, the tuple of those sites, is then
+reduced to per-edge hit counts, once per distinct path. A candidate's map
+sums those counts by edge index, in first-touch order, saturating at 255.
+The campaign-wide record is a 65,536-cell bitmap of the hit-count classes
+each edge has shown: raw counts are compressed into nine coarse classes
+before novelty checks, which keeps loop-count noise from flooding the queue
+while still rewarding order-of-magnitude escalation.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 import linecache
 import os
 import sys
@@ -45,42 +46,30 @@ def bucketize(raw: int) -> int:
 _BUCKET_OF_BYTE = bytes(bucketize(n) for n in range(256))
 
 
-class CoverageMap:
-    """Raw saturating hit counts for one candidate's executions.
+class CoverageMap(dict):
+    """Edge index -> raw hit count, saturating at 255, for one candidate's
+    executions, in first-touch order.
 
     A campaign reuses one map, cleared between candidates, and gives it a
     memo of the executions traced into it: run_driver replays one it
     remembers instead of running the target again.
     """
 
-    __slots__ = ("raw", "touched", "memo")
+    __slots__ = ("memo",)
 
     def __init__(self) -> None:
-        self.raw = bytearray(MAP_SIZE)
-        self.touched: list[int] = []  # first-touch order, no duplicates
+        super().__init__()
         self.memo: OrderedDict | None = None
 
-    def nonzero_count(self) -> int:
-        return len(self.touched)
+    nonzero_count = dict.__len__
 
     def add(self, edges: list[tuple[int, int]]) -> None:
         """Add (edge index, hits) pairs in order, counts saturating at 255:
         the map a saturating update per probe gives."""
-        raw = self.raw
-        touched = self.touched
+        get = self.get
         for index, hits in edges:
-            count = raw[index]
-            if count == 0:
-                touched.append(index)
-            count += hits
-            raw[index] = count if count < 255 else 255  # min() here would triple the loop's time
-
-    def clear(self) -> None:
-        """Zero the map through its touched list, far cheaper than a new one."""
-        raw = self.raw
-        for index in self.touched:
-            raw[index] = 0
-        self.touched.clear()
+            count = get(index, 0) + hits
+            self[index] = count if count < 255 else 255  # min() here would triple the loop's time
 
 
 class GlobalCoverage:
@@ -100,9 +89,8 @@ class GlobalCoverage:
         """Fold a run map in; returns the (index, class) pairs never seen before."""
         new: list[tuple[int, int]] = []
         seen = self.seen
-        raw = run.raw
-        for i in run.touched:
-            cls = _BUCKET_OF_BYTE[raw[i]]
+        for i, count in run.items():
+            cls = _BUCKET_OF_BYTE[count]
             bit = 1 << (cls - 1)
             have = seen[i]
             if not have & bit:
@@ -241,29 +229,62 @@ def _pseudo(filename: str) -> bool:
     return filename.startswith("<") and filename.endswith(">")
 
 
-class EdgeTracer:
-    """Runs functions on probed copies of the in-scope code they reach.
+def _probed_code(fn: FunctionType, modules: dict[str, dict]) -> CodeType:
+    """fn's probed copy, its module compiled into modules on first use."""
+    code = fn.__code__
+    table = modules.get(code.co_filename)
+    if table is None:
+        table = modules[code.co_filename] = _compile_probed(code.co_filename, fn.__globals__)
+    probed = table.get((code.co_name, code.co_firstlineno))
+    if probed is None or _shape(probed) != _shape(code):
+        raise InstrumentError(
+            f"the source of {fn.__qualname__} in {code.co_filename} no longer matches its code"
+        )
+    return probed
 
-    Scope is a set of directories (or files), matched on path boundaries.
-    A traced function reaches itself and, transitively, the in-scope
-    functions in its closure and globals, including those of the classes,
-    containers and in-scope modules found there. The source file of each is
-    parsed and compiled with probes once; a run swaps the probed code
-    objects into those function objects and restores the originals when it
-    returns or raises. Functions the run creates (closures, nested defs)
-    come from probed code already; one that outlives its run still appends
-    to the site list, which each run clears before it starts. Each execution
-    hashes its edges from previous site 0, so identical executions yield
-    identical maps. Not reentrant, and the swap is visible to every thread:
-    a traced target must not run on another thread during a traced run.
+
+class EdgeTracer:
+    """Runs one function on probed copies of the in-scope code it reaches.
+
+    The scope is the directory of the function's source file, with its
+    subdirectories, matched on path boundaries. The function reaches itself
+    and, transitively, the in-scope functions in its closure and globals,
+    including those of the classes, containers and in-scope modules found
+    there. The constructor compiles the source file of each with probes; a
+    run swaps the probed code objects into those function objects and
+    restores the originals when it returns or raises. Functions the run
+    creates (closures, nested defs) come from probed code already; one that
+    outlives its run still appends to the site list, which each run clears
+    before it starts. Each execution hashes its edges from previous site 0,
+    so identical executions yield identical edges. Not reentrant, and the
+    swap is visible to every thread: a traced target must not run on
+    another thread during a traced run.
     """
 
-    def __init__(self, scope: tuple[str, ...]):
-        paths = [os.path.abspath(path) for path in scope]
-        self._files = frozenset(paths)
-        self._dirs = tuple(os.path.join(path, "") for path in paths)
-        self._probed: dict[str, dict[tuple[str, int], CodeType]] = {}  # by filename
-        self._plans: dict[object, tuple[list[dict], list[tuple]]] = {}  # by function
+    def __init__(self, fn):
+        """Instrument fn. Raises InstrumentError when fn is not a Python
+        function, has no source, or has a source that no longer matches its
+        code. Another function it reaches whose code matches no source
+        (generated or rewritten at run time) keeps its code and records no
+        edges."""
+        target = getattr(fn, "__func__", fn)  # a bound method runs its function
+        code = getattr(target, "__code__", None)
+        if code is None:
+            raise InstrumentError(f"{fn!r} is not a Python function")
+        if _pseudo(code.co_filename):
+            raise InstrumentError(f"{target.__qualname__} has no source file ({code.co_filename})")
+        self._dir = os.path.join(os.path.dirname(os.path.abspath(code.co_filename)), "")
+        modules: dict[str, dict] = {}  # probed code by filename, then (name, first line)
+        self._swaps: list[tuple] = []  # (function, original code, probed code)
+        for func in self._reach(target):
+            try:
+                self._swaps.append((func, func.__code__, _probed_code(func, modules)))
+            except InstrumentError:
+                if func is target:
+                    raise
+        namespaces = {id(f.__globals__): f.__globals__ for f, _, _ in self._swaps}
+        self._namespaces = list(namespaces.values())  # where the probe is bound
+        self._fn = fn
         self._sites: list[int] = []  # the running execution's path
         self._hit = self._sites.append  # the probe: record the site, nothing else
         self._paths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -289,33 +310,7 @@ class EdgeTracer:
     def _covers(self, filename: str | None) -> bool:
         if not filename or _pseudo(filename):
             return False
-        path = os.path.abspath(filename)
-        return path in self._files or path.startswith(self._dirs)
-
-    def instrument(self, fn) -> tuple[list[dict], list[tuple]]:
-        """The namespaces the probe is bound in and the (function, original
-        code, probed code) swaps that trace fn; built on first use. Raises
-        InstrumentError when fn has no source, or a source that no longer
-        matches its code. Another function it reaches whose code matches no
-        source (generated or rewritten at run time) keeps its code and
-        records no edges."""
-        plan = self._plans.get(fn)
-        if plan is None:
-            target = getattr(fn, "__func__", fn)  # a bound method runs its function
-            if _pseudo(target.__code__.co_filename):
-                raise InstrumentError(
-                    f"{target.__qualname__} has no source file ({target.__code__.co_filename})"
-                )
-            swaps = []
-            for func in self._reach(target):
-                try:
-                    swaps.append((func, func.__code__, self._probed_code(func)))
-                except InstrumentError:
-                    if func is target:
-                        raise
-            namespaces = {id(f.__globals__): f.__globals__ for f, _, _ in swaps}
-            plan = self._plans[fn] = (list(namespaces.values()), swaps)
-        return plan
+        return os.path.abspath(filename).startswith(self._dir)
 
     def _reach(self, fn) -> list[FunctionType]:
         found: list[FunctionType] = []
@@ -358,43 +353,18 @@ class EdgeTracer:
                 todo += obj
         return found
 
-    def _probed_code(self, fn: FunctionType) -> CodeType:
-        code = fn.__code__
-        table = self._probed.get(code.co_filename)
-        if table is None:
-            table = self._probed[code.co_filename] = _compile_probed(
-                code.co_filename, fn.__globals__
-            )
-        probed = table.get((code.co_name, code.co_firstlineno))
-        if probed is None or _shape(probed) != _shape(code):
-            raise InstrumentError(
-                f"the source of {fn.__qualname__} in {code.co_filename} "
-                "no longer matches its code"
-            )
-        return probed
-
-    def run(self, cov_map: CoverageMap, fn, *args):
-        """Call fn(*args) on the probed code, its edges going into cov_map
-        and into last_edges; every original code object is back when this
-        returns or raises."""
-        namespaces, swaps = self.instrument(fn)
-        for namespace in namespaces:
+    def run(self, *args):
+        """Call the function on args with the probed code, leaving its edges
+        in last_edges; every original code object is back, and last_edges
+        set, when this returns or raises."""
+        for namespace in self._namespaces:
             namespace[_PROBE] = self._hit
         self._sites.clear()  # sites a probed closure recorded outside a run
-        for func, _, probed in swaps:
+        for func, _, probed in self._swaps:
             func.__code__ = probed
         try:
-            return fn(*args)
+            return self._fn(*args)
         finally:
-            for func, original, _ in swaps:
+            for func, original, _ in self._swaps:
                 func.__code__ = original
             self.last_edges = self._fold()
-            cov_map.add(self.last_edges)
-
-
-@functools.cache
-def tracer_for(scope: tuple[str, ...]) -> EdgeTracer:
-    """The process-wide tracer for a scope, built on first use. What a tracer
-    keeps between executions (probed code, plans) depends only on the code
-    it has seen, so sharing one cannot change a map."""
-    return EdgeTracer(scope)

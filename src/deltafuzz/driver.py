@@ -9,12 +9,11 @@ nonzero difference: same public input, different secrets, different cost.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-from .coverage import CoverageMap, EdgeTracer, InstrumentError, tracer_for
-from .metering import DIMENSIONS, CostReading, Meter
+from .coverage import CoverageMap, EdgeTracer, InstrumentError
+from .metering import DIMENSION_ALIASES, DIMENSIONS, CostReading, Meter
 
 OUTCOME_OK = "ok"
 OUTCOME_PARSE_REJECT = "parse_reject"
@@ -101,16 +100,6 @@ class DriverSpec:
         if self.cost_dimension not in DIMENSIONS:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
 
-    def scope(self) -> tuple[str, ...]:
-        """Directories whose code is coverage-traced: the one the target
-        function is defined in, with its subdirectories."""
-        code = getattr(self.target, "__code__", None)
-        if code is None:
-            raise ConfigError(
-                f"cannot trace driver {self.name!r}: its target is not a Python function"
-            )
-        return (os.path.dirname(os.path.abspath(code.co_filename)),)
-
 
 @dataclass(frozen=True)
 class DiffResult:
@@ -160,13 +149,14 @@ def run_driver(
         key = (pub, sec)
         run = memo.get(key) if memo is not None else None
         if run is None:
-            run = _execute(spec.target, tracer, cov_map, pub, sec)
+            run = _execute(spec.target, tracer, pub, sec)
             if memo is not None:
                 memo[key] = run
                 if len(memo) > MEMO_ENTRIES:
                     memo.popitem(last=False)
         else:
             memo.move_to_end(key)
+        if cov_map is not None:
             cov_map.add(run[3])
         runs.append(run)
 
@@ -184,33 +174,27 @@ def run_driver(
     )
 
 
-def _execute(target, tracer: EdgeTracer | None, cov_map, pub: bytes, sec: bytes) -> Execution:
+def _execute(target, tracer: EdgeTracer | None, pub: bytes, sec: bytes) -> Execution:
     meter = Meter()
     out = note = None
     try:
-        if tracer is None:
-            out = target(pub, sec, meter)
-        else:
-            out = tracer.run(cov_map, target, pub, sec, meter)
+        out = (target if tracer is None else tracer.run)(pub, sec, meter)
     except Exception as exc:  # noqa: BLE001 - aborts are findings
         note = f"{type(exc).__name__}: {exc}"
     return meter.read(), out, note, tracer.last_edges if tracer is not None else None
 
 
-_TRACERS: dict[object, EdgeTracer] = {}  # by target, each instrumented
+_TRACERS: dict[object, EdgeTracer] = {}  # by target
 
 
 def _tracer(spec: DriverSpec) -> EdgeTracer:
-    """The tracer for spec's target; spec.scope() costs microseconds, so the
-    answer is kept for the next traced run."""
+    """The tracer for spec's target, built on its first traced run."""
     tracer = _TRACERS.get(spec.target)
     if tracer is None:
-        tracer = tracer_for(spec.scope())
         try:
-            tracer.instrument(spec.target)
+            tracer = _TRACERS[spec.target] = EdgeTracer(spec.target)
         except InstrumentError as exc:
             raise ConfigError(f"cannot trace driver {spec.name!r}: {exc}") from None
-        _TRACERS[spec.target] = tracer
     return tracer
 
 
@@ -255,7 +239,8 @@ def with_domain(
     dimension: str | None = None,
 ) -> DriverSpec:
     """Copy of spec with overridden constraints/dimension (campaign- or
-    oracle-local; the registry entry is never mutated)."""
+    oracle-local; the registry entry is never mutated). The dimension may be
+    a canonical name or a command-line alias (ops/mem/response)."""
     constraints = spec.constraints
     if segment_cap is not None or charset is not None:
         constraints = Constraints(
@@ -270,5 +255,7 @@ def with_domain(
     return replace(
         spec,
         constraints=constraints,
-        cost_dimension=dimension if dimension is not None else spec.cost_dimension,
+        cost_dimension=spec.cost_dimension
+        if dimension is None
+        else DIMENSION_ALIASES.get(dimension, dimension),
     )

@@ -59,13 +59,6 @@ class Meter:
         self.peak_mem = 0
         self.response_bytes = 0
 
-    def clear(self) -> None:
-        """Reset every counter, so that one meter can serve several runs."""
-        self.ops = 0
-        self.live_mem = 0
-        self.peak_mem = 0
-        self.response_bytes = 0
-
     def tick(self, n: int = 1) -> None:
         """Charge n abstract operations (n >= 1)."""
         if n < 1:

@@ -13,7 +13,6 @@ from deltafuzz.campaign import (
     VERDICT_LEAK,
     VERDICT_NO_DIFFERENCE,
     CampaignConfig,
-    canonical_dimension,
     replay,
     run_campaign,
     verdict,
@@ -56,16 +55,6 @@ def test_verdict_table():
     assert verdict(64, 64) == VERDICT_LEAK  # the threshold itself indicates
     with pytest.raises(ValueError):
         verdict(-1)
-
-
-def test_canonical_dimension():
-    assert canonical_dimension("ops") == "ops"
-    assert canonical_dimension("mem") == "peak_mem"
-    assert canonical_dimension("response") == "response_bytes"
-    assert canonical_dimension("peak_mem") == "peak_mem"
-    assert canonical_dimension("response_bytes") == "response_bytes"
-    with pytest.raises(ConfigError):
-        canonical_dimension("watts")
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,22 @@ def test_fuzz_into_earlier_run_is_exit_two(tmp_path, capsys):
     assert sorted((tmp_path / "out" / "queue").iterdir()) == queue
 
 
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["out-is-a-file", "out-under-a-file"])
+def test_fuzz_out_at_or_under_a_file_is_exit_two(tmp_path, monkeypatch, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory")
+    out = blocker.joinpath(*under)
+    evaluations = []
+    monkeypatch.setattr(campaign, "run_driver", lambda *args: evaluations.append(args))
+    args = fuzz_args(tmp_path, "--timeout", "1")
+    args[args.index("--out") + 1] = str(out)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and str(out) in err
+    assert evaluations == []  # refused before the first evaluation
+    assert blocker.read_bytes() == b"not a directory"
+
+
 def test_fuzz_interrupted_is_exit_zero_with_outputs(tmp_path, monkeypatch, capsys):
     real_havoc = campaign.havoc
     calls = [0]

@@ -16,8 +16,7 @@ def cov_with(*pairs):
     """Run map whose touched edges have the given (index, class) pairs."""
     m = CoverageMap()
     for index, cls in pairs:
-        m.raw[index] = _RAW_FOR_CLASS[cls]
-        m.touched.append(index)
+        m[index] = _RAW_FOR_CLASS[cls]
     return m
 
 

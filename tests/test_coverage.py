@@ -1,6 +1,5 @@
-"""Edge bitmap, hit-count bucketing, and the probe tracer."""
+"""Edge maps, hit-count bucketing, and the probe tracer."""
 
-import os
 import sys
 from collections import OrderedDict
 from unittest import mock
@@ -17,9 +16,15 @@ from deltafuzz.coverage import (
     GlobalCoverage,
     bucketize,
     site_id,
-    tracer_for,
 )
-from deltafuzz.driver import Constraints, default_parse, driver_names, get_driver, run_driver
+from deltafuzz.driver import (
+    Constraints,
+    DriverSpec,
+    default_parse,
+    driver_names,
+    get_driver,
+    run_driver,
+)
 from deltafuzz.metering import Meter
 
 
@@ -62,37 +67,31 @@ def test_bucketize_monotone():
     assert classes == sorted(classes)
 
 
-def poke(cov, index, raw):
-    if cov.raw[index] == 0:
-        cov.touched.append(index)
-    cov.raw[index] = raw
-
-
 def test_has_new_coverage_rules():
     g = GlobalCoverage()
 
     run = CoverageMap()
-    poke(run, 100, 1)
+    run[100] = 1
     assert g.absorb(run) == [(100, 1)]  # empty global, class 1 edge
 
     again = CoverageMap()
-    poke(again, 100, 1)
+    again[100] = 1
     assert g.absorb(again) == []  # identical run absorbed
 
     escalated = CoverageMap()
-    poke(escalated, 100, 5)  # raw 5 -> class 4 at the same index
+    escalated[100] = 5  # raw 5 -> class 4 at the same index
     assert g.absorb(escalated) == [(100, 4)]
 
     lower = CoverageMap()
-    poke(lower, 100, 2)  # an unseen lower class is new as well
+    lower[100] = 2  # an unseen lower class is new as well
     assert g.absorb(lower) == [(100, 2)]
 
 
 def test_absorb_reports_new_pairs_and_fixpoint():
     g = GlobalCoverage()
     run = CoverageMap()
-    poke(run, 3, 1)
-    poke(run, 9, 40)
+    run[3] = 1
+    run[9] = 40
     new = g.absorb(run)
     assert sorted(new) == [(3, 1), (9, 7)]
     assert g.absorb(run) == []  # absorption fixpoint
@@ -177,12 +176,22 @@ def uses_classes_and_tables():
     return gauge.full, Gauge.clamp(12), TABLE[0]()
 
 
-SCOPE = (branchy.__code__.co_filename,)
+def dispatch(fn, *args):
+    """One traced function whose paths are those of the function it calls."""
+    return fn(*args)
+
+
+def run_into(cov, tracer, *args):
+    """tracer.run(*args) with its edges added to cov, as run_driver adds them."""
+    try:
+        return tracer.run(*args)
+    finally:
+        cov.add(tracer.last_edges)
 
 
 def trace(fn, *args):
     cov = CoverageMap()
-    EdgeTracer(SCOPE).run(cov, fn, *args)
+    run_into(cov, EdgeTracer(fn), *args)
     return cov
 
 
@@ -195,9 +204,9 @@ def line_sites(fn, *offsets):
 def recorded_sites(fn, *args):
     """The sites fn's probes report, in order, through a stub probe."""
     sites = []
-    tracer = EdgeTracer(SCOPE)
+    tracer = EdgeTracer(fn)
     with mock.patch.object(tracer, "_hit", sites.append):
-        tracer.run(CoverageMap(), fn, *args)
+        tracer.run(*args)
     return sites
 
 
@@ -215,16 +224,16 @@ def test_tracer_edge_index_and_counts():
     entry, if_line, head = line_sites(branchy, 0, 2, 3)
     edges = [entry, head ^ (entry >> 1), if_line ^ (head >> 1)]  # site ^ (previous >> 1)
     assert len(set(edges)) == 3
-    tracer = EdgeTracer(SCOPE)
+    tracer = EdgeTracer(branchy)
     cov = CoverageMap()
-    assert tracer.run(cov, branchy, True) == 3
-    assert cov.touched == edges
-    assert [cov.raw[i] for i in edges] == [1, 1, 1]
+    assert run_into(cov, tracer, True) == 3
+    assert list(cov) == edges
+    assert [cov[i] for i in edges] == [1, 1, 1]
 
     # the next execution starts again from previous site 0: same cells
-    tracer.run(cov, branchy, True)
-    assert cov.touched == edges
-    assert [cov.raw[i] for i in edges] == [2, 2, 2]
+    run_into(cov, tracer, True)
+    assert list(cov) == edges
+    assert [cov[i] for i in edges] == [2, 2, 2]
 
 
 def test_tracer_edge_direction_matters():
@@ -232,59 +241,51 @@ def test_tracer_edge_direction_matters():
     there, back = body ^ (entry >> 1), entry ^ (body >> 1)
     assert there != back
     cov = trace(ping_pong, 3)
-    assert cov.raw[there] == 1  # entry -> first loop body
-    assert cov.raw[back] == 0  # never taken
-    assert cov.raw[body ^ (body >> 1)] == 2  # body -> body
+    assert cov[there] == 1  # entry -> first loop body
+    assert back not in cov  # never taken
+    assert cov[body ^ (body >> 1)] == 2  # body -> body
 
 
 def test_raw_counts_saturate():
     (body,) = line_sites(ping_pong, 2)
     cov = trace(ping_pong, 300)  # 299 body -> body edges
-    assert cov.raw[body ^ (body >> 1)] == 255
-    assert bucketize(cov.raw[body ^ (body >> 1)]) == 8
+    assert cov[body ^ (body >> 1)] == 255
+    assert bucketize(cov[body ^ (body >> 1)]) == 8
 
 
 def test_tracer_is_deterministic():
     a = trace(branchy, True)
     b = trace(branchy, True)
-    assert a.raw == b.raw
-    assert a.touched == b.touched
+    assert_maps_equal(a, b)
 
 
 def test_tracer_separates_branches():
     t = trace(branchy, True)
     f = trace(branchy, False)
-    assert t.raw != f.raw
-
-
-def test_tracer_scope_excludes_foreign_code():
-    cov = CoverageMap()
-    EdgeTracer(("/nonexistent/scope",)).run(cov, branchy, True)
-    assert cov.nonzero_count() == 0
+    assert t != f
 
 
 def test_tracer_restores_prior_trace():
     # probes need no trace function: whatever is installed stays installed
     before = sys.gettrace()
-    tracer = EdgeTracer(SCOPE)
-    assert tracer.run(CoverageMap(), trace_in_use) is before
+    assert EdgeTracer(trace_in_use).run() is before
     assert sys.gettrace() is before
     with pytest.raises(RuntimeError):
-        tracer.run(CoverageMap(), raise_after_straight, RuntimeError)
+        EdgeTracer(raise_after_straight).run(RuntimeError)
     assert sys.gettrace() is before
 
 
 def test_original_code_is_back_after_return_raise_and_interrupt():
-    tracer = EdgeTracer(SCOPE)
     original = code_in_use.__code__
-    assert tracer.run(CoverageMap(), code_in_use) is not original  # the probed copy ran
+    assert EdgeTracer(code_in_use).run() is not original  # the probed copy ran
     assert code_in_use.__code__ is original
 
+    tracer = EdgeTracer(raise_after_straight)
     codes = (raise_after_straight.__code__, straight.__code__)
     for exc_type in (RuntimeError, KeyboardInterrupt):
         cov = CoverageMap()
         with pytest.raises(exc_type):
-            tracer.run(cov, raise_after_straight, exc_type)
+            run_into(cov, tracer, exc_type)
         assert (raise_after_straight.__code__, straight.__code__) == codes
         assert cov.nonzero_count() == 2  # both functions' entries ran probed
 
@@ -320,9 +321,9 @@ def test_helper_in_another_in_scope_module_gets_edges():
     pub, sec, _ = default_parse(bytes(range(1, 49)), spec.constraints)
     u32le = spec.target.__globals__["u32le"]  # defined in benchmarks/support.py
     original = u32le.__code__
-    tracer = tracer_for(spec.scope())
+    tracer = EdgeTracer(spec.target)
     with mock.patch.object(tracer, "_hit", probe):
-        tracer.run(CoverageMap(), spec.target, pub, sec, Meter())
+        tracer.run(pub, sec, Meter())
     assert set(callers) == {"modpow_unsafe_target", "_decode", "u32le", "mod_pow_unsafe"}
     assert u32le.__code__ is original
 
@@ -341,9 +342,9 @@ def test_local_helper_in_a_closure_gets_edges():
     def probe(site):
         callers.append(sys._getframe(1).f_code.co_name)
 
-    tracer = EdgeTracer(SCOPE)
+    tracer = EdgeTracer(target)
     with mock.patch.object(tracer, "_hit", probe):
-        assert tracer.run(CoverageMap(), target, True) == 1
+        assert tracer.run(True) == 1
     assert callers == ["target", "helper", "helper"]  # helper: entry, then block head
 
 
@@ -353,50 +354,59 @@ def test_methods_and_tabled_functions_get_edges():
     def probe(site):
         callers.append(sys._getframe(1).f_code.co_name)
 
-    tracer = EdgeTracer(SCOPE)
+    tracer = EdgeTracer(uses_classes_and_tables)
     with mock.patch.object(tracer, "_hit", probe):
-        assert tracer.run(CoverageMap(), uses_classes_and_tables) == (False, 9, 1)
+        assert tracer.run() == (False, 9, 1)
     assert callers == ["uses_classes_and_tables", "empty", "__init__", "full", "clamp", "tabled"]
 
 
 def test_the_probe_itself_is_never_probed():
     # a scope holding deltafuzz's own sources reaches the bound probe, and a
     # probed probe would call itself
-    tracer = EdgeTracer((os.path.dirname(coverage.__file__),))
-    tracer.run(CoverageMap(), default_parse, bytes(9), Constraints())
+    EdgeTracer(default_parse).run(bytes(9), Constraints())
     cov = CoverageMap()
-    assert tracer.run(cov, get_driver, "pwcheck_unsafe").name == "pwcheck_unsafe"
+    assert run_into(cov, EdgeTracer(get_driver), "pwcheck_unsafe").name == "pwcheck_unsafe"
     assert cov.nonzero_count() > 0
 
 
-def test_one_tracer_per_scope():
-    assert tracer_for(SCOPE) is tracer_for(SCOPE)
-    assert tracer_for(SCOPE) is not tracer_for(("/nonexistent/scope",))
+def test_a_second_traced_run_compiles_no_module():
+    def fresh(pub, sec, meter):  # a target no earlier test has traced
+        if sec[0]:
+            meter.tick(1)
+
+    spec = DriverSpec(name="fresh", target=fresh)
+    with mock.patch.object(
+        coverage, "_compile_probed", wraps=coverage._compile_probed
+    ) as compile_probed:
+        run_driver(spec, bytes([0, 1, 0]), CoverageMap())
+        compiled = compile_probed.call_count
+        assert compiled >= 1  # this file, at least
+        run_driver(spec, bytes([0, 0, 1]), CoverageMap())
+    assert compile_probed.call_count == compiled
 
 
 # --- the traced harness against the edge algorithm, from recorded sites ------
 
 
 def reference_map(tracer, executions):
-    """The edges of executions, each (fn, *args), recomputed from the sites
-    their probes report: index site ^ prev with prev reset per execution, then
-    prev = site >> 1; counts saturate at 255 and first touches keep their
-    order. One saturating update per probe, independent of the tracer's fold."""
+    """The edges of tracer's executions, each an args tuple, recomputed from
+    the sites their probes report: index site ^ prev with prev reset per
+    execution, then prev = site >> 1; counts saturate at 255 and first
+    touches keep their order. One saturating update per probe, independent
+    of the tracer's fold."""
     cov = CoverageMap()
-    for fn, *args in executions:
+    for args in executions:
         sites = []
         with mock.patch.object(tracer, "_hit", sites.append):
             try:
-                tracer.run(CoverageMap(), fn, *args)
+                tracer.run(*args)
             except Exception:  # noqa: BLE001 - an aborted run keeps its edges
                 pass
         assert sites, "every target has at least its entry probe"
         prev = 0
         for site in sites:
             index = site ^ prev
-            if cov.raw[index] == 0:
-                cov.touched.append(index)
-            cov.raw[index] = min(cov.raw[index] + 1, 255)
+            cov[index] = min(cov.get(index, 0) + 1, 255)
             prev = site >> 1
     return cov
 
@@ -415,8 +425,8 @@ def test_traced_map_matches_reference_algorithm(name, data):
     cov = CoverageMap()
     run_driver(spec, data, cov)
     pub, sec1, sec2 = default_parse(data, spec.constraints)
-    executions = [(spec.target, pub, sec, Meter()) for sec in (sec1, sec2)]
-    assert_maps_equal(cov, reference_map(tracer_for(spec.scope()), executions))
+    executions = [(pub, sec, Meter()) for sec in (sec1, sec2)]
+    assert_maps_equal(cov, reference_map(EdgeTracer(spec.target), executions))
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,81 +455,83 @@ def test_remembered_executions_give_the_results_and_maps_of_running_again(name, 
 
 
 def traced_map(tracer, executions):
-    """executions, each (fn, *args), traced into one map; a raise is kept."""
+    """tracer's executions, each an args tuple, traced into one map; a raise
+    is kept."""
     cov = CoverageMap()
-    for fn, *args in executions:
+    for args in executions:
         try:
-            tracer.run(cov, fn, *args)
+            run_into(cov, tracer, *args)
         except RuntimeError:
             pass
     return cov
 
 
 def assert_maps_equal(cov, expected):
-    assert cov.touched == expected.touched
-    assert cov.raw == expected.raw
+    assert list(cov.items()) == list(expected.items())  # first-touch order too
 
 
 def test_fold_saturates_an_edge_hit_over_255_times_in_one_execution():
     (body,) = line_sites(ping_pong, 2)
-    tracer = EdgeTracer(SCOPE)
-    cov = traced_map(tracer, [(ping_pong, 400)])
-    assert cov.raw[body ^ (body >> 1)] == 255
-    assert_maps_equal(cov, reference_map(tracer, [(ping_pong, 400)]))
+    tracer = EdgeTracer(ping_pong)
+    cov = traced_map(tracer, [(400,)])
+    assert cov[body ^ (body >> 1)] == 255
+    assert_maps_equal(cov, reference_map(tracer, [(400,)]))
 
 
 def test_fold_saturates_when_two_executions_pass_255():
     (body,) = line_sites(ping_pong, 2)
-    tracer = EdgeTracer(SCOPE)
-    executions = [(ping_pong, 200), (ping_pong, 200)]  # 199 + 199 body -> body
+    tracer = EdgeTracer(ping_pong)
+    executions = [(200,), (200,)]  # 199 + 199 body -> body
     cov = traced_map(tracer, executions)  # the second is a cached path
-    assert cov.raw[body ^ (body >> 1)] == 255
+    assert cov[body ^ (body >> 1)] == 255
     assert_maps_equal(cov, reference_map(tracer, executions))
 
 
 def test_fold_keeps_first_touch_order_across_a_cached_path():
-    tracer = EdgeTracer(SCOPE)
-    traced_map(tracer, [(branchy, False)])  # cache the else path
-    executions = [(branchy, True), (branchy, False), (branchy, True)]
+    tracer = EdgeTracer(branchy)
+    traced_map(tracer, [(False,)])  # cache the else path
+    executions = [(True,), (False,), (True,)]
     cov = traced_map(tracer, executions)  # both share the entry edge
     assert_maps_equal(cov, reference_map(tracer, executions))
-    assert len(cov.touched) == 5  # entry, then head, join; else head, join
+    assert len(cov) == 5  # entry, then head, join; else head, join
 
 
 def test_fold_of_a_path_longer_than_the_cache_budget(monkeypatch):
     monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 8)
-    tracer = EdgeTracer(SCOPE)
-    executions = [(ping_pong, 20), (ping_pong, 20), (branchy, True)]  # 22 sites each
+    tracer = EdgeTracer(ping_pong)
+    executions = [(20,), (20,), (1,)]  # 22, 22 and 3 sites
     cov = traced_map(tracer, executions)
     assert_maps_equal(cov, reference_map(tracer, executions))
-    assert tracer._cached_sites == 3  # only the branchy path is cached
+    assert tracer._cached_sites == 3  # only the short path is cached
 
 
 def test_fold_maps_unchanged_when_the_cache_is_cleared_at_its_budget(monkeypatch):
     monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 10)
-    tracer = EdgeTracer(SCOPE)
-    counts = [1, 2, 3, 1, 4, 2, 5, 1, 3, 6, 9, 2]  # paths of n + 2 sites
+    tracer = EdgeTracer(dispatch)
+    counts = [1, 2, 3, 1, 4, 2, 5, 1, 3, 6, 9, 2]  # paths of n + 3 sites
     executions = [(ping_pong, n) for n in counts] + [(branchy, True), (branchy, False)]
     cov = CoverageMap()
-    for fn, *args in executions:
-        tracer.run(cov, fn, *args)
+    for args in executions:
+        run_into(cov, tracer, *args)
         assert tracer._cached_sites <= 10
         assert sum(map(len, tracer._paths)) == tracer._cached_sites
     assert_maps_equal(cov, reference_map(tracer, executions))
 
 
 def test_fold_keeps_the_partial_path_of_a_raise_and_starts_the_next_clean():
-    tracer = EdgeTracer(SCOPE)
+    tracer = EdgeTracer(dispatch)
     executions = [(raise_after_straight, RuntimeError), (branchy, True)]
     cov = traced_map(tracer, executions)
-    assert cov.nonzero_count() == 5  # entry -> straight's entry, then branchy's 3
+    # dispatch, raise_after_straight, straight: 3 edges; then dispatch again
+    # from previous site 0, the same cell, and branchy's 3
+    assert cov.nonzero_count() == 6
     assert_maps_equal(cov, reference_map(tracer, executions))
 
 
 def test_a_probed_closure_called_outside_a_run_leaves_the_next_map_unchanged():
-    tracer = EdgeTracer(SCOPE)
-    escaped = tracer.run(CoverageMap(), make_tabled)  # a nested def of probed code
+    tracer = EdgeTracer(dispatch)
+    escaped = tracer.run(make_tabled)  # a nested def of probed code
     assert escaped() == 1  # its entry probe runs outside any traced run
     assert len(tracer._sites) == 1
     cov = traced_map(tracer, [(branchy, True)])
-    assert_maps_equal(cov, reference_map(EdgeTracer(SCOPE), [(branchy, True)]))
+    assert_maps_equal(cov, reference_map(EdgeTracer(dispatch), [(branchy, True)]))

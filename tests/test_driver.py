@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from deltafuzz.coverage import CoverageMap, tracer_for
+from deltafuzz import driver as driver_module
+from deltafuzz.coverage import CoverageMap
 from deltafuzz.driver import (
     OUTCOME_HARNESS_ERROR,
     OUTCOME_OK,
@@ -197,13 +198,12 @@ def test_scope_stops_at_a_path_boundary(tmp_path):
         helper=helper,
     )
     spec = DriverSpec(name="bounded", target=target.target)
-    assert spec.scope() == (str(tmp_path / "t"),)
     files = []
 
     def probe(site):
         files.append(sys._getframe(1).f_code.co_filename)
 
-    with mock.patch.object(tracer_for(spec.scope()), "_hit", probe):
+    with mock.patch.object(driver_module._tracer(spec), "_hit", probe):
         res = run_driver(spec, bytes([1, 2, 0]), CoverageMap())
     assert res.delta.ops == 1  # the helper ran, unprobed
     assert set(files) == {str(tmp_path / "t" / "target.py")}  # not t_old/helper.py
@@ -280,6 +280,16 @@ def test_with_domain_overrides():
     assert narrowed.cost_dimension == "peak_mem"
     # the registry entry is untouched
     assert get_driver("pwcheck_unsafe").constraints.charset == "byte"
+    # command-line aliases and canonical names alike
+    for given, canonical in [
+        ("ops", "ops"),
+        ("mem", "peak_mem"),
+        ("response", "response_bytes"),
+        ("peak_mem", "peak_mem"),
+        ("response_bytes", "response_bytes"),
+    ]:
+        assert with_domain(spec, dimension=given).cost_dimension == canonical
+    assert with_domain(spec).cost_dimension == spec.cost_dimension
 
 
 def test_with_domain_validates():

@@ -1,4 +1,4 @@
-"""Meter semantics: exact counters, peak tracking, reset isolation."""
+"""Meter semantics: exact counters, peak tracking, snapshots."""
 
 import pytest
 from hypothesis import given
@@ -15,8 +15,6 @@ from deltafuzz.metering import (
 
 def test_fresh_meter_reads_zero():
     m = Meter()
-    assert m.read() == CostReading(0, 0, 0)
-    m.clear()  # no-op on a fresh meter
     assert m.read() == CostReading(0, 0, 0)
 
 
@@ -37,17 +35,6 @@ def test_tick_rejects_nonpositive():
         m.tick(0)
     with pytest.raises(ValueError):
         m.tick(-2)
-
-
-def test_clear_resets_every_counter():
-    m = Meter()
-    for _ in range(47):
-        m.tick(1)
-    m.record_alloc(1024)
-    m.record_response(9)
-    m.clear()
-    assert m.read() == CostReading(0, 0, 0)
-    assert m.live_mem == 0
 
 
 def test_peak_mem_is_high_water_mark():
@@ -100,28 +87,6 @@ def test_read_is_a_snapshot():
     m.tick(5)
     assert snap.ops == 2
     assert m.read().ops == 7
-
-
-def test_clear_isolates_runs():
-    """Run A then clear then run B reads the same as running B alone."""
-
-    def run_a(m):
-        m.tick(9)
-        m.record_alloc(300)
-
-    def run_b(m):
-        m.tick(4)
-        m.record_alloc(7)
-        m.record_free(7)
-
-    shared = Meter()
-    run_a(shared)
-    shared.clear()
-    run_b(shared)
-
-    alone = Meter()
-    run_b(alone)
-    assert shared.read() == alone.read()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=60))
