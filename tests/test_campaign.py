@@ -57,6 +57,34 @@ def test_verdict_table():
         verdict(-1)
 
 
+def test_canonical_dimension(tmp_path):
+    # a campaign takes command-line aliases and canonical names alike, and
+    # reports (and replays under) the canonical name
+    for given, canonical in [
+        ("ops", "ops"),
+        ("mem", "peak_mem"),
+        ("response", "response_bytes"),
+        ("peak_mem", "peak_mem"),
+        ("response_bytes", "response_bytes"),
+    ]:
+        out = tmp_path / given
+        config = paced_config(
+            tmp_path, out_dir=str(out), timeout_seconds=1.0, pace=20, cost_dimension=given
+        )
+        report = run_campaign(config)
+        assert report.dimension == canonical
+        assert f"cost dimension:    {canonical}" in (out / "report.txt").read_text()
+        res = replay("pwcheck_unsafe", report.witness_data, dimension=given)
+        assert res.delta_of(canonical) == report.max_delta
+    with pytest.raises(ConfigError):
+        run_campaign(
+            paced_config(tmp_path, out_dir=str(tmp_path / "watts"), cost_dimension="watts")
+        )
+    assert not (tmp_path / "watts").exists()
+    with pytest.raises(ConfigError):
+        replay("pwcheck_unsafe", b"\x00" * 12, dimension="watts")
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
