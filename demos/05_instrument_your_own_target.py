@@ -6,17 +6,23 @@ bytes); the harness parses one fuzz input into (pub, sec_1, sec_2), runs
 the target once per secret, and reports the absolute cost difference.
 With a coverage map, both runs execute a probed copy of the target's code,
 and the map records which branches each candidate took; that needs the
-target's source file, as here.
+target's source file, as here. A registered driver is then fuzzed like a
+bundled one, by run_campaign in the process that registered it.
 
 Run: python3 demos/05_instrument_your_own_target.py
 """
 
+import tempfile
+from pathlib import Path
+
 from deltafuzz import (
+    CampaignConfig,
     Constraints,
     CoverageMap,
     DriverSpec,
     Meter,
     register_driver,
+    run_campaign,
     run_driver,
 )
 
@@ -58,7 +64,25 @@ def main():
     print(f"edges touched:  {cov.nonzero_count()}")
     print()
     print("a campaign over this driver works exactly like the bundled ones:")
-    print("  deltafuzz fuzz --driver demo_lookup --seeds DIR --out DIR")
+    with tempfile.TemporaryDirectory(prefix="deltafuzz-demo-") as workdir:
+        seeds = Path(workdir) / "seeds"
+        seeds.mkdir()
+        (seeds / "zeros").write_bytes(bytes(24))
+        report = run_campaign(
+            CampaignConfig(
+                driver_name="demo_lookup",
+                seed_dir=str(seeds),
+                out_dir=str(Path(workdir) / "out"),
+                timeout_seconds=5.0,
+                rng_seed=1,
+                pace=1000,  # virtual clock: the run is reproducible bit for bit
+                stop_on_delta=9,  # a full table walk against a first-slot match
+            )
+        )
+    print(f"verdict:        {report.verdict}")
+    print(f"max delta:      {report.max_delta} ops")
+    print(f"executions:     {report.executions}")
+    print(f"stopped:        {report.stop_reason}")
 
 
 if __name__ == "__main__":

@@ -88,7 +88,7 @@ class CampaignConfig:
     # library-only early stop; not reachable from the CLI and not picklable
     stop_condition: Optional[Callable[[DiffResult], bool]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.timeout_seconds < 1:
             raise ConfigError("timeout must be >= 1 second")
         if self.report_epsilon is not None and self.report_epsilon < 0:
@@ -129,7 +129,6 @@ class _Stop(Exception):
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
-    config.validate()
     spec = with_domain(
         get_driver(config.driver_name), config.segment_cap, config.charset, config.cost_dimension
     )

@@ -15,11 +15,9 @@ import sys
 from pathlib import Path
 
 from .campaign import CampaignConfig, replay, run_campaign
-from .driver import CHARSETS, ConfigError, driver_names, get_driver
+from .driver import CHARSETS, OUTCOME_PARSE_REJECT, ConfigError, driver_names, get_driver
 from .metering import DIMENSION_ALIASES
 from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
-
-DIMENSION_CHOICES = tuple(DIMENSION_ALIASES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--driver", required=True, help="registered driver name")
     fuzz.add_argument(
         "--dimension",
-        choices=DIMENSION_CHOICES,
+        choices=DIMENSION_ALIASES,
         default=None,
         help="cost dimension to maximize (default: the driver's)",
     )
@@ -77,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", help="run one input through the harness")
     rep.add_argument("--driver", required=True)
     rep.add_argument("--input", required=True, help="raw input file")
-    rep.add_argument("--dimension", choices=DIMENSION_CHOICES, default=None)
+    rep.add_argument("--dimension", choices=DIMENSION_ALIASES, default=None)
     rep.add_argument("--segment-cap", type=int, default=None)
     rep.add_argument("--charset", choices=sorted(CHARSETS), default=None)
     rep.set_defaults(func=_cmd_replay)
@@ -149,7 +147,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         charset=args.charset,
     )
     print(f"outcome: {result.outcome}")
-    if result.outcome == "parse_reject":
+    if result.outcome == OUTCOME_PARSE_REJECT:
         print(f"note: {result.note}")
         raise ConfigError(f"input rejected by the parser: {result.note}")
     pub, sec1, sec2 = result.decoded

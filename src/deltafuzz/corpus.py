@@ -10,7 +10,7 @@ entry with the metadata in the filename.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .coverage import CoverageMap, GlobalCoverage
@@ -52,11 +52,10 @@ class HighScore:
 class FuzzQueue:
     """Round-robin corpus with content dedup and filename-metadata persistence."""
 
-    def __init__(self, queue_dir: str | Path | None = None):
+    def __init__(self, queue_dir: str | Path):
         self.entries: list[QueueEntry] = []
-        self.queue_dir = Path(queue_dir) if queue_dir is not None else None
-        if self.queue_dir is not None:
-            self.queue_dir.mkdir(parents=True, exist_ok=True)
+        self.queue_dir = Path(queue_dir)
+        self.queue_dir.mkdir(parents=True, exist_ok=True)
         self._seen: set[bytes] = set()
         self._cursor = 0
         self._cycle_len = 0
@@ -82,8 +81,7 @@ class FuzzQueue:
         )
         self.entries.append(entry)
         self._seen.add(data)
-        if self.queue_dir is not None:
-            (self.queue_dir / entry.filename()).write_bytes(data)
+        (self.queue_dir / entry.filename()).write_bytes(data)
         return entry
 
     def next(self) -> QueueEntry:

@@ -5,15 +5,16 @@ entry, at the head of every block of a compound statement and where those
 blocks join again, the way AFL instruments basic blocks at compile time.
 Each probe carries a pseudo-random site id in a 65,536-cell space; an edge
 is the pair of consecutive sites hashed as (site XOR prev) with prev shifted
-right one bit, so A->B and B->A land in different cells. A probe only
-appends its site id to a list, so a traced execution holds 8 bytes per probe
-it runs until it returns. Its path, the tuple of those sites, is then
-reduced to per-edge hit counts, once per distinct path. A candidate's map
-sums those counts by edge index, in first-touch order, saturating at 255.
-The campaign-wide record is a 65,536-cell bitmap of the hit-count classes
-each edge has shown: raw counts are compressed into nine coarse classes
-before novelty checks, which keeps loop-count noise from flooding the queue
-while still rewarding order-of-magnitude escalation.
+right one bit, so A->B and B->A land in different cells. Every probe, in
+every traced module, appends its site id to one process-wide list, so a
+traced execution holds 8 bytes per probe it runs until it returns. Its
+path, the tuple of those sites, is then reduced to per-edge hit counts, once
+per distinct path. A candidate's map sums those counts by edge index, in
+first-touch order, saturating at 255. The campaign-wide record maps each
+edge index it has seen to a bitmask of the hit-count classes shown there:
+raw counts are compressed into nine coarse classes before novelty checks,
+which keeps loop-count noise from flooding the queue while still rewarding
+order-of-magnitude escalation.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def bucketize(raw: int) -> int:
     return 8
 
 
-# raw counters saturate at 255, so a 256-entry table covers every stored value
-_BUCKET_OF_BYTE = bytes(bucketize(n) for n in range(256))
+# raw counters saturate at 255, so a 256-entry table covers every stored value;
+# class c >= 1 is bit c-1 of an edge's mask, class 0 sets none
+_CLASS_BIT_OF_BYTE = bytes((1 << bucketize(n)) >> 1 for n in range(256))
 
 
 class CoverageMap(dict):
@@ -55,11 +57,7 @@ class CoverageMap(dict):
     remembers instead of running the target again.
     """
 
-    __slots__ = ("memo",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.memo: OrderedDict | None = None
+    memo: OrderedDict | None = None
 
     nonzero_count = dict.__len__
 
@@ -72,36 +70,26 @@ class CoverageMap(dict):
             self[index] = count if count < 255 else 255  # min() here would triple the loop's time
 
 
-class GlobalCoverage:
-    """Campaign-wide record of which bucket classes each edge has shown.
-
-    One bitmask byte per edge index, bit (class-1) set once that class has
-    been observed there; class 0 (never hit) needs no bit.
+class GlobalCoverage(dict):
+    """Campaign-wide record of which bucket classes each edge has shown:
+    edge index -> bitmask, bit (class-1) set once that class has been
+    observed there; class 0 (never hit) needs no bit, so every key is an
+    edge some run has touched.
     """
 
-    __slots__ = ("seen", "_touched")
-
-    def __init__(self) -> None:
-        self.seen = bytearray(MAP_SIZE)
-        self._touched = 0
+    nonzero_count = dict.__len__
 
     def absorb(self, run: CoverageMap) -> list[tuple[int, int]]:
         """Fold a run map in; returns the (index, class) pairs never seen before."""
         new: list[tuple[int, int]] = []
-        seen = self.seen
+        get = self.get
         for i, count in run.items():
-            cls = _BUCKET_OF_BYTE[count]
-            bit = 1 << (cls - 1)
-            have = seen[i]
+            bit = _CLASS_BIT_OF_BYTE[count]
+            have = get(i, 0)
             if not have & bit:
-                if not have:
-                    self._touched += 1
-                seen[i] = have | bit
-                new.append((i, cls))
+                self[i] = have | bit
+                new.append((i, bit.bit_length()))
         return new
-
-    def nonzero_count(self) -> int:
-        return self._touched
 
 
 def site_id(module: str, lineno: int) -> int:
@@ -111,8 +99,13 @@ def site_id(module: str, lineno: int) -> int:
 
 
 # The global name every probe calls. Dunder on both sides, so that class
-# bodies do not mangle it; bound in each probed module's namespace per run.
+# bodies do not mangle it; bound to _SITES.append in each probed module's
+# namespace when a tracer is built.
 _PROBE = "__deltafuzz_hit__"
+
+# The running execution's path, shared by every tracer: a traced run swaps
+# code for the whole process, so only one runs at a time.
+_SITES: list[int] = []
 
 
 class InstrumentError(Exception):
@@ -252,13 +245,16 @@ class EdgeTracer:
     including those of the classes, containers and in-scope modules found
     there. The constructor compiles the source file of each with probes; a
     run swaps the probed code objects into those function objects and
-    restores the originals when it returns or raises. Functions the run
-    creates (closures, nested defs) come from probed code already; one that
-    outlives its run still appends to the site list, which each run clears
-    before it starts. Each execution hashes its edges from previous site 0,
-    so identical executions yield identical edges. Not reentrant, and the
-    swap is visible to every thread: a traced target must not run on
-    another thread during a traced run.
+    restores the originals when it returns or raises. Every probed namespace
+    binds the same probe, the append of the one process-wide site list.
+    Functions the run creates (closures, nested defs) come from probed code
+    already; one that outlives its run still appends to the site list, which
+    each run clears before it starts. So such a closure, if another target
+    calls it during its own traced run, records into that run's path. Each
+    execution hashes its edges from previous site 0, so identical executions
+    yield identical edges. Not reentrant, and the swap is visible to every
+    thread: a traced target must not run on another thread during a traced
+    run.
     """
 
     def __init__(self, fn):
@@ -282,11 +278,9 @@ class EdgeTracer:
             except InstrumentError:
                 if func is target:
                     raise
-        namespaces = {id(f.__globals__): f.__globals__ for f, _, _ in self._swaps}
-        self._namespaces = list(namespaces.values())  # where the probe is bound
+        for func, _, _ in self._swaps:
+            func.__globals__[_PROBE] = _SITES.append  # the probe: record the site
         self._fn = fn
-        self._sites: list[int] = []  # the running execution's path
-        self._hit = self._sites.append  # the probe: record the site, nothing else
         self._paths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self._cached_sites = 0
         self.last_edges: list[tuple[int, int]] = []  # of the last run
@@ -294,8 +288,8 @@ class EdgeTracer:
     def _fold(self) -> list[tuple[int, int]]:
         """The path just run as (edge index, hits) pairs, reduced once per
         distinct path."""
-        path = tuple(self._sites)
-        self._sites.clear()
+        path = tuple(_SITES)
+        _SITES.clear()
         edges = self._paths.get(path)
         if edges is None:
             edges = _path_edges(path)
@@ -323,7 +317,7 @@ class EdgeTracer:
             seen.add(id(obj))
             if isinstance(obj, FunctionType):
                 # a lambda holds no statement, so it has no probe to run; the
-                # probe itself, bound in every probed namespace, must not be probed
+                # tracer's own code, which every run executes, must not be probed
                 if (
                     obj.__name__ != "<lambda>"
                     and obj.__module__ != __name__
@@ -357,9 +351,7 @@ class EdgeTracer:
         """Call the function on args with the probed code, leaving its edges
         in last_edges; every original code object is back, and last_edges
         set, when this returns or raises."""
-        for namespace in self._namespaces:
-            namespace[_PROBE] = self._hit
-        self._sites.clear()  # sites a probed closure recorded outside a run
+        _SITES.clear()  # sites a probed closure recorded outside a run
         for func, _, probed in self._swaps:
             func.__code__ = probed
         try:

@@ -23,8 +23,8 @@ OUTCOME_HARNESS_ERROR = "harness_error"
 MEMO_ENTRIES = 512
 
 # named character sets a driver may constrain segments to
-CHARSETS: dict[str, bytes | None] = {
-    "byte": None,
+CHARSETS: dict[str, bytes] = {
+    "byte": bytes(range(256)),
     "binary": b"\x00\x01",
     "lower": b"abcdefghijklmnopqrstuvwxyz",
 }
@@ -45,11 +45,14 @@ class Constraints:
     max_segment_len: int = 16
     charset: str = "byte"
 
-    def alphabet(self) -> bytes | None:
-        try:
-            return CHARSETS[self.charset]
-        except KeyError:
-            raise ConfigError(f"unknown charset: {self.charset!r}") from None
+    def __post_init__(self):
+        if self.max_segment_len < 1:
+            raise ConfigError("segment cap must be >= 1")
+        if self.charset not in CHARSETS:
+            raise ConfigError(f"unknown charset: {self.charset!r}")
+
+    def alphabet(self) -> bytes:
+        return CHARSETS[self.charset]
 
 
 def default_parse(data: bytes, constraints: Constraints) -> tuple[bytes, bytes, bytes]:
@@ -60,10 +63,9 @@ def default_parse(data: bytes, constraints: Constraints) -> tuple[bytes, bytes, 
         raise ParseReject(f"need at least 3 bytes, got {len(data)}")
     keep = min(third, constraints.max_segment_len)
     pub, sec1, sec2 = data[:keep], data[third : third + keep], data[2 * third : 2 * third + keep]
-    alphabet = constraints.alphabet()
-    if alphabet is None:
+    if constraints.charset == "byte":
         return pub, sec1, sec2
-    table = _charset_table(alphabet)
+    table = _charset_table(constraints.alphabet())
     return pub.translate(table), sec1.translate(table), sec2.translate(table)
 
 
@@ -241,20 +243,13 @@ def with_domain(
     """Copy of spec with overridden constraints/dimension (campaign- or
     oracle-local; the registry entry is never mutated). The dimension may be
     a canonical name or a command-line alias (ops/mem/response)."""
-    constraints = spec.constraints
-    if segment_cap is not None or charset is not None:
-        constraints = Constraints(
-            max_segment_len=segment_cap
-            if segment_cap is not None
-            else constraints.max_segment_len,
-            charset=charset if charset is not None else constraints.charset,
-        )
-        if constraints.max_segment_len < 1:
-            raise ConfigError("segment cap must be >= 1")
-        constraints.alphabet()  # validate charset name eagerly
+    current = spec.constraints
     return replace(
         spec,
-        constraints=constraints,
+        constraints=Constraints(
+            current.max_segment_len if segment_cap is None else segment_cap,
+            current.charset if charset is None else charset,
+        ),
         cost_dimension=spec.cost_dimension
         if dimension is None
         else DIMENSION_ALIASES.get(dimension, dimension),

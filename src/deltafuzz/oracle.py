@@ -37,11 +37,6 @@ class OracleResult:
     statistic: str | None = None
 
 
-def _symbols(spec: DriverSpec) -> bytes:
-    alphabet = spec.constraints.alphabet()
-    return bytes(range(256)) if alphabet is None else alphabet
-
-
 def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
     """Raw bytes that the charset map decodes back into seg."""
     if len(alphabet) == 256:
@@ -90,7 +85,7 @@ def exhaustive_max_delta(
     exceeds the budget; cost enumeration itself needs |A|**(2*len) runs.
     """
     aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
-    n = len(_symbols(aspec))
+    n = len(aspec.constraints.alphabet())
     cardinality = n ** (3 * segment_len)
     if cardinality > budget:
         raise DomainTooLarge(
@@ -146,7 +141,7 @@ def structured_max_delta(
             f"driver {aspec.name!r} declares no cost statistic; "
             "use the exhaustive oracle"
         )
-    symbols = _symbols(aspec)
+    symbols = aspec.constraints.alphabet()
     dim = aspec.cost_dimension
     executions = 0
     best_delta = -1

@@ -96,9 +96,8 @@ def test_canonical_dimension(tmp_path):
     ],
 )
 def test_config_validation(tmp_path, field, value):
-    config = paced_config(tmp_path, **{field: value})
     with pytest.raises(ConfigError):
-        config.validate()
+        paced_config(tmp_path, **{field: value})
 
 
 # --- clock ----------------------------------------------------------------------

@@ -137,6 +137,19 @@ def test_fuzz_bad_timeout(tmp_path):
     assert code == 2
 
 
+def test_fuzz_segment_cap_below_one_is_exit_two(tmp_path, capsys):
+    argv = ["fuzz", "--driver", "pwcheck_unsafe", "--seeds", make_seeds(tmp_path)]
+    code = main(argv + ["--out", str(tmp_path / "out"), "--segment-cap", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: segment cap must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_len_below_one_is_exit_two(capsys):
+    assert main(["oracle", "--driver", "pwcheck_unsafe", "--len", "0"]) == 2
+    assert capsys.readouterr().err == "error: segment cap must be >= 1\n"
+
+
 def test_fuzz_sourceless_target_is_exit_two(tmp_path, monkeypatch, capsys):
     namespace = {}
     source = "def ghost(pub, sec, meter):\n    meter.tick(1)\n"

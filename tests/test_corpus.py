@@ -73,21 +73,21 @@ def test_high_score_accepts_zero_as_first_witness():
 # --- FuzzQueue ------------------------------------------------------------------
 
 
-def test_round_robin_single_entry():
-    q = FuzzQueue()
+def test_round_robin_single_entry(tmp_path):
+    q = FuzzQueue(tmp_path / "queue")
     q.add(b"A", best_delta=0)
     assert [q.next().data for _ in range(3)] == [b"A", b"A", b"A"]
 
 
-def test_round_robin_two_entries():
-    q = FuzzQueue()
+def test_round_robin_two_entries(tmp_path):
+    q = FuzzQueue(tmp_path / "queue")
     q.add(b"A", best_delta=0)
     q.add(b"B", best_delta=0)
     assert [q.next().data for _ in range(4)] == [b"A", b"B", b"A", b"B"]
 
 
-def test_mid_cycle_addition_waits_for_next_cycle():
-    q = FuzzQueue()
+def test_mid_cycle_addition_waits_for_next_cycle(tmp_path):
+    q = FuzzQueue(tmp_path / "queue")
     q.add(b"A", best_delta=0)
     q.add(b"B", best_delta=0)
     picks = [q.next().data]  # cycle of (A, B) begins
@@ -100,13 +100,13 @@ def test_mid_cycle_addition_waits_for_next_cycle():
     assert window == [b"C", b"A", b"B", b"C", b"A", b"B"]
 
 
-def test_next_on_empty_queue():
+def test_next_on_empty_queue(tmp_path):
     with pytest.raises(LookupError):
-        FuzzQueue().next()
+        FuzzQueue(tmp_path / "queue").next()
 
 
-def test_entry_ids_are_sequential():
-    q = FuzzQueue()
+def test_entry_ids_are_sequential(tmp_path):
+    q = FuzzQueue(tmp_path / "queue")
     ids = [q.add(bytes([i]), best_delta=0).entry_id for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
 
@@ -124,12 +124,12 @@ def test_persistence_writes_raw_bytes(tmp_path):
 # --- consider() -------------------------------------------------------------------
 
 
-def make_state():
-    return FuzzQueue(), GlobalCoverage(), HighScore()
+def make_state(tmp_path):
+    return FuzzQueue(tmp_path / "queue"), GlobalCoverage(), HighScore()
 
 
-def test_consider_discards_nothing_new():
-    q, g, hs = make_state()
+def test_consider_discards_nothing_new(tmp_path):
+    q, g, hs = make_state(tmp_path)
     g.absorb(cov_with((5, 1)))
     hs.update(3, b"base")
     kept = consider(q, b"dup", result_with(0), cov_with((5, 1)), g, hs, "ops")
@@ -138,8 +138,8 @@ def test_consider_discards_nothing_new():
     assert hs.value == 3
 
 
-def test_consider_enqueues_on_delta_improvement_alone():
-    q, g, hs = make_state()
+def test_consider_enqueues_on_delta_improvement_alone(tmp_path):
+    q, g, hs = make_state(tmp_path)
     g.absorb(cov_with((5, 1)))
     hs.update(3, b"base")
     kept = consider(q, b"better", result_with(5), cov_with((5, 1)), g, hs, "ops", 4)
@@ -150,8 +150,8 @@ def test_consider_enqueues_on_delta_improvement_alone():
     assert entry.filename() == "id:0000,src:0004,delta:5"
 
 
-def test_consider_enqueues_on_new_edge_without_improvement():
-    q, g, hs = make_state()
+def test_consider_enqueues_on_new_edge_without_improvement(tmp_path):
+    q, g, hs = make_state(tmp_path)
     g.absorb(cov_with((5, 1)))
     hs.update(5, b"base")
     kept = consider(q, b"novel", result_with(2), cov_with((9, 3)), g, hs, "ops")
@@ -160,16 +160,16 @@ def test_consider_enqueues_on_new_edge_without_improvement():
     assert q.entries[0].data == b"novel"
 
 
-def test_consider_ties_are_discarded():
-    q, g, hs = make_state()
+def test_consider_ties_are_discarded(tmp_path):
+    q, g, hs = make_state(tmp_path)
     g.absorb(cov_with((5, 1)))
     hs.update(4, b"base")
     assert not consider(q, b"tie", result_with(4), cov_with((5, 1)), g, hs, "ops")
     assert len(q) == 0 and hs.value == 4
 
 
-def test_consider_updates_high_score_even_when_dedup_blocks():
-    q, g, hs = make_state()
+def test_consider_updates_high_score_even_when_dedup_blocks(tmp_path):
+    q, g, hs = make_state(tmp_path)
     q.add(b"same", best_delta=1)
     hs.update(1, b"same")
     kept = consider(q, b"same", result_with(9), cov_with((7, 2)), g, hs, "ops")
@@ -180,9 +180,9 @@ def test_consider_updates_high_score_even_when_dedup_blocks():
     assert again is False
 
 
-def test_consider_respects_escalated_hit_class():
+def test_consider_respects_escalated_hit_class(tmp_path):
     # same edge index, higher hit-count class: still novel
-    q, g, hs = make_state()
+    q, g, hs = make_state(tmp_path)
     consider(q, b"one", result_with(0), cov_with((11, 1)), g, hs, "ops")
     kept = consider(q, b"many", result_with(0), cov_with((11, 4)), g, hs, "ops")
     assert kept is True

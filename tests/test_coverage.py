@@ -2,6 +2,7 @@
 
 import sys
 from collections import OrderedDict
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -201,11 +202,25 @@ def line_sites(fn, *offsets):
     return [site_id(__name__, first + k) for k in offsets]
 
 
+@contextmanager
+def stub_probe(tracer, probe):
+    """Route the probes of tracer's code to probe instead of the
+    process-wide site list, for the duration of the block."""
+    namespaces = {id(func.__globals__): func.__globals__ for func, _, _ in tracer._swaps}
+    for namespace in namespaces.values():
+        namespace[coverage._PROBE] = probe
+    try:
+        yield
+    finally:
+        for namespace in namespaces.values():
+            namespace[coverage._PROBE] = coverage._SITES.append
+
+
 def recorded_sites(fn, *args):
     """The sites fn's probes report, in order, through a stub probe."""
     sites = []
     tracer = EdgeTracer(fn)
-    with mock.patch.object(tracer, "_hit", sites.append):
+    with stub_probe(tracer, sites.append):
         tracer.run(*args)
     return sites
 
@@ -322,7 +337,7 @@ def test_helper_in_another_in_scope_module_gets_edges():
     u32le = spec.target.__globals__["u32le"]  # defined in benchmarks/support.py
     original = u32le.__code__
     tracer = EdgeTracer(spec.target)
-    with mock.patch.object(tracer, "_hit", probe):
+    with stub_probe(tracer, probe):
         tracer.run(pub, sec, Meter())
     assert set(callers) == {"modpow_unsafe_target", "_decode", "u32le", "mod_pow_unsafe"}
     assert u32le.__code__ is original
@@ -343,7 +358,7 @@ def test_local_helper_in_a_closure_gets_edges():
         callers.append(sys._getframe(1).f_code.co_name)
 
     tracer = EdgeTracer(target)
-    with mock.patch.object(tracer, "_hit", probe):
+    with stub_probe(tracer, probe):
         assert tracer.run(True) == 1
     assert callers == ["target", "helper", "helper"]  # helper: entry, then block head
 
@@ -355,7 +370,7 @@ def test_methods_and_tabled_functions_get_edges():
         callers.append(sys._getframe(1).f_code.co_name)
 
     tracer = EdgeTracer(uses_classes_and_tables)
-    with mock.patch.object(tracer, "_hit", probe):
+    with stub_probe(tracer, probe):
         assert tracer.run() == (False, 9, 1)
     assert callers == ["uses_classes_and_tables", "empty", "__init__", "full", "clamp", "tabled"]
 
@@ -397,7 +412,7 @@ def reference_map(tracer, executions):
     cov = CoverageMap()
     for args in executions:
         sites = []
-        with mock.patch.object(tracer, "_hit", sites.append):
+        with stub_probe(tracer, sites.append):
             try:
                 tracer.run(*args)
             except Exception:  # noqa: BLE001 - an aborted run keeps its edges
@@ -532,6 +547,6 @@ def test_a_probed_closure_called_outside_a_run_leaves_the_next_map_unchanged():
     tracer = EdgeTracer(dispatch)
     escaped = tracer.run(make_tabled)  # a nested def of probed code
     assert escaped() == 1  # its entry probe runs outside any traced run
-    assert len(tracer._sites) == 1
+    assert len(coverage._SITES) == 1
     cov = traced_map(tracer, [(branchy, True)])
     assert_maps_equal(cov, reference_map(EdgeTracer(dispatch), [(branchy, True)]))

@@ -3,9 +3,9 @@
 import functools
 import importlib.util
 import sys
-from unittest import mock
 
 import pytest
+from test_coverage import stub_probe
 
 from deltafuzz import driver as driver_module
 from deltafuzz.coverage import CoverageMap
@@ -203,7 +203,7 @@ def test_scope_stops_at_a_path_boundary(tmp_path):
     def probe(site):
         files.append(sys._getframe(1).f_code.co_filename)
 
-    with mock.patch.object(driver_module._tracer(spec), "_hit", probe):
+    with stub_probe(driver_module._tracer(spec), probe):
         res = run_driver(spec, bytes([1, 2, 0]), CoverageMap())
     assert res.delta.ops == 1  # the helper ran, unprobed
     assert set(files) == {str(tmp_path / "t" / "target.py")}  # not t_old/helper.py
@@ -300,6 +300,30 @@ def test_with_domain_validates():
         with_domain(spec, charset="klingon")
     with pytest.raises(ConfigError):
         with_domain(spec, dimension="watts")
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"max_segment_len": 0}, "segment cap must be >= 1"),
+        ({"max_segment_len": -1}, "segment cap must be >= 1"),
+        ({"charset": "klingon"}, "unknown charset: 'klingon'"),
+    ],
+    ids=["cap-zero", "cap-negative", "unknown-charset"],
+)
+def test_constraints_are_checked_at_construction(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        Constraints(**kwargs)
+
+
+def test_a_driver_with_bad_constraints_never_reaches_the_registry():
+    before = driver_names()
+    for kwargs in ({"max_segment_len": -1}, {"charset": "klingon"}):
+        with pytest.raises(ConfigError):
+            register_driver(
+                DriverSpec(name="unchecked", target=toy_compare, constraints=Constraints(**kwargs))
+            )
+    assert driver_names() == before
 
 
 def test_unknown_dimension_rejected_at_spec_construction():
