@@ -228,7 +228,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 det_done.add(entry.entry_id)
                 if config.deterministic_stage_enabled:
                     for mutant in deterministic_stage(entry.data):
-                        evaluate(mutant[:max_len], entry.entry_id)
+                        evaluate(mutant, entry.entry_id)
             for _ in range(HAVOC_ITERATIONS):
                 evaluate(havoc(entry.data, max_len, rng), entry.entry_id)
             for _ in range(SPLICE_ITERATIONS):

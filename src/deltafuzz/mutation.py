@@ -5,7 +5,9 @@ wrapping add/subtract, and interesting-value substitutions, emitting a
 closed-form number of mutants per input length. Havoc stacks 1-64 random
 edits; splice joins a prefix of one corpus entry to a suffix of another.
 All randomness flows through an explicit rng handle so a campaign's mutant
-stream is reproducible from its seed.
+stream is reproducible from its seed. Havoc draws with rng.getrandbits
+directly, by the rule randrange itself applies (k = n.bit_length() bits,
+redrawn until below n), so its stream is randrange's on Python 3.10-3.13.
 """
 
 from __future__ import annotations
@@ -97,52 +99,89 @@ def deterministic_stage(data: bytes) -> Iterator[bytes]:
         yield from gen(data, width)
 
 
-def _block_len(rng: random.Random, limit: int) -> int:
-    return rng.randint(1, min(HAVOC_BLOCK_MAX, limit))
-
-
 def havoc(data: bytes, max_len: int, rng: random.Random) -> bytes:
-    """One stacked-random-edit mutant; length stays within [1, max_len]."""
+    """One stacked-random-edit mutant of data; the lengths of both lie in
+    [1, max_len], and data outside it is a ValueError.
+
+    Every draw below n calls rng.getrandbits(k) with k = n.bit_length()
+    until the result is below n, the rule randrange(n) applies, and
+    randint(a, b) is a + that draw below b - a + 1. So on Python 3.10-3.13
+    the mutants, and the generator's state after each call, are those of
+    the same edits drawn with randrange and randint.
+    """
     if not data:
         raise ValueError("input must be non-empty")
+    if len(data) > max_len:
+        raise ValueError(f"input of {len(data)} bytes is longer than max_len {max_len}")
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    # The fixed-width draws are inlined: below(7) takes 3 bits, below(8) 4,
+    # below(ARITH_MAX) 6, below(2) 2 and below(256) 9.
     buf = bytearray(data)
-    for _ in range(1 << rng.randint(0, HAVOC_STACK_POW2)):
-        op = rng.randrange(7)
+    stack = getrandbits(3)
+    while stack > HAVOC_STACK_POW2:
+        stack = getrandbits(3)
+    for _ in range(1 << stack):
+        op = getrandbits(3)
+        while op == 7:
+            op = getrandbits(3)
         n = len(buf)
         if op == 0:  # flip one bit
-            pos = rng.randrange(n)
-            buf[pos] ^= 1 << rng.randrange(8)
-        elif op == 1:  # set byte
-            buf[rng.randrange(n)] = rng.randrange(256)
-        elif op == 2:  # 8-bit wrapping arith
-            pos = rng.randrange(n)
-            d = rng.randint(1, ARITH_MAX)
-            if rng.randrange(2):
-                d = -d
-            buf[pos] = (buf[pos] + d) % 256
+            pos = below(n)
+            bit = getrandbits(4)
+            while bit >= 8:
+                bit = getrandbits(4)
+            buf[pos] ^= 1 << bit
+        elif op == 1:  # set byte: the value is drawn before the position
+            value = getrandbits(9)
+            while value >= 256:
+                value = getrandbits(9)
+            buf[below(n)] = value
+        elif op == 2:  # 8-bit wrapping arith by +/- 1..ARITH_MAX
+            pos = below(n)
+            d = getrandbits(6)
+            while d >= ARITH_MAX:
+                d = getrandbits(6)
+            sign = getrandbits(2)
+            while sign >= 2:
+                sign = getrandbits(2)
+            buf[pos] = (buf[pos] - d - 1 if sign else buf[pos] + d + 1) % 256
         elif op == 3:  # insert random block (suppressed at the cap)
             room = max_len - n
             if room > 0:
-                k = _block_len(rng, room)
-                pos = rng.randint(0, n)
-                buf[pos:pos] = bytes(rng.randrange(256) for _ in range(k))
+                k = 1 + below(min(HAVOC_BLOCK_MAX, room))
+                pos = below(n + 1)
+                block = bytearray(k)
+                for i in range(k):
+                    value = getrandbits(9)
+                    while value >= 256:
+                        value = getrandbits(9)
+                    block[i] = value
+                buf[pos:pos] = block
         elif op == 4:  # delete block, keep at least one byte
             if n > 1:
-                k = _block_len(rng, n - 1)
-                pos = rng.randint(0, n - k)
+                k = 1 + below(min(HAVOC_BLOCK_MAX, n - 1))
+                pos = below(n - k + 1)
                 del buf[pos:pos + k]
         elif op == 5:  # overwrite block with a copy from elsewhere in buf
-            k = _block_len(rng, n)
-            src = rng.randint(0, n - k)
-            dst = rng.randint(0, n - k)
+            k = 1 + below(min(HAVOC_BLOCK_MAX, n))
+            src = below(n - k + 1)
+            dst = below(n - k + 1)
             buf[dst:dst + k] = buf[src:src + k]
         else:  # duplicate block (insert a copy, suppressed at the cap)
             room = max_len - n
             if room > 0:
-                k = _block_len(rng, min(room, n))
-                src = rng.randint(0, n - k)
-                block = bytes(buf[src:src + k])
-                pos = rng.randint(0, n)
+                k = 1 + below(min(HAVOC_BLOCK_MAX, room, n))
+                src = below(n - k + 1)
+                block = buf[src:src + k]
+                pos = below(n + 1)
                 buf[pos:pos] = block
     return bytes(buf)
 

@@ -4,12 +4,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltafuzz.mutation import (
     ARITH_MAX,
     DETERMINISTIC_SCHEDULE,
+    HAVOC_BLOCK_MAX,
+    HAVOC_STACK_POW2,
     INTERESTING_8,
     INTERESTING_16,
     INTERESTING_32,
@@ -138,10 +140,82 @@ def test_havoc_respects_length_bounds(data, seed):
 
 
 def test_havoc_reproducible_under_seed():
-    data = bytes(range(20))
-    a = [havoc(data, 32, random.Random(1234)) for _ in range(50)]
-    b = [havoc(data, 32, random.Random(1234)) for _ in range(50)]
-    assert a == b
+    def chain(rng):
+        data, out = bytes(range(20)), []
+        for _ in range(50):
+            data = havoc(data, 32, rng)
+            out.append(data)
+        return out
+
+    assert chain(random.Random(1234)) == chain(random.Random(1234))
+
+
+def test_havoc_refuses_input_longer_than_max_len():
+    with pytest.raises(ValueError):
+        havoc(bytes(60), 48, random.Random(0))
+    assert len(havoc(bytes(48), 48, random.Random(0))) <= 48
+
+
+def randrange_havoc(data, max_len, rng):
+    """havoc as drawn through randrange and randint, the stream it must keep."""
+    buf = bytearray(data)
+    for _ in range(1 << rng.randint(0, HAVOC_STACK_POW2)):
+        op = rng.randrange(7)
+        n = len(buf)
+        if op == 0:
+            pos = rng.randrange(n)
+            buf[pos] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            buf[rng.randrange(n)] = rng.randrange(256)
+        elif op == 2:
+            pos = rng.randrange(n)
+            d = rng.randint(1, ARITH_MAX)
+            if rng.randrange(2):
+                d = -d
+            buf[pos] = (buf[pos] + d) % 256
+        elif op == 3:
+            room = max_len - n
+            if room > 0:
+                k = rng.randint(1, min(HAVOC_BLOCK_MAX, room))
+                pos = rng.randint(0, n)
+                buf[pos:pos] = bytes(rng.randrange(256) for _ in range(k))
+        elif op == 4:
+            if n > 1:
+                k = rng.randint(1, min(HAVOC_BLOCK_MAX, n - 1))
+                pos = rng.randint(0, n - k)
+                del buf[pos:pos + k]
+        elif op == 5:
+            k = rng.randint(1, min(HAVOC_BLOCK_MAX, n))
+            src = rng.randint(0, n - k)
+            dst = rng.randint(0, n - k)
+            buf[dst:dst + k] = buf[src:src + k]
+        else:
+            room = max_len - n
+            if room > 0:
+                k = rng.randint(1, min(HAVOC_BLOCK_MAX, room, n))
+                src = rng.randint(0, n - k)
+                block = bytes(buf[src:src + k])
+                pos = rng.randint(0, n)
+                buf[pos:pos] = block
+    return bytes(buf)
+
+
+@given(
+    data=st.binary(min_size=1, max_size=48),
+    room=st.integers(min_value=0, max_value=47),
+    seed=st.integers(),
+)
+@example(data=b"\x01", room=0, seed=0)  # insert and delete both suppressed
+@example(data=bytes(48), room=0, seed=1)
+@settings(max_examples=200)
+def test_havoc_draws_the_stream_of_randrange(data, room, seed):
+    max_len = min(len(data) + room, 48)
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        expected = randrange_havoc(data, max_len, reference)
+        data = havoc(data, max_len, rng)
+        assert data == expected
+        assert rng.getstate() == reference.getstate()
 
 
 def test_havoc_insert_suppressed_at_cap():
