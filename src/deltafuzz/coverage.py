@@ -196,27 +196,17 @@ def _shape(code: CodeType) -> tuple:
     )
 
 
-# Probed code by source file: (module name, source text, code objects).
-# Shared by every tracer, so a module that several targets reach compiles
-# once; a file whose text has changed since compiles anew.
-_PROBED: dict[str, tuple[str, str, dict[tuple[str, int], CodeType]]] = {}
-
-
 def _compile_probed(filename: str, module_globals: dict) -> dict[tuple[str, int], CodeType]:
     """Every code object of the probed module source, by (name, first line)."""
     linecache.checkcache(filename)
     source = "".join(linecache.getlines(filename, module_globals))
     if not source:
         raise InstrumentError(f"no source for {filename}")
-    modname = module_globals.get("__name__", filename)
-    cached = _PROBED.get(filename)
-    if cached is not None and cached[:2] == (modname, source):
-        return cached[2]
     try:
         tree = ast.parse(source, filename)
     except SyntaxError as exc:
         raise InstrumentError(f"cannot parse {filename}: {exc}") from None
-    tree.body = _instrument(tree.body, modname)
+    tree.body = _instrument(tree.body, module_globals.get("__name__", filename))
     found: dict[tuple[str, int], CodeType] = {}
     todo = [compile(tree, filename, "exec", dont_inherit=True)]
     while todo:
@@ -224,7 +214,6 @@ def _compile_probed(filename: str, module_globals: dict) -> dict[tuple[str, int]
             if isinstance(const, CodeType):
                 found[const.co_name, const.co_firstlineno] = const
                 todo.append(const)
-    _PROBED[filename] = (modname, source, found)
     return found
 
 
@@ -233,10 +222,12 @@ def _pseudo(filename: str) -> bool:
     return filename.startswith("<") and filename.endswith(">")
 
 
-def _probed_code(fn: FunctionType) -> CodeType:
-    """fn's probed copy."""
+def _probed_code(fn: FunctionType, modules: dict[str, dict]) -> CodeType:
+    """fn's probed copy, its module compiled into modules on first use."""
     code = fn.__code__
-    table = _compile_probed(code.co_filename, fn.__globals__)
+    table = modules.get(code.co_filename)
+    if table is None:
+        table = modules[code.co_filename] = _compile_probed(code.co_filename, fn.__globals__)
     probed = table.get((code.co_name, code.co_firstlineno))
     if probed is None or _shape(probed) != _shape(code):
         raise InstrumentError(
@@ -252,10 +243,9 @@ class EdgeTracer:
     subdirectories, matched on path boundaries. The function reaches itself
     and, transitively, the in-scope functions in its closure and globals,
     including those of the classes, containers and in-scope modules found
-    there. The constructor takes each one's probed copy from its source
-    file, compiled with probes once per process and source text; a run
-    swaps the probed code objects into those function objects and restores
-    the originals when it returns or raises. Every probed namespace
+    there. The constructor compiles the source file of each with probes; a
+    run swaps the probed code objects into those function objects and
+    restores the originals when it returns or raises. Every probed namespace
     binds the same probe, the append of the one process-wide site list.
     Functions the run creates (closures, nested defs) come from probed code
     already; one that outlives its run still appends to the site list, which
@@ -280,10 +270,11 @@ class EdgeTracer:
         if _pseudo(code.co_filename):
             raise InstrumentError(f"{target.__qualname__} has no source file ({code.co_filename})")
         self._dir = os.path.join(os.path.dirname(os.path.abspath(code.co_filename)), "")
+        modules: dict[str, dict] = {}  # probed code by filename, then (name, first line)
         self._swaps: list[tuple] = []  # (function, original code, probed code)
         for func in self._reach(target):
             try:
-                self._swaps.append((func, func.__code__, _probed_code(func)))
+                self._swaps.append((func, func.__code__, _probed_code(func, modules)))
             except InstrumentError:
                 if func is target:
                     raise

@@ -3,13 +3,10 @@
 import functools
 import importlib.util
 import sys
-from collections import Counter
-from unittest import mock
 
 import pytest
 from test_coverage import stub_probe
 
-from deltafuzz import coverage
 from deltafuzz import driver as driver_module
 from deltafuzz.coverage import CoverageMap
 from deltafuzz.driver import (
@@ -263,28 +260,6 @@ def test_changed_source_is_a_config_error_not_a_finding(tmp_path, edited):
     spec = DriverSpec(name="edited", target=module.target)
     with pytest.raises(ConfigError, match="no longer matches"):
         run_driver(spec, bytes(3), CoverageMap())
-
-
-def test_targets_that_share_a_module_compile_it_once(tmp_path):
-    folder = tmp_path / "shared"
-    helper_path = folder / "helper.py"
-    helper_source = "def check(sec, meter):\n    if sec[0]:\n        meter.tick(1)\n"
-    helper = load_module(helper_path, helper_source)
-    specs = []
-    for name in ("first", "second", "third"):
-        source = f"def {name}(pub, sec, meter):\n    helper.check(sec, meter)\n"
-        module = load_module(folder / f"{name}.py", source, helper=helper)
-        specs.append(DriverSpec(name=name, target=getattr(module, name)))
-
-    with mock.patch.object(coverage, "compile", wraps=compile, create=True) as compiled:
-        for spec in specs[:2]:
-            run_driver(spec, bytes([0, 1, 0]), CoverageMap())
-        files = Counter(call.args[1] for call in compiled.call_args_list)
-        assert files == {str(folder / f"{name}.py"): 1 for name in ("helper", "first", "second")}
-        helper_path.write_text(helper_source + "# edited\n")
-        run_driver(specs[2], bytes([0, 1, 0]), CoverageMap())
-        files = Counter(call.args[1] for call in compiled.call_args_list)
-    assert files[str(helper_path)] == 2  # an edited file compiles anew
 
 
 def test_registry_lookup_and_duplicates():
