@@ -174,12 +174,15 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             stats_rows.append(row(next_row_second))
             next_row_second += 1
 
-    # One map for every evaluation, and the memo of the executions traced
-    # into it. An evaluation whose two executions are both remembered still
-    # goes through consider: they may come from two earlier evaluations, so
-    # their delta and their summed hit counts can be new.
+    # One map for every evaluation, the memo of the executions traced into
+    # it, and the path pairs folded into it. An evaluation whose two
+    # executions are both remembered still goes through consider: they may
+    # come from two earlier evaluations, so their delta and their summed hit
+    # counts can be new. A pair of paths folded before leaves the map empty,
+    # as global_cov holds all it can show; its delta can still be new.
     cov = CoverageMap()
     cov.memo = OrderedDict()
+    cov.folded = set()
 
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
         nonlocal executions, first_positive, harness_errors

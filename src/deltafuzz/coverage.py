@@ -8,10 +8,11 @@ is the pair of consecutive sites hashed as (site XOR prev) with prev shifted
 right one bit, so A->B and B->A land in different cells. Every probe, in
 every traced module, appends its site id to one process-wide list, so a
 traced execution holds 8 bytes per probe it runs until it returns. Its
-path, the tuple of those sites, is then reduced to per-edge hit counts, once
-per distinct path. A candidate's map sums those counts by edge index, in
-first-touch order, saturating at 255. The campaign-wide record maps each
-edge index it has seen to a bitmask of the hit-count classes shown there:
+path, the tuple of those sites, is then reduced to per-edge hit counts and
+named by a token, once per distinct path. A candidate's map sums those
+counts by edge index, in first-touch order, saturating at 255. The
+campaign-wide record maps each edge index it has seen to a bitmask of the
+hit-count classes shown there:
 raw counts are compressed into nine coarse classes before novelty checks,
 which keeps loop-count noise from flooding the queue while still rewarding
 order-of-magnitude escalation.
@@ -20,6 +21,7 @@ order-of-magnitude escalation.
 from __future__ import annotations
 
 import ast
+import itertools
 import linecache
 import os
 import sys
@@ -54,10 +56,15 @@ class CoverageMap(dict):
 
     A campaign reuses one map, cleared between candidates, and gives it a
     memo of the executions traced into it: run_driver replays one it
-    remembers instead of running the target again.
+    remembers instead of running the target again. It also gives it a table
+    of the path pairs already folded into it, by token. A map is a function
+    of its two paths, and the campaign absorbs every map into one record
+    that only gains bits, so a pair folded before can show nothing new:
+    run_driver leaves the map empty for it.
     """
 
     memo: OrderedDict | None = None
+    folded: set[tuple[int, int]] | None = None
 
     nonzero_count = dict.__len__
 
@@ -115,6 +122,11 @@ class InstrumentError(Exception):
 # Cached paths hold at most this many sites between them; a miss that would
 # pass it clears the cache first, and a longer path is never cached.
 PATH_CACHE_SITES = 65536
+
+# Tokens name folded paths, one per path a tracer caches and one per fold of
+# a path too long to cache; drawn from one counter, so none is ever reused
+# in the process, by any tracer or after a cache clear.
+_TOKENS = itertools.count()
 
 
 def _path_edges(path: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -281,25 +293,25 @@ class EdgeTracer:
         for func, _, _ in self._swaps:
             func.__globals__[_PROBE] = _SITES.append  # the probe: record the site
         self._fn = fn
-        self._paths: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        self._paths: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
         self._cached_sites = 0
-        self.last_edges: list[tuple[int, int]] = []  # of the last run
+        self.last_path: tuple[int, list[tuple[int, int]]] = (-1, [])  # of the last run
 
-    def _fold(self) -> list[tuple[int, int]]:
-        """The path just run as (edge index, hits) pairs, reduced once per
-        distinct path."""
+    def _fold(self) -> tuple[int, list[tuple[int, int]]]:
+        """The path just run as its token and its (edge index, hits) pairs,
+        reduced once per distinct cached path."""
         path = tuple(_SITES)
         _SITES.clear()
-        edges = self._paths.get(path)
-        if edges is None:
-            edges = _path_edges(path)
-            if self._cached_sites + len(path) > PATH_CACHE_SITES:
-                self._paths.clear()
-                self._cached_sites = 0
+        folded = self._paths.get(path)
+        if folded is None:
+            folded = next(_TOKENS), _path_edges(path)
             if len(path) <= PATH_CACHE_SITES:
-                self._paths[path] = edges
+                if self._cached_sites + len(path) > PATH_CACHE_SITES:
+                    self._paths.clear()
+                    self._cached_sites = 0
+                self._paths[path] = folded
                 self._cached_sites += len(path)
-        return edges
+        return folded
 
     def _covers(self, filename: str | None) -> bool:
         if not filename or _pseudo(filename):
@@ -348,9 +360,9 @@ class EdgeTracer:
         return found
 
     def run(self, *args):
-        """Call the function on args with the probed code, leaving its edges
-        in last_edges; every original code object is back, and last_edges
-        set, when this returns or raises."""
+        """Call the function on args with the probed code, leaving its path's
+        token and edges in last_path; every original code object is back,
+        and last_path set, when this returns or raises."""
         _SITES.clear()  # sites a probed closure recorded outside a run
         for func, _, probed in self._swaps:
             func.__code__ = probed
@@ -359,4 +371,4 @@ class EdgeTracer:
         finally:
             for func, original, _ in self._swaps:
                 func.__code__ = original
-            self.last_edges = self._fold()
+            self.last_path = self._fold()

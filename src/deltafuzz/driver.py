@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .coverage import CoverageMap, EdgeTracer, InstrumentError
 from .metering import DIMENSION_ALIASES, DIMENSIONS, CostReading, Meter
@@ -21,6 +21,10 @@ OUTCOME_HARNESS_ERROR = "harness_error"
 
 # executions a map's memo keeps, least recently used out first
 MEMO_ENTRIES = 512
+
+# path pairs a map's table of folded pairs keeps; a full table is cleared,
+# which costs only folds again
+FOLDED_PAIRS = 16384
 
 # named character sets a driver may constrain segments to
 CHARSETS: dict[str, bytes] = {
@@ -103,8 +107,7 @@ class DriverSpec:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
 
 
-@dataclass(frozen=True)
-class DiffResult:
+class DiffResult(NamedTuple):
     outcome: str
     delta: CostReading = CostReading()
     cost1: CostReading = CostReading()
@@ -117,8 +120,9 @@ class DiffResult:
         return self.delta.of(dimension)
 
 
-# one execution: its cost, output, failure note and edges (None untraced)
-Execution = tuple[CostReading, object, Optional[str], Optional[list[tuple[int, int]]]]
+# one execution: its cost, output, failure note and path as (token, edges),
+# None untraced
+Execution = tuple[CostReading, object, Optional[str], Optional[tuple[int, list]]]
 
 
 def run_driver(
@@ -135,7 +139,11 @@ def run_driver(
     When cov_map also has a memo, an execution is looked up there by (pub,
     sec) first, whichever secret it stands for: the target must be a pure
     function of those, so a remembered execution is not run again, and its
-    cost, output, note and edges stand in for it.
+    cost, output, note and path stand in for it.
+
+    When cov_map also has a table of folded pairs, the caller must absorb
+    every map this fills into one GlobalCoverage: a pair of paths already in
+    the table is not folded again, and leaves the map empty.
     """
     try:
         pub, sec1, sec2 = default_parse(data, spec.constraints)
@@ -158,13 +166,21 @@ def run_driver(
                     memo.popitem(last=False)
         else:
             memo.move_to_end(key)
-        if cov_map is not None:
-            cov_map.add(run[3])
         runs.append(run)
 
-    (cost1, out1, note1, _), (cost2, out2, note2, _) = runs
+    (cost1, out1, note1, path1), (cost2, out2, note2, path2) = runs
+    if cov_map is not None:
+        folded = cov_map.folded
+        pair = path1[0], path2[0]
+        if folded is None or pair not in folded:
+            cov_map.add(path1[1])
+            cov_map.add(path2[1])
+            if folded is not None:
+                if len(folded) >= FOLDED_PAIRS:
+                    folded.clear()
+                folded.add(pair)
     failure = note1 if note1 is not None else note2
-    # positional: keywords make this call, one per evaluation, 40% dearer
+    # positional: keywords make this call, one per evaluation, twice as dear
     return DiffResult(
         OUTCOME_HARNESS_ERROR if failure else OUTCOME_OK,
         cost1.abs_diff(cost2),  # delta
@@ -183,7 +199,7 @@ def _execute(target, tracer: EdgeTracer | None, pub: bytes, sec: bytes) -> Execu
         out = (target if tracer is None else tracer.run)(pub, sec, meter)
     except Exception as exc:  # noqa: BLE001 - aborts are findings
         note = f"{type(exc).__name__}: {exc}"
-    return meter.read(), out, note, tracer.last_edges if tracer is not None else None
+    return meter.read(), out, note, tracer.last_path if tracer is not None else None
 
 
 _TRACERS: dict[object, EdgeTracer] = {}  # by target

@@ -287,6 +287,21 @@ def test_two_remembered_executions_can_raise_the_high_score(tmp_path, monkeypatc
     assert queue == ["id:0000,src:-,delta:0", "id:0001,src:-,delta:0", "id:0002,src:-,delta:5"]
 
 
+def test_a_pair_table_of_one_entry_changes_no_artifact(tmp_path, monkeypatch):
+    """The table of folded path pairs only saves work: cleared at almost
+    every new pair, it leaves the artifacts and the queue as they were."""
+
+    def artifacts(sub):
+        out = tmp_path / sub
+        run_campaign(paced_config(tmp_path, driver="crime_compress", out_dir=str(out)))
+        queue = sorted(p.name for p in (out / "queue").iterdir())
+        return [(out / name).read_bytes() for name in ARTIFACTS], queue
+
+    full = artifacts("full")
+    monkeypatch.setattr(driver_module, "FOLDED_PAIRS", 1)
+    assert artifacts("one") == full
+
+
 # --- output files -----------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltafuzz import coverage
+from deltafuzz import coverage, driver as driver_module
 from deltafuzz.coverage import (
     MAP_SIZE,
     CoverageMap,
@@ -187,7 +187,7 @@ def run_into(cov, tracer, *args):
     try:
         return tracer.run(*args)
     finally:
-        cov.add(tracer.last_edges)
+        cov.add(tracer.last_path[1])
 
 
 def trace(fn, *args):
@@ -466,6 +466,74 @@ def test_remembered_executions_give_the_results_and_maps_of_running_again(name, 
         assert_maps_equal(cov, fresh)
 
 
+# --- the table of folded path pairs --------------------------------------------
+
+
+def loop_target(pub, sec, meter):
+    for _ in range(sec[0]):
+        meter.tick()
+
+
+def campaign_map():
+    """A map as a campaign keeps it: with a memo and a table of folded pairs."""
+    cov = CoverageMap()
+    cov.memo = OrderedDict()
+    cov.folded = set()
+    return cov
+
+
+def test_executions_folded_in_other_pairs_still_fold_when_first_paired():
+    """The table is keyed by the pair of paths, not by each: two paths each
+    folded before, but never together, sum their hit counts into a bucket
+    neither reached beside another path."""
+    (body,) = line_sites(loop_target, 2)
+    loop_edge = body ^ (body >> 1)
+    spec = DriverSpec(name="loop_target", target=loop_target)
+    cov, seen = campaign_map(), GlobalCoverage()
+
+    def absorbed(data):
+        cov.clear()
+        run_driver(spec, data, cov)
+        return seen.absorb(cov)
+
+    assert (loop_edge, 4) in absorbed(b"p\x05\x00")  # 4 loop hits: class 4-7
+    assert absorbed(b"p\x06\x00") == []  # 5 hits: class 4-7 again
+    absorbed(b"p\x01\x01")  # the entry and exit edges of the loop at 2 hits
+    assert absorbed(b"p\x05\x00") == [] and not cov  # a pair folded before
+    assert absorbed(b"p\x05\x06") == [(loop_edge, 5)]  # 4 + 5 hits: class 8-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(BENCHMARK_DRIVERS),
+    pool=st.lists(st.binary(min_size=4, max_size=4), min_size=3, max_size=3),
+    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=16),
+    table_size=st.sampled_from([1, 2, 3, driver_module.FOLDED_PAIRS]),
+    cache_sites=st.sampled_from([40, coverage.PATH_CACHE_SITES]),
+)
+def test_skipping_folded_pairs_absorbs_as_folding_every_evaluation(
+    name, pool, picks, table_size, cache_sites
+):
+    """Inputs whose thirds come from a pool of three, so path pairs repeat:
+    every absorb, and the campaign-wide record in the end, equal those of a
+    map that folds every evaluation. Small tables fill and clear often, and
+    a small path cache clears often and gives fresh tokens."""
+    spec = get_driver(name)
+    cov, skipping, folding = campaign_map(), GlobalCoverage(), GlobalCoverage()
+    with mock.patch.object(driver_module, "FOLDED_PAIRS", table_size), mock.patch.object(
+        coverage, "PATH_CACHE_SITES", cache_sites
+    ):
+        for picked in picks:
+            data = b"".join(pool[i] for i in picked)
+            cov.clear()
+            got = run_driver(spec, data, cov)
+            full = CoverageMap()
+            assert got == run_driver(spec, data, full)
+            assert skipping.absorb(cov) == folding.absorb(full)
+            assert len(cov.folded) <= table_size
+    assert list(skipping.items()) == list(folding.items())
+
+
 # --- folding each path into the map: the same map as one update per probe ----
 
 
@@ -518,6 +586,35 @@ def test_fold_of_a_path_longer_than_the_cache_budget(monkeypatch):
     cov = traced_map(tracer, executions)
     assert_maps_equal(cov, reference_map(tracer, executions))
     assert tracer._cached_sites == 3  # only the short path is cached
+
+
+def test_fold_of_a_path_too_long_to_cache_keeps_the_cache(monkeypatch):
+    monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 8)
+    tracer = EdgeTracer(ping_pong)
+    tracer.run(1)  # 3 sites, cached
+    short = tracer.last_path
+    tracer.run(20)  # 22 sites: folded, not cached, and the cache kept
+    tracer.run(1)
+    assert tracer.last_path is short
+    assert tracer._cached_sites == 3
+
+
+def test_a_token_names_one_path_and_is_never_reused(monkeypatch):
+    monkeypatch.setattr(coverage, "PATH_CACHE_SITES", 8)
+    tracer = EdgeTracer(ping_pong)
+    tokens = []
+    for n in (1, 1, 2, 20, 20, 3, 1):  # 3, 3, 4, 22, 22, 5 and 3 sites
+        tracer.run(n)
+        tokens.append(tracer.last_path[0])
+    # 1 and 2 fit the budget together, the uncached 20 gets a token per
+    # fold, 3 clears the cache, and 1 comes back into it with a fresh token
+    one, again, two, long1, long2, three, one_back = tokens
+    assert one == again
+    assert len({one, two, long1, long2, three, one_back}) == 6
+    assert tokens == sorted(tokens)  # drawn from one counter, never reused
+    other = EdgeTracer(branchy)
+    other.run(True)
+    assert other.last_path[0] > one_back  # the counter is process-wide
 
 
 def test_fold_maps_unchanged_when_the_cache_is_cleared_at_its_budget(monkeypatch):
