@@ -14,7 +14,7 @@ from .campaign import (
     verdict,
 )
 from .corpus import FuzzQueue, HighScore, QueueEntry, load_seeds
-from .coverage import CoverageMap, GlobalCoverage, bucketize
+from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
     CHARSETS,
     ConfigError,
@@ -58,7 +58,6 @@ __all__ = [
     "QueueEntry",
     "Statistic",
     "benchmarks",
-    "bucketize",
     "deterministic_stage",
     "driver_names",
     "exhaustive_max_delta",

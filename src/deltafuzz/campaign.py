@@ -21,7 +21,6 @@ import csv
 import logging
 import random
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -118,7 +117,6 @@ class CampaignReport:
     duration: float
     stop_reason: str
     report_epsilon: Optional[float]
-    out_dir: str
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = field(repr=False, default=())
 
 
@@ -165,7 +163,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         return executions / pace
 
     def row(second: int) -> tuple[int, int, int, int, int]:
-        return (second, executions, high.value, global_cov.nonzero_count(), len(queue))
+        return (second, executions, high.value, len(global_cov), len(queue))
 
     def emit_rows() -> None:
         nonlocal next_row_second
@@ -174,15 +172,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             stats_rows.append(row(next_row_second))
             next_row_second += 1
 
-    # One map for every evaluation, the memo of the executions traced into
-    # it, and the path pairs folded into it. An evaluation whose two
+    # One map for every evaluation, so its memo and its table of folded
+    # pairs (see run_driver) span the campaign. An evaluation whose two
     # executions are both remembered still goes through consider: they may
     # come from two earlier evaluations, so their delta and their summed hit
     # counts can be new. A pair of paths folded before leaves the map empty,
     # as global_cov holds all it can show; its delta can still be new.
     cov = CoverageMap()
-    cov.memo = OrderedDict()
-    cov.folded = set()
 
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
         nonlocal executions, first_positive, harness_errors
@@ -260,14 +256,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         witness_decoded=default_parse(witness_data, spec.constraints),
         first_positive_at=first_positive,
         executions=executions,
-        coverage_count=global_cov.nonzero_count(),
+        coverage_count=len(global_cov),
         queue_size=len(queue),
         harness_error_count=harness_errors,
         harness_error_notes=tuple(error_notes),
         duration=duration,
         stop_reason=stop_reason,
         report_epsilon=config.report_epsilon,
-        out_dir=str(out_dir),
         stats_rows=tuple(stats_rows),
     )
     _write_outputs(out_dir, report)

@@ -119,19 +119,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         pace=args.pace,
         stop_on_delta=args.stop_delta,
     )
-    report = run_campaign(config)
-    first = (
-        f"{report.first_positive_at:.3f}"
-        if report.first_positive_at is not None
-        else "never"
-    )
-    print(f"driver:         {report.driver}")
-    print(f"dimension:      {report.dimension}")
-    print(f"verdict:        {report.verdict}")
-    print(f"max delta:      {report.max_delta}")
-    print(f"first positive: {first}")
-    print(f"executions:     {report.executions}")
-    print(f"outputs:        {report.out_dir}")
+    run_campaign(config)
+    print((Path(args.out) / "report.txt").read_text(), end="")
+    print(f"outputs: {args.out}")
     return 0
 
 

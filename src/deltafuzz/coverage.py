@@ -26,45 +26,39 @@ import linecache
 import os
 import sys
 import zlib
+from bisect import bisect_left
 from collections import OrderedDict
 from types import CodeType, FunctionType, MethodType, ModuleType
 
 MAP_SIZE = 65536
 
-# hit-count partition: 0, 1, 2, 3, 4-7, 8-15, 16-31, 32-127, >=128
+# hit-count partition: 0, 1, 2, 3, 4-7, 8-15, 16-31, 32-127, >=128; a count's
+# class is the number of limits below it
 _BUCKET_LIMITS = (0, 1, 2, 3, 7, 15, 31, 127)
-
-
-def bucketize(raw: int) -> int:
-    """Map a raw hit count to its bucket class (0..8)."""
-    if raw < 0:
-        raise ValueError("raw hit count must be >= 0")
-    for cls, limit in enumerate(_BUCKET_LIMITS):
-        if raw <= limit:
-            return cls
-    return 8
-
 
 # raw counters saturate at 255, so a 256-entry table covers every stored value;
 # class c >= 1 is bit c-1 of an edge's mask, class 0 sets none
-_CLASS_BIT_OF_BYTE = bytes((1 << bucketize(n)) >> 1 for n in range(256))
+_CLASS_BIT_OF_BYTE = bytes((1 << bisect_left(_BUCKET_LIMITS, n)) >> 1 for n in range(256))
 
 
 class CoverageMap(dict):
     """Edge index -> raw hit count, saturating at 255, for one candidate's
     executions, in first-touch order.
 
-    A campaign reuses one map, cleared between candidates, and gives it a
-    memo of the executions traced into it: run_driver replays one it
-    remembers instead of running the target again. It also gives it a table
-    of the path pairs already folded into it, by token. A map is a function
-    of its two paths, and the campaign absorbs every map into one record
-    that only gains bits, so a pair folded before can show nothing new:
-    run_driver leaves the map empty for it.
+    Each map owns a memo of the executions traced into it, by (pub, sec),
+    and a table of the path pairs folded into it, by token. run_driver
+    replays a remembered execution instead of running the target again,
+    and leaves the map empty for a pair folded before. A map is a function
+    of its two paths, so that is exact for a caller that absorbs every map
+    it fills into one GlobalCoverage, which only gains bits: the campaign
+    reuses one map, cleared between candidates. A fresh map per call
+    always holds both executions' edges.
     """
 
-    memo: OrderedDict | None = None
-    folded: set[tuple[int, int]] | None = None
+    def __init__(self):
+        super().__init__()
+        self.memo: OrderedDict = OrderedDict()
+        self.folded: set[tuple[int, int]] = set()
 
     nonzero_count = dict.__len__
 
@@ -83,8 +77,6 @@ class GlobalCoverage(dict):
     observed there; class 0 (never hit) needs no bit, so every key is an
     edge some run has touched.
     """
-
-    nonzero_count = dict.__len__
 
     def absorb(self, run: CoverageMap) -> list[tuple[int, int]]:
         """Fold a run map in; returns the (index, class) pairs never seen before."""
@@ -302,16 +294,16 @@ class EdgeTracer:
         reduced once per distinct cached path."""
         path = tuple(_SITES)
         _SITES.clear()
-        folded = self._paths.get(path)
-        if folded is None:
-            folded = next(_TOKENS), _path_edges(path)
+        fold = self._paths.get(path)
+        if fold is None:
+            fold = next(_TOKENS), _path_edges(path)
             if len(path) <= PATH_CACHE_SITES:
                 if self._cached_sites + len(path) > PATH_CACHE_SITES:
                     self._paths.clear()
                     self._cached_sites = 0
-                self._paths[path] = folded
+                self._paths[path] = fold
                 self._cached_sites += len(path)
-        return folded
+        return fold
 
     def _covers(self, filename: str | None) -> bool:
         if not filename or _pseudo(filename):

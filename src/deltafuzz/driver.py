@@ -130,55 +130,51 @@ def run_driver(
 ) -> DiffResult:
     """Parse, run the target on each secret with a fresh meter, and diff.
 
-    When cov_map is given, both executions are edge-traced into it (their
-    union); code that cannot be instrumented is a ConfigError, raised before
-    the target runs. Target exceptions become a harness_error outcome
-    carrying the costs accumulated up to the abort; they are findings, not
-    crashes.
+    Untraced (no cov_map), both executions always run. Traced, both are
+    edge-traced into cov_map (their union); code that cannot be instrumented
+    is a ConfigError, raised before the target runs. Target exceptions
+    become a harness_error outcome carrying the costs accumulated up to the
+    abort; they are findings, not crashes.
 
-    When cov_map also has a memo, an execution is looked up there by (pub,
-    sec) first, whichever secret it stands for: the target must be a pure
-    function of those, so a remembered execution is not run again, and its
-    cost, output, note and path stand in for it.
-
-    When cov_map also has a table of folded pairs, the caller must absorb
-    every map this fills into one GlobalCoverage: a pair of paths already in
-    the table is not folded again, and leaves the map empty.
+    A traced execution is looked up in cov_map's memo by (pub, sec) first,
+    whichever secret it stands for: the target must be a pure function of
+    those, so a remembered execution is not run again, and its cost, output,
+    note and path stand in for it. A pair of paths in cov_map's table of
+    folded pairs is not folded again and leaves the map empty, so a caller
+    that reuses one map must absorb every map this fills into one
+    GlobalCoverage. A fresh map per call sees both executions folded.
     """
     try:
         pub, sec1, sec2 = default_parse(data, spec.constraints)
     except ParseReject as exc:
         return DiffResult(outcome=OUTCOME_PARSE_REJECT, note=str(exc))
 
-    tracer = memo = None
-    if cov_map is not None:
-        tracer = _tracer(spec)
-        memo = cov_map.memo
-    runs: list[Execution] = []
-    for sec in (sec1, sec2):
-        key = (pub, sec)
-        run = memo.get(key) if memo is not None else None
-        if run is None:
-            run = _execute(spec.target, tracer, pub, sec)
-            if memo is not None:
-                memo[key] = run
+    if cov_map is None:
+        (cost1, out1, note1, _), (cost2, out2, note2, _) = (
+            _execute(spec.target, None, pub, sec1),
+            _execute(spec.target, None, pub, sec2),
+        )
+    else:
+        tracer, memo = _tracer(spec), cov_map.memo
+        runs: list[Execution] = []
+        for sec in (sec1, sec2):
+            key = (pub, sec)
+            run = memo.get(key)
+            if run is None:
+                run = memo[key] = _execute(spec.target, tracer, pub, sec)
                 if len(memo) > MEMO_ENTRIES:
                     memo.popitem(last=False)
-        else:
-            memo.move_to_end(key)
-        runs.append(run)
-
-    (cost1, out1, note1, path1), (cost2, out2, note2, path2) = runs
-    if cov_map is not None:
-        folded = cov_map.folded
-        pair = path1[0], path2[0]
-        if folded is None or pair not in folded:
+            else:
+                memo.move_to_end(key)
+            runs.append(run)
+        (cost1, out1, note1, path1), (cost2, out2, note2, path2) = runs
+        folded, pair = cov_map.folded, (path1[0], path2[0])
+        if pair not in folded:
             cov_map.add(path1[1])
             cov_map.add(path2[1])
-            if folded is not None:
-                if len(folded) >= FOLDED_PAIRS:
-                    folded.clear()
-                folded.add(pair)
+            if len(folded) >= FOLDED_PAIRS:
+                folded.clear()
+            folded.add(pair)
     failure = note1 if note1 is not None else note2
     # positional: keywords make this call, one per evaluation, twice as dear
     return DiffResult(

@@ -17,7 +17,7 @@ from deltafuzz.benchmarks.crime import lz77_compress, lz77_decompress
 from deltafuzz.benchmarks.micro import wraps_to_negative
 from deltafuzz.campaign import CampaignConfig, replay, run_campaign
 from deltafuzz.cli import main
-from deltafuzz.coverage import bucketize
+from deltafuzz.coverage import CoverageMap, GlobalCoverage
 from deltafuzz.driver import driver_names, get_driver
 from deltafuzz.mutation import deterministic_stage, havoc
 from deltafuzz.oracle import exhaustive_max_delta, structured_max_delta
@@ -281,8 +281,10 @@ def test_mutation_engine_bounds_and_closed_forms():
         produced = sum(1 for _ in deterministic_stage(data))
         assert produced == closed_form_mutant_count(length), length
 
-    for raw in range(1025):
-        assert bucketize(raw) == reference_bucket(raw), raw
+    for raw in range(256):  # every count a map holds: raw counts saturate at 255
+        run = CoverageMap()
+        run[100] = raw
+        assert GlobalCoverage().absorb(run) == [(100, reference_bucket(raw))], raw
 
 
 def test_compressor_round_trips_random_buffers():

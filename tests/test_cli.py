@@ -98,10 +98,12 @@ def test_fuzz_leak_is_exit_zero(tmp_path, capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "verdict:        leak-indicated" in out
+    out = tmp_path / "out"
     for name in ("stats.csv", "witness.bin", "witness.txt", "report.txt"):
-        assert (tmp_path / "out" / name).is_file()
+        assert (out / name).is_file()
+    report = (out / "report.txt").read_text()
+    assert "verdict:           leak-indicated" in report
+    assert capsys.readouterr().out == f"{report}outputs: {out}\n"
 
 
 def test_fuzz_unknown_driver(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Edge maps, hit-count bucketing, and the probe tracer."""
 
 import sys
-from collections import OrderedDict
 from contextlib import contextmanager
 from unittest import mock
 
@@ -15,7 +14,6 @@ from deltafuzz.coverage import (
     CoverageMap,
     EdgeTracer,
     GlobalCoverage,
-    bucketize,
     site_id,
 )
 from deltafuzz.driver import (
@@ -50,22 +48,12 @@ def reference_bucket(raw):
     return 8
 
 
-def test_bucketize_examples():
-    assert bucketize(0) == 0
-    assert bucketize(5) == 4
-    assert bucketize(200) == 8
-
-
-def test_bucketize_matches_partition_everywhere():
-    for raw in range(0, 1025):
-        assert bucketize(raw) == reference_bucket(raw)
-    with pytest.raises(ValueError):
-        bucketize(-1)
-
-
-def test_bucketize_monotone():
-    classes = [bucketize(n) for n in range(0, 600)]
-    assert classes == sorted(classes)
+def test_absorb_classes_every_count_by_the_partition():
+    # raw counts saturate at 255, so these are all the counts a map holds
+    for raw in range(256):
+        run = CoverageMap()
+        run[100] = raw
+        assert GlobalCoverage().absorb(run) == [(100, reference_bucket(raw))], raw
 
 
 def test_has_new_coverage_rules():
@@ -96,7 +84,7 @@ def test_absorb_reports_new_pairs_and_fixpoint():
     new = g.absorb(run)
     assert sorted(new) == [(3, 1), (9, 7)]
     assert g.absorb(run) == []  # absorption fixpoint
-    assert g.nonzero_count() == 2
+    assert len(g) == 2
 
 
 def test_site_id_range_and_stability():
@@ -196,6 +184,26 @@ def trace(fn, *args):
     return cov
 
 
+def walk(*sites):
+    """The edges of an execution whose probes report sites in this order:
+    index site ^ prev, with prev 0 at the start and site >> 1 after."""
+    edges, prev = [], 0
+    for site in sites:
+        edges.append(site ^ prev)
+        prev = site >> 1
+    return edges
+
+
+def edge_map(*edges):
+    """The map of the named edges, one hit each: edges that share a cell sum
+    their hits, and first touches keep their order. Site ids hash line
+    numbers, so two edges a test names can share a cell."""
+    counts = {}
+    for edge in edges:
+        counts[edge] = counts.get(edge, 0) + 1
+    return counts
+
+
 def line_sites(fn, *offsets):
     """Site ids of the lines `offsets` below fn's def line."""
     first = fn.__code__.co_firstlineno
@@ -238,34 +246,33 @@ def test_probe_sites_follow_blocks():
 def test_tracer_edge_index_and_counts():
     entry, if_line, head = line_sites(branchy, 0, 2, 3)
     edges = [entry, head ^ (entry >> 1), if_line ^ (head >> 1)]  # site ^ (previous >> 1)
-    assert len(set(edges)) == 3
     tracer = EdgeTracer(branchy)
     cov = CoverageMap()
     assert run_into(cov, tracer, True) == 3
-    assert list(cov) == edges
-    assert [cov[i] for i in edges] == [1, 1, 1]
+    assert_maps_equal(cov, edge_map(*edges))  # one hit each, in order
 
     # the next execution starts again from previous site 0: same cells
     run_into(cov, tracer, True)
-    assert list(cov) == edges
-    assert [cov[i] for i in edges] == [2, 2, 2]
+    assert_maps_equal(cov, edge_map(*edges, *edges))
 
 
 def test_tracer_edge_direction_matters():
-    entry, body = line_sites(ping_pong, 0, 2)
+    entry, for_line, body = line_sites(ping_pong, 0, 1, 2)
     there, back = body ^ (entry >> 1), entry ^ (body >> 1)
     assert there != back
     cov = trace(ping_pong, 3)
-    assert cov[there] == 1  # entry -> first loop body
-    assert back not in cov  # never taken
-    assert cov[body ^ (body >> 1)] == 2  # body -> body
+    # entry -> first loop body, body -> body twice, then the join; the
+    # map holds these edges alone, so body -> entry, never taken, adds none
+    loop = body ^ (body >> 1)
+    assert_maps_equal(cov, edge_map(entry, there, loop, loop, for_line ^ (body >> 1)))
 
 
 def test_raw_counts_saturate():
     (body,) = line_sites(ping_pong, 2)
+    loop = body ^ (body >> 1)
     cov = trace(ping_pong, 300)  # 299 body -> body edges
-    assert cov[body ^ (body >> 1)] == 255
-    assert bucketize(cov[body ^ (body >> 1)]) == 8
+    assert cov[loop] == 255
+    assert (loop, 8) in GlobalCoverage().absorb(cov)  # the top class
 
 
 def test_tracer_is_deterministic():
@@ -297,12 +304,13 @@ def test_original_code_is_back_after_return_raise_and_interrupt():
 
     tracer = EdgeTracer(raise_after_straight)
     codes = (raise_after_straight.__code__, straight.__code__)
+    entries = line_sites(raise_after_straight, 0) + line_sites(straight, 0)
     for exc_type in (RuntimeError, KeyboardInterrupt):
         cov = CoverageMap()
         with pytest.raises(exc_type):
             run_into(cov, tracer, exc_type)
         assert (raise_after_straight.__code__, straight.__code__) == codes
-        assert cov.nonzero_count() == 2  # both functions' entries ran probed
+        assert_maps_equal(cov, edge_map(*walk(*entries)))  # both entries ran probed
 
 
 def test_prior_trace_function_still_sees_target_lines():
@@ -323,7 +331,7 @@ def test_prior_trace_function_still_sees_target_lines():
     finally:
         sys.settrace(prior)
     assert lines == [1, 2, 3, 4, 7]  # the lines an uninstrumented run shows
-    assert cov.nonzero_count() == 3
+    assert_maps_equal(cov, edge_map(*walk(*line_sites(branchy, 0, 3, 2))))
 
 
 def test_helper_in_another_in_scope_module_gets_edges():
@@ -418,11 +426,8 @@ def reference_map(tracer, executions):
             except Exception:  # noqa: BLE001 - an aborted run keeps its edges
                 pass
         assert sites, "every target has at least its entry probe"
-        prev = 0
-        for site in sites:
-            index = site ^ prev
+        for index in walk(*sites):
             cov[index] = min(cov.get(index, 0) + 1, 255)
-            prev = site >> 1
     return cov
 
 
@@ -444,29 +449,7 @@ def test_traced_map_matches_reference_algorithm(name, data):
     assert_maps_equal(cov, reference_map(EdgeTracer(spec.target), executions))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(BENCHMARK_DRIVERS),
-    pool=st.lists(st.binary(min_size=4, max_size=4), min_size=3, max_size=3),
-    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=8),
-)
-def test_remembered_executions_give_the_results_and_maps_of_running_again(name, pool, picks):
-    """Inputs whose thirds come from a pool of three, so executions repeat
-    across evaluations in either secret slot: with one memo kept over them
-    all, each result and map equals a fresh traced run's."""
-    spec = get_driver(name)
-    cov = CoverageMap()
-    cov.memo = OrderedDict()
-    for picked in picks:
-        data = b"".join(pool[i] for i in picked)
-        cov.clear()
-        got = run_driver(spec, data, cov)
-        fresh = CoverageMap()
-        assert got == run_driver(spec, data, fresh)
-        assert_maps_equal(cov, fresh)
-
-
-# --- the table of folded path pairs --------------------------------------------
+# --- the memo and the table of folded path pairs -----------------------------
 
 
 def loop_target(pub, sec, meter):
@@ -474,33 +457,33 @@ def loop_target(pub, sec, meter):
         meter.tick()
 
 
-def campaign_map():
-    """A map as a campaign keeps it: with a memo and a table of folded pairs."""
-    cov = CoverageMap()
-    cov.memo = OrderedDict()
-    cov.folded = set()
-    return cov
-
-
 def test_executions_folded_in_other_pairs_still_fold_when_first_paired():
     """The table is keyed by the pair of paths, not by each: two paths each
     folded before, but never together, sum their hit counts into a bucket
     neither reached beside another path."""
-    (body,) = line_sites(loop_target, 2)
+    entry, for_line, body = line_sites(loop_target, 0, 1, 2)
     loop_edge = body ^ (body >> 1)
+
+    def loop_class(*passes):
+        """The class of loop_edge's cell in the map of executions with these
+        loop passes."""
+        edges = [e for n in passes for e in walk(entry, *[body] * n, for_line)]
+        return reference_bucket(edge_map(*edges)[loop_edge])
+
     spec = DriverSpec(name="loop_target", target=loop_target)
-    cov, seen = campaign_map(), GlobalCoverage()
+    cov, seen = CoverageMap(), GlobalCoverage()
 
     def absorbed(data):
         cov.clear()
         run_driver(spec, data, cov)
         return seen.absorb(cov)
 
-    assert (loop_edge, 4) in absorbed(b"p\x05\x00")  # 4 loop hits: class 4-7
+    assert (loop_edge, loop_class(5, 0)) in absorbed(b"p\x05\x00")  # 4 loop hits: class 4-7
     assert absorbed(b"p\x06\x00") == []  # 5 hits: class 4-7 again
     absorbed(b"p\x01\x01")  # the entry and exit edges of the loop at 2 hits
     assert absorbed(b"p\x05\x00") == [] and not cov  # a pair folded before
-    assert absorbed(b"p\x05\x06") == [(loop_edge, 5)]  # 4 + 5 hits: class 8-15
+    assert loop_class(5, 6) > loop_class(5, 0)  # 4 + 5 hits: class 8-15
+    assert absorbed(b"p\x05\x06") == [(loop_edge, loop_class(5, 6))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -508,28 +491,35 @@ def test_executions_folded_in_other_pairs_still_fold_when_first_paired():
     name=st.sampled_from(BENCHMARK_DRIVERS),
     pool=st.lists(st.binary(min_size=4, max_size=4), min_size=3, max_size=3),
     picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=16),
+    memo_size=st.sampled_from([1, 2, driver_module.MEMO_ENTRIES]),
     table_size=st.sampled_from([1, 2, 3, driver_module.FOLDED_PAIRS]),
     cache_sites=st.sampled_from([40, coverage.PATH_CACHE_SITES]),
 )
 def test_skipping_folded_pairs_absorbs_as_folding_every_evaluation(
-    name, pool, picks, table_size, cache_sites
+    name, pool, picks, memo_size, table_size, cache_sites
 ):
-    """Inputs whose thirds come from a pool of three, so path pairs repeat:
-    every absorb, and the campaign-wide record in the end, equal those of a
-    map that folds every evaluation. Small tables fill and clear often, and
-    a small path cache clears often and gives fresh tokens."""
+    """Inputs whose thirds come from a pool of three, so executions repeat
+    across evaluations in either secret slot, and path pairs repeat: over
+    one map, each result equals a fresh map's, each map a fresh map's
+    unless its pair was folded before, and every absorb, and the
+    campaign-wide record in the end, equal those of a fresh map per
+    evaluation. Small memos evict often, small tables fill and clear often,
+    and a small path cache clears often and gives fresh tokens."""
     spec = get_driver(name)
-    cov, skipping, folding = campaign_map(), GlobalCoverage(), GlobalCoverage()
-    with mock.patch.object(driver_module, "FOLDED_PAIRS", table_size), mock.patch.object(
-        coverage, "PATH_CACHE_SITES", cache_sites
-    ):
+    cov, skipping, folding = CoverageMap(), GlobalCoverage(), GlobalCoverage()
+    with mock.patch.multiple(
+        driver_module, MEMO_ENTRIES=memo_size, FOLDED_PAIRS=table_size
+    ), mock.patch.object(coverage, "PATH_CACHE_SITES", cache_sites):
         for picked in picks:
             data = b"".join(pool[i] for i in picked)
             cov.clear()
             got = run_driver(spec, data, cov)
             full = CoverageMap()
             assert got == run_driver(spec, data, full)
+            if cov:  # every path has its entry edge, so an empty map was skipped
+                assert_maps_equal(cov, full)
             assert skipping.absorb(cov) == folding.absorb(full)
+            assert len(cov.memo) <= memo_size
             assert len(cov.folded) <= table_size
     assert list(skipping.items()) == list(folding.items())
 
@@ -576,7 +566,8 @@ def test_fold_keeps_first_touch_order_across_a_cached_path():
     executions = [(True,), (False,), (True,)]
     cov = traced_map(tracer, executions)  # both share the entry edge
     assert_maps_equal(cov, reference_map(tracer, executions))
-    assert len(cov) == 5  # entry, then head, join; else head, join
+    then_path, else_path = walk(*line_sites(branchy, 0, 3, 2)), walk(*line_sites(branchy, 0, 6, 2))
+    assert_maps_equal(cov, edge_map(*then_path, *else_path, *then_path))
 
 
 def test_fold_of_a_path_longer_than_the_cache_budget(monkeypatch):
@@ -636,7 +627,9 @@ def test_fold_keeps_the_partial_path_of_a_raise_and_starts_the_next_clean():
     cov = traced_map(tracer, executions)
     # dispatch, raise_after_straight, straight: 3 edges; then dispatch again
     # from previous site 0, the same cell, and branchy's 3
-    assert cov.nonzero_count() == 6
+    (entry,) = line_sites(dispatch, 0)
+    raised = walk(entry, *line_sites(raise_after_straight, 0), *line_sites(straight, 0))
+    assert_maps_equal(cov, edge_map(*raised, *walk(entry, *line_sites(branchy, 0, 3, 2))))
     assert_maps_equal(cov, reference_map(tracer, executions))
 
 

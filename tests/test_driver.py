@@ -329,3 +329,35 @@ def test_a_driver_with_bad_constraints_never_reaches_the_registry():
 def test_unknown_dimension_rejected_at_spec_construction():
     with pytest.raises(ConfigError):
         DriverSpec(name="bad", target=toy_compare, cost_dimension="watts")
+
+
+CALLS: list[tuple[bytes, bytes]] = []
+
+
+def counted(pub, sec, meter):
+    CALLS.append((pub, sec))
+    if sec[0]:
+        meter.tick(sec[0])
+
+
+def test_a_reused_map_runs_each_execution_once_and_folds_each_pair_once():
+    """Traced calls over one plain map: the target runs once per distinct
+    (pub, sec), in either secret slot, and a pair of paths folded before
+    leaves the map empty. Untraced calls always run both executions."""
+    spec = DriverSpec(name="counted", target=counted, constraints=Constraints(max_segment_len=1))
+    cov = CoverageMap()
+    CALLS.clear()
+
+    def traced(data):
+        cov.clear()
+        return run_driver(spec, data, cov).delta.ops, bool(cov)
+
+    assert traced(b"p\x00\x01") == (1, True)  # paths: block skipped, block taken
+    assert traced(b"p\x01\x00") == (1, True)  # both executions remembered; a new pair
+    assert traced(b"p\x00\x02") == (2, False)  # a new execution, the first pair again
+    assert traced(b"q\x00\x00") == (0, True)  # one execution for both secrets
+    assert CALLS == [(b"p", b"\x00"), (b"p", b"\x01"), (b"p", b"\x02"), (b"q", b"\x00")]
+
+    CALLS.clear()
+    assert run_driver(spec, b"q\x00\x00").delta.ops == 0
+    assert CALLS == [(b"q", b"\x00")] * 2
