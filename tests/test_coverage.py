@@ -48,12 +48,30 @@ def reference_bucket(raw):
     return 8
 
 
-def test_absorb_classes_every_count_by_the_partition():
+def absorbed_class(raw):
+    """The class GlobalCoverage.absorb reports for one edge hit raw times."""
+    run = CoverageMap()
+    run[100] = raw
+    ((index, klass),) = GlobalCoverage().absorb(run)
+    assert index == 100
+    return klass
+
+
+def test_bucketize_examples():
+    assert absorbed_class(0) == 0
+    assert absorbed_class(5) == 4
+    assert absorbed_class(200) == 8
+
+
+def test_bucketize_matches_partition_everywhere():
     # raw counts saturate at 255, so these are all the counts a map holds
     for raw in range(256):
-        run = CoverageMap()
-        run[100] = raw
-        assert GlobalCoverage().absorb(run) == [(100, reference_bucket(raw))], raw
+        assert absorbed_class(raw) == reference_bucket(raw), raw
+
+
+def test_bucketize_monotone():
+    classes = [absorbed_class(n) for n in range(256)]
+    assert classes == sorted(classes)
 
 
 def test_has_new_coverage_rules():
@@ -447,6 +465,30 @@ def test_traced_map_matches_reference_algorithm(name, data):
     pub, sec1, sec2 = default_parse(data, spec.constraints)
     executions = [(pub, sec, Meter()) for sec in (sec1, sec2)]
     assert_maps_equal(cov, reference_map(EdgeTracer(spec.target), executions))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(BENCHMARK_DRIVERS),
+    pool=st.lists(st.binary(min_size=4, max_size=4), min_size=3, max_size=3),
+    picks=st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=8),
+)
+def test_remembered_executions_give_the_results_and_maps_of_running_again(name, pool, picks):
+    """Inputs whose thirds come from a pool of three, so executions repeat
+    across evaluations in either secret slot: with one memo kept over them
+    all, each result and map equals a fresh traced run's. The map's table
+    of folded pairs is emptied before each run, so every pair is folded and
+    only the memo is left to differ from running again."""
+    spec = get_driver(name)
+    cov = CoverageMap()
+    for picked in picks:
+        data = b"".join(pool[i] for i in picked)
+        cov.clear()
+        cov.folded.clear()
+        got = run_driver(spec, data, cov)
+        fresh = CoverageMap()
+        assert got == run_driver(spec, data, fresh)
+        assert_maps_equal(cov, fresh)
 
 
 # --- the memo and the table of folded path pairs -----------------------------
