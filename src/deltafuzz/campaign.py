@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from .corpus import FuzzQueue, HighScore, consider, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
+    OUTCOME_HARNESS_ERROR,
     OUTCOME_PARSE_REJECT,
     ConfigError,
     DiffResult,
@@ -165,10 +166,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     def row(second: int) -> tuple[int, int, int, int, int]:
         return (second, executions, high.value, len(global_cov), len(queue))
 
-    def emit_rows() -> None:
+    def emit_rows(at: float) -> None:
         nonlocal next_row_second
-        current = int(now())
-        while next_row_second <= current:
+        while next_row_second <= at:
             stats_rows.append(row(next_row_second))
             next_row_second += 1
 
@@ -177,29 +177,33 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # executions are both remembered still goes through consider: they may
     # come from two earlier evaluations, so their delta and their summed hit
     # counts can be new. A pair of paths folded before leaves the map empty,
-    # as global_cov holds all it can show; its delta can still be new.
+    # as global_cov holds all it can show; its delta can still be new. A
+    # result run_driver repeats can change nothing, so it skips consider.
     cov = CoverageMap()
+    considered: Optional[DiffResult] = None
 
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
-        nonlocal executions, first_positive, harness_errors
+        nonlocal executions, first_positive, harness_errors, considered
         cov.clear()
         result = run_driver(spec, data, cov)
         executions += 1
         at = now()
-        if result.outcome != OUTCOME_PARSE_REJECT:
+        if result is not considered and result.outcome != OUTCOME_PARSE_REJECT:
+            considered = result
             consider(queue, data, result, cov, global_cov, high, dim, parent_id)
             if first_positive is None and result.delta_of(dim) > 0:
                 first_positive = at
-            if result.note is not None:
-                harness_errors += 1
-                if len(error_notes) < 8:
-                    error_notes.setdefault(result.note)
-        emit_rows()
+        if result.outcome == OUTCOME_HARNESS_ERROR:
+            harness_errors += 1
+            if len(error_notes) < 8:
+                error_notes.setdefault(result.note)
+        if at >= next_row_second:
+            emit_rows(at)
         if config.stop_condition is not None and config.stop_condition(result):
             raise _Stop("stop-condition")
         if config.stop_on_delta is not None and high.value >= config.stop_on_delta:
             raise _Stop("delta-target-reached")
-        if now() >= config.timeout_seconds:
+        if at >= config.timeout_seconds:
             raise _Stop("timeout")
         return result
 
@@ -241,8 +245,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"
 
-    emit_rows()
     duration = now()
+    emit_rows(duration)
     stats_rows.append(row(int(duration)))  # final snapshot, even mid-second
 
     # with no positive delta, the first seed stands as the exhibit

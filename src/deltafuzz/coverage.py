@@ -52,13 +52,15 @@ class CoverageMap(dict):
     of its two paths, so that is exact for a caller that absorbs every map
     it fills into one GlobalCoverage, which only gains bits: the campaign
     reuses one map, cleared between candidates. A fresh map per call
-    always holds both executions' edges.
+    always holds both executions' edges. run_driver keeps its last traced
+    result here, to return it again for a call that repeats its triple.
     """
 
     def __init__(self):
         super().__init__()
         self.memo: OrderedDict = OrderedDict()
         self.folded: set[tuple[int, int]] = set()
+        self.last: tuple | None = None  # (DiffResult, (token1, token2))
 
     nonzero_count = dict.__len__
 
@@ -85,7 +87,7 @@ class GlobalCoverage(dict):
         for i, count in run.items():
             bit = _CLASS_BIT_OF_BYTE[count]
             have = get(i, 0)
-            if not have & bit:
+            if bit & ~have:  # class 0 has no bit: never new
                 self[i] = have | bit
                 new.append((i, bit.bit_length()))
         return new

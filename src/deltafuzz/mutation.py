@@ -34,21 +34,16 @@ INTERESTING_32 = INTERESTING_16 + [
 
 def bitflips(data: bytes, width: int) -> Iterator[bytes]:
     """Flip `width` consecutive bits at every offset, LSB-first within a byte."""
-    nbits = len(data) * 8
-    for start in range(nbits - width + 1):
-        buf = bytearray(data)
-        for bit in range(start, start + width):
-            buf[bit // 8] ^= 1 << (bit % 8)
-        yield bytes(buf)
+    size, word, mask = len(data), int.from_bytes(data, "little"), (1 << width) - 1
+    for start in range(size * 8 - width + 1):
+        yield (word ^ (mask << start)).to_bytes(size, "little")
 
 
 def byteflips(data: bytes, width: int) -> Iterator[bytes]:
     """XOR `width` consecutive bytes with 0xFF at every offset."""
-    for start in range(len(data) - width + 1):
-        buf = bytearray(data)
-        for i in range(start, start + width):
-            buf[i] ^= 0xFF
-        yield bytes(buf)
+    size, word, mask = len(data), int.from_bytes(data, "little"), (1 << 8 * width) - 1
+    for start in range(size - width + 1):
+        yield (word ^ (mask << 8 * start)).to_bytes(size, "little")
 
 
 def arith(data: bytes, width: int) -> Iterator[bytes]:

@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+from deltafuzz import campaign as campaign_module
 from deltafuzz import driver as driver_module
 from deltafuzz.campaign import (
     NO_PROOF_NOTE,
@@ -17,6 +18,7 @@ from deltafuzz.campaign import (
     run_campaign,
     verdict,
 )
+from deltafuzz.corpus import consider
 from deltafuzz.driver import ConfigError, Constraints, DriverSpec, driver_names
 
 ARTIFACTS = ("stats.csv", "witness.bin", "witness.txt", "report.txt")
@@ -300,6 +302,32 @@ def test_a_pair_table_of_one_entry_changes_no_artifact(tmp_path, monkeypatch):
     full = artifacts("full")
     monkeypatch.setattr(driver_module, "FOLDED_PAIRS", 1)
     assert artifacts("one") == full
+
+
+def always_raises(pub, sec, meter):
+    meter.tick(1)
+    raise ValueError("refused")
+
+
+def test_every_evaluation_of_a_raising_target_is_a_harness_error(tmp_path, monkeypatch):
+    """At segment cap 1 most mutants of the seed repeat the last triple and
+    skip the novelty check, yet each is still counted, error and all."""
+    spec = DriverSpec(
+        name="always_raises", target=always_raises, constraints=Constraints(max_segment_len=1)
+    )
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    considered = []
+
+    def counting_consider(*args):
+        considered.append(args[1])
+        return consider(*args)
+
+    monkeypatch.setattr(campaign_module, "consider", counting_consider)
+    report = run_campaign(paced_config(tmp_path, driver=spec.name, timeout_seconds=1.0))
+    assert report.executions == 500
+    assert report.harness_error_count == report.executions
+    assert report.harness_error_notes == ("ValueError: refused",)
+    assert len(considered) < report.executions // 2
 
 
 # --- output files -----------------------------------------------------------------

@@ -49,16 +49,22 @@ def reference_bucket(raw):
 
 
 def absorbed_class(raw):
-    """The class GlobalCoverage.absorb reports for one edge hit raw times."""
+    """The class GlobalCoverage.absorb reports for one edge hit raw times;
+    0 when it reports nothing new, which must leave no key stored."""
     run = CoverageMap()
     run[100] = raw
-    ((index, klass),) = GlobalCoverage().absorb(run)
-    assert index == 100
+    seen = GlobalCoverage()
+    new = seen.absorb(run)
+    if not new:
+        assert seen == {}
+        return 0
+    ((index, klass),) = new
+    assert index == 100 and seen == {100: 1 << (klass - 1)}
     return klass
 
 
 def test_bucketize_examples():
-    assert absorbed_class(0) == 0
+    assert absorbed_class(0) == 0  # never hit: nothing new, and no key stored
     assert absorbed_class(5) == 4
     assert absorbed_class(200) == 8
 
@@ -223,9 +229,9 @@ def edge_map(*edges):
 
 
 def line_sites(fn, *offsets):
-    """Site ids of the lines `offsets` below fn's def line."""
+    """Site ids of the lines `offsets` below fn's def line, in fn's module."""
     first = fn.__code__.co_firstlineno
-    return [site_id(__name__, first + k) for k in offsets]
+    return [site_id(fn.__module__, first + k) for k in offsets]
 
 
 @contextmanager

@@ -5,7 +5,7 @@ import importlib.util
 import sys
 
 import pytest
-from test_coverage import stub_probe
+from test_coverage import assert_maps_equal, edge_map, line_sites, stub_probe, walk
 
 from deltafuzz import driver as driver_module
 from deltafuzz.coverage import CoverageMap
@@ -234,7 +234,9 @@ def test_bound_method_target_gets_edges():
     original = Vault.check.__code__
     cov = CoverageMap()
     assert run_driver(spec, b"xkz", cov).delta.ops == 1
-    assert cov.nonzero_count() == 4  # entry, taken block, join; entry -> join
+    entry, join, taken = line_sites(Vault.check, 0, 2, 3)
+    # sec_1 matches the key: entry, taken block, join; sec_2: entry, join
+    assert_maps_equal(cov, edge_map(*walk(entry, taken, join), *walk(entry, join)))
     assert Vault.check.__code__ is original
 
 
@@ -361,3 +363,28 @@ def test_a_reused_map_runs_each_execution_once_and_folds_each_pair_once():
     CALLS.clear()
     assert run_driver(spec, b"q\x00\x00").delta.ops == 0
     assert CALLS == [(b"q", b"\x00")] * 2
+
+
+def test_a_repeated_triple_returns_the_last_result_and_touches_nothing():
+    """A traced call whose input differs from the last one only in bytes
+    the parser drops returns the last call's result object: the target does
+    not run, and the memo, the pair table and the map stay as they were. A
+    pair no longer in the table, or another triple in between, runs as
+    usual."""
+    spec = DriverSpec(name="counted", target=counted, constraints=Constraints(max_segment_len=1))
+    cov = CoverageMap()
+    CALLS.clear()
+    first = run_driver(spec, b"pA\x00B\x01C", cov)
+    memo, folded = list(cov.memo.items()), set(cov.folded)
+    cov.clear()
+    assert run_driver(spec, b"pZ\x00Y\x01X", cov) is first
+    assert cov == {} and list(cov.memo.items()) == memo and cov.folded == folded
+    assert CALLS == [(b"p", b"\x00"), (b"p", b"\x01")]
+
+    cov.folded.clear()
+    again = run_driver(spec, b"pZ\x00Y\x01X", cov)
+    assert again is not first and again == first and cov  # the pair folds again
+
+    run_driver(spec, b"q\x00\x00", cov)
+    assert run_driver(spec, b"pA\x00B\x01C", cov) is not again
+    assert CALLS == [(b"p", b"\x00"), (b"p", b"\x01"), (b"q", b"\x00")]

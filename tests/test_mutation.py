@@ -68,6 +68,33 @@ def test_byteflip_examples():
     assert list(byteflips(b"\x12\x34\x56", 2)) == [b"\xed\xcb\x56", b"\x12\xcb\xa9"]
 
 
+def reference_bitflips(data, width):
+    """The bit walk over a bytearray copy, bit k at byte k // 8, LSB first."""
+    for start in range(len(data) * 8 - width + 1):
+        buf = bytearray(data)
+        for bit in range(start, start + width):
+            buf[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(buf)
+
+
+def reference_byteflips(data, width):
+    """The byte walk over a bytearray copy."""
+    for start in range(len(data) - width + 1):
+        buf = bytearray(data)
+        for i in range(start, start + width):
+            buf[i] ^= 0xFF
+        yield bytes(buf)
+
+
+@given(data=st.binary(min_size=1, max_size=48), width=st.sampled_from([1, 2, 4]))
+@settings(max_examples=200)
+def test_flips_are_the_bytewise_walks(data, width):
+    """Flipping bits of the input read as one little-endian integer gives
+    the mutants of the bytewise walk, in the same order."""
+    assert list(bitflips(data, width)) == list(reference_bitflips(data, width))
+    assert list(byteflips(data, width)) == list(reference_byteflips(data, width))
+
+
 def test_arith_plus_one():
     mutants = list(arith(b"\x10", 1))
     assert mutants[0] == b"\x11"  # +1 comes first
