@@ -9,26 +9,26 @@ reaching domain sizes brute force cannot.
 Run: python3 demos/02_ground_truth_oracle.py
 """
 
-from deltafuzz import exhaustive_max_delta, get_driver, structured_max_delta
-from deltafuzz.benchmarks import BENCHMARKS
+from deltafuzz import driver_names, exhaustive_max_delta, get_driver, structured_max_delta
 
 
 def main():
     print("exhaustive maxima, 2-byte segments, binary alphabet")
     print(f"{'benchmark':20} {'unsafe':>8} {'safe':>8}  dimension")
     print("-" * 56)
-    for bench in BENCHMARKS:
-        if bench.safe_variant is None:
-            unsafe_name, safe_delta = bench.name, "-"
-        else:
-            unsafe_name = f"{bench.name}_unsafe"
-            safe = exhaustive_max_delta(
-                get_driver(f"{bench.name}_safe"), 2, charset="binary"
-            )
+    names = driver_names()
+    for unsafe_name in names:
+        if unsafe_name.endswith("_safe"):
+            continue  # shown beside its unsafe twin
+        bench = unsafe_name.removesuffix("_unsafe")
+        if f"{bench}_safe" in names:
+            safe = exhaustive_max_delta(get_driver(f"{bench}_safe"), 2, charset="binary")
             safe_delta = safe.max_delta
+        else:
+            safe_delta = "-"
         unsafe = exhaustive_max_delta(get_driver(unsafe_name), 2, charset="binary")
         dim = get_driver(unsafe_name).cost_dimension
-        print(f"{bench.name:20} {unsafe.max_delta:>8} {str(safe_delta):>8}  {dim}")
+        print(f"{bench:20} {unsafe.max_delta:>8} {str(safe_delta):>8}  {dim}")
 
     print()
     print("structured oracle: full byte alphabets, segment lengths brute")

@@ -4,12 +4,12 @@ Every benchmark registers one driver per variant (NAME_unsafe / NAME_safe,
 or just NAME when there is no repaired form). Where a target's cost depends
 on a single simple statistic of the secret (match prefix, effective length,
 exponent bit pattern, parity), the driver declares it so the structured
-oracle can enumerate that statistic instead of the raw byte domain.
+oracle can enumerate that statistic instead of the raw byte domain. Each
+target module's COST_MODEL states what its meter charges, in prose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..driver import ConfigError, Constraints, DriverSpec, Statistic, register_driver
@@ -94,128 +94,46 @@ def parity_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
     return _pairs(pub, secs)
 
 
-@dataclass(frozen=True)
-class BenchmarkTarget:
-    name: str
-    unsafe_variant: Callable[[bytes, bytes, Meter], object]
-    safe_variant: Callable[[bytes, bytes, Meter], object] | None
-    description: str
-    cost_model_doc: tuple[str, ...]
-    cost_dimension: str = "ops"
-    constraints: Constraints = field(default_factory=Constraints)
-    statistic: Statistic | None = None
+def _register(
+    name: str,
+    unsafe: Callable[[bytes, bytes, Meter], object],
+    safe: Callable[[bytes, bytes, Meter], object] | None,
+    description: str,
+    cap: int,
+    dimension: str = "ops",
+    statistic: Statistic | None = None,
+) -> None:
+    """Register NAME_unsafe and NAME_safe, or just NAME without a repaired
+    variant; the variants share every field but the target."""
+    constraints = Constraints(max_segment_len=cap)
+    variants = {name: unsafe} if safe is None else {f"{name}_unsafe": unsafe, f"{name}_safe": safe}
+    for driver, target in variants.items():
+        register_driver(DriverSpec(driver, target, description, dimension, constraints, statistic))
 
 
-BENCHMARKS: tuple[BenchmarkTarget, ...] = (
-    BenchmarkTarget(
-        name="pwcheck",
-        unsafe_variant=pwcheck.pwcheck_unsafe,
-        safe_variant=pwcheck.pwcheck_safe,
-        description="byte-compare password check; unsafe exits at first mismatch",
-        cost_model_doc=pwcheck.COST_MODEL,
-        constraints=Constraints(max_segment_len=16),
-        statistic=Statistic("match-prefix-length", prefix_witnesses),
-    ),
-    BenchmarkTarget(
-        name="jetty_eq",
-        unsafe_variant=jetty_eq.string_eq_leaky,
-        safe_variant=jetty_eq.string_eq_const,
-        description="AND-folded string compare; unsafe fold is cheaper on mismatch",
-        cost_model_doc=jetty_eq.COST_MODEL,
-        constraints=Constraints(max_segment_len=16),
-        statistic=Statistic("matching-positions", prefix_witnesses),
-    ),
-    BenchmarkTarget(
-        name="pad",
-        unsafe_variant=pad.pad_unsafe,
-        safe_variant=pad.pad_safe,
-        description="fixed-width padder; unsafe work shrinks with name length",
-        cost_model_doc=pad.COST_MODEL,
-        constraints=Constraints(max_segment_len=8),
-        statistic=Statistic("effective-length", efflen_witnesses),
-    ),
-    BenchmarkTarget(
-        name="modpow",
-        unsafe_variant=modpow.modpow_unsafe_target,
-        safe_variant=modpow.modpow_safe_target,
-        description="square-and-multiply modular exponentiation, secret exponent",
-        cost_model_doc=modpow.COST_MODEL,
-        constraints=Constraints(max_segment_len=8),
-        statistic=Statistic("exponent-bit-pattern", exponent_witnesses),
-    ),
-    BenchmarkTarget(
-        name="array",
-        unsafe_variant=micro.array_unsafe,
-        safe_variant=micro.array_safe,
-        description="table walk of secret-bounded length",
-        cost_model_doc=micro.COST_MODEL,
-        constraints=Constraints(max_segment_len=4),
-    ),
-    BenchmarkTarget(
-        name="loop_and_branch",
-        unsafe_variant=micro.loop_and_branch_unsafe,
-        safe_variant=micro.loop_and_branch_safe,
-        description="branchy loops; the repaired guard wraps at secret+10",
-        cost_model_doc=micro.COST_MODEL,
-        constraints=Constraints(max_segment_len=4),
-    ),
-    BenchmarkTarget(
-        name="sanity",
-        unsafe_variant=micro.sanity_unsafe,
-        safe_variant=micro.sanity_safe,
-        description="loop of secret-many iterations vs a public-bounded loop",
-        cost_model_doc=micro.COST_MODEL,
-        constraints=Constraints(max_segment_len=4),
-    ),
-    BenchmarkTarget(
-        name="straightline",
-        unsafe_variant=micro.straightline_unsafe,
-        safe_variant=micro.straightline_safe,
-        description="constant-size extra block guarded by the secret's low bit",
-        cost_model_doc=micro.COST_MODEL,
-        constraints=Constraints(max_segment_len=4),
-        statistic=Statistic("low-bit-parity", parity_witnesses),
-    ),
-    BenchmarkTarget(
-        name="crime_compress",
-        unsafe_variant=crime.crime_compress_target,
-        safe_variant=None,
-        description="compressed size of pub++sec reveals shared substrings",
-        cost_model_doc=crime.COST_MODEL,
-        cost_dimension="response_bytes",
-        constraints=Constraints(max_segment_len=16),
-    ),
-    BenchmarkTarget(
-        name="login",
-        unsafe_variant=login.login_unsafe,
-        safe_variant=login.login_safe,
-        description="salted-digest credential check; unsafe compare short-circuits",
-        cost_model_doc=login.COST_MODEL,
-        constraints=Constraints(max_segment_len=8),
-    ),
-)
-
-
-def _register_all() -> dict[str, BenchmarkTarget]:
-    by_driver: dict[str, BenchmarkTarget] = {}
-    for bench in BENCHMARKS:
-        variants = [("unsafe", bench.unsafe_variant)]
-        if bench.safe_variant is not None:
-            variants.append(("safe", bench.safe_variant))
-        for label, fn in variants:
-            name = bench.name if bench.safe_variant is None else f"{bench.name}_{label}"
-            register_driver(
-                DriverSpec(
-                    name=name,
-                    target=fn,
-                    description=bench.description,
-                    cost_dimension=bench.cost_dimension,
-                    constraints=bench.constraints,
-                    statistic=bench.statistic,
-                )
-            )
-            by_driver[name] = bench
-    return by_driver
-
-
-BENCHMARK_BY_DRIVER = _register_all()
+_register("pwcheck", pwcheck.pwcheck_unsafe, pwcheck.pwcheck_safe,
+          "byte-compare password check; unsafe exits at first mismatch",
+          16, statistic=Statistic("match-prefix-length", prefix_witnesses))
+_register("jetty_eq", jetty_eq.string_eq_leaky, jetty_eq.string_eq_const,
+          "AND-folded string compare; unsafe fold is cheaper on mismatch",
+          16, statistic=Statistic("matching-positions", prefix_witnesses))
+_register("pad", pad.pad_unsafe, pad.pad_safe,
+          "fixed-width padder; unsafe work shrinks with name length",
+          8, statistic=Statistic("effective-length", efflen_witnesses))
+_register("modpow", modpow.modpow_unsafe_target, modpow.modpow_safe_target,
+          "square-and-multiply modular exponentiation, secret exponent",
+          8, statistic=Statistic("exponent-bit-pattern", exponent_witnesses))
+_register("array", micro.array_unsafe, micro.array_safe,
+          "table walk of secret-bounded length", 4)
+_register("loop_and_branch", micro.loop_and_branch_unsafe, micro.loop_and_branch_safe,
+          "branchy loops; the repaired guard wraps at secret+10", 4)
+_register("sanity", micro.sanity_unsafe, micro.sanity_safe,
+          "loop of secret-many iterations vs a public-bounded loop", 4)
+_register("straightline", micro.straightline_unsafe, micro.straightline_safe,
+          "constant-size extra block guarded by the secret's low bit",
+          4, statistic=Statistic("low-bit-parity", parity_witnesses))
+_register("crime_compress", crime.crime_compress_target, None,
+          "compressed size of pub++sec reveals shared substrings",
+          16, dimension="response_bytes")
+_register("login", login.login_unsafe, login.login_safe,
+          "salted-digest credential check; unsafe compare short-circuits", 8)

@@ -23,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .corpus import FuzzQueue, HighScore, consider, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
@@ -85,8 +85,6 @@ class CampaignConfig:
     deterministic_stage_enabled: bool = True
     pace: Optional[int] = None
     stop_on_delta: Optional[int] = None
-    # library-only early stop; not reachable from the CLI and not picklable
-    stop_condition: Optional[Callable[[DiffResult], bool]] = None
 
     def __post_init__(self):
         if self.timeout_seconds < 1:
@@ -199,8 +197,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 error_notes.setdefault(result.note)
         if at >= next_row_second:
             emit_rows(at)
-        if config.stop_condition is not None and config.stop_condition(result):
-            raise _Stop("stop-condition")
         if config.stop_on_delta is not None and high.value >= config.stop_on_delta:
             raise _Stop("delta-target-reached")
         if at >= config.timeout_seconds:
@@ -285,6 +281,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     return report
 
 
+def triple_lines(decoded: tuple[bytes, bytes, bytes], prefix: str = "") -> list[str]:
+    """The hex lines of a decoded (pub, sec1, sec2) triple, as every output shows them."""
+    labels = ("pub:   ", "sec_1: ", "sec_2: ")
+    return [f"{prefix}{label}{part.hex()}" for label, part in zip(labels, decoded)]
+
+
 def _write_outputs(out_dir: Path, report: CampaignReport) -> None:
     with open(out_dir / "stats.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -293,14 +295,11 @@ def _write_outputs(out_dir: Path, report: CampaignReport) -> None:
 
     (out_dir / "witness.bin").write_bytes(report.witness_data)
 
-    pub, sec1, sec2 = (part.hex() for part in report.witness_decoded)
     witness_lines = [
         f"driver: {report.driver}",
         f"dimension: {report.dimension}",
         f"delta: {report.max_delta}",
-        f"pub:   {pub}",
-        f"sec_1: {sec1}",
-        f"sec_2: {sec2}",
+        *triple_lines(report.witness_decoded),
         "",
     ]
     (out_dir / "witness.txt").write_text("\n".join(witness_lines))
@@ -328,9 +327,7 @@ def _write_outputs(out_dir: Path, report: CampaignReport) -> None:
         f"harness errors:    {report.harness_error_count}",
         f"stop reason:       {report.stop_reason}",
         f"duration:          {report.duration:.3f} s",
-        f"witness pub:   {pub}",
-        f"witness sec_1: {sec1}",
-        f"witness sec_2: {sec2}",
+        *triple_lines(report.witness_decoded, "witness "),
     ]
     for note in report.harness_error_notes:
         lines.append(f"harness error note: {note}")

@@ -14,7 +14,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from .campaign import CampaignConfig, replay, run_campaign
+from .campaign import CampaignConfig, replay, run_campaign, triple_lines
 from .driver import CHARSETS, OUTCOME_PARSE_REJECT, ConfigError, driver_names, get_driver
 from .metering import DIMENSION_ALIASES
 from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
@@ -140,10 +140,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if result.outcome == OUTCOME_PARSE_REJECT:
         print(f"note: {result.note}")
         raise ConfigError(f"input rejected by the parser: {result.note}")
-    pub, sec1, sec2 = result.decoded
-    print(f"pub:   {pub.hex()}")
-    print(f"sec_1: {sec1.hex()}")
-    print(f"sec_2: {sec2.hex()}")
+    print(*triple_lines(result.decoded), sep="\n")
     print(
         "delta: ops={0} peak_mem={1} response_bytes={2}".format(
             result.delta.ops, result.delta.peak_mem, result.delta.response_bytes
@@ -170,9 +167,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"domain:    len={res.segment_len} alphabet={res.charset}")
     print(f"dimension: {res.dimension}")
     print(f"max delta: {res.max_delta}")
-    print(f"pub:   {pub.hex()}")
-    print(f"sec_1: {sec1.hex()}")
-    print(f"sec_2: {sec2.hex()}")
+    print(*triple_lines(res.decoded), sep="\n")
     print(f"executions: {res.executions}")
     print(
         json.dumps(

@@ -27,7 +27,6 @@ import os
 import sys
 import zlib
 from bisect import bisect_left
-from collections import OrderedDict
 from types import CodeType, FunctionType, MethodType, ModuleType
 
 MAP_SIZE = 65536
@@ -46,7 +45,8 @@ class CoverageMap(dict):
     executions, in first-touch order.
 
     Each map owns a memo of the executions traced into it, by (pub, sec),
-    and a table of the path pairs folded into it, by token. run_driver
+    and a table of the path pairs folded into it, by token; each is
+    cleared when full (MEMO_ENTRIES, FOLDED_PAIRS in driver). run_driver
     replays a remembered execution instead of running the target again,
     and leaves the map empty for a pair folded before. A map is a function
     of its two paths, so that is exact for a caller that absorbs every map
@@ -58,7 +58,7 @@ class CoverageMap(dict):
 
     def __init__(self):
         super().__init__()
-        self.memo: OrderedDict = OrderedDict()
+        self.memo: dict[tuple[bytes, bytes], tuple] = {}
         self.folded: set[tuple[int, int]] = set()
         self.last: tuple | None = None  # (DiffResult, (token1, token2))
 

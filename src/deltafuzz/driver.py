@@ -19,7 +19,8 @@ OUTCOME_OK = "ok"
 OUTCOME_PARSE_REJECT = "parse_reject"
 OUTCOME_HARNESS_ERROR = "harness_error"
 
-# executions a map's memo keeps, least recently used out first
+# executions a map's memo keeps; a full memo is cleared, which costs only
+# runs again
 MEMO_ENTRIES = 512
 
 # path pairs a map's table of folded pairs keeps; a full table is cleared,
@@ -167,11 +168,9 @@ def run_driver(
             key = (pub, sec)
             run = memo.get(key)
             if run is None:
+                if len(memo) >= MEMO_ENTRIES:
+                    memo.clear()
                 run = memo[key] = _execute(spec.target, tracer, pub, sec)
-                if len(memo) > MEMO_ENTRIES:
-                    memo.popitem(last=False)
-            else:
-                memo.move_to_end(key)
             runs.append(run)
         (cost1, out1, note1, path1), (cost2, out2, note2, path2) = runs
         folded, pair = cov_map.folded, (path1[0], path2[0])

@@ -39,38 +39,33 @@ def bitflips(data: bytes, width: int) -> Iterator[bytes]:
         yield (word ^ (mask << start)).to_bytes(size, "little")
 
 
+def _substitutions(data: bytes, width: int, values) -> Iterator[bytes]:
+    """Each little-endian window of `width` bytes, in offset order, set to
+    each value of values(old, mod) in turn; windows are read from, and
+    written into, the input read as one little-endian integer."""
+    size, word, mod = len(data), int.from_bytes(data, "little"), 1 << 8 * width
+    for shift in range(0, 8 * (size - width + 1), 8):
+        old = word >> shift & mod - 1
+        for value in values(old, mod):
+            yield (word ^ (value ^ old) << shift).to_bytes(size, "little")
+
+
 def byteflips(data: bytes, width: int) -> Iterator[bytes]:
     """XOR `width` consecutive bytes with 0xFF at every offset."""
-    size, word, mask = len(data), int.from_bytes(data, "little"), (1 << 8 * width) - 1
-    for start in range(size - width + 1):
-        yield (word ^ (mask << 8 * start)).to_bytes(size, "little")
+    return _substitutions(data, width, lambda old, mod: (old ^ mod - 1,))
 
 
 def arith(data: bytes, width: int) -> Iterator[bytes]:
     """Wrapping +/- 1..ARITH_MAX on a little-endian window of `width` bytes."""
-    mod = 1 << (8 * width)
-    for start in range(len(data) - width + 1):
-        word = int.from_bytes(data[start:start + width], "little")
-        for d in range(1, ARITH_MAX + 1):
-            for value in ((word + d) % mod, (word - d) % mod):
-                buf = bytearray(data)
-                buf[start:start + width] = value.to_bytes(width, "little")
-                yield bytes(buf)
+    steps = [s for d in range(1, ARITH_MAX + 1) for s in (d, -d)]
+    return _substitutions(data, width, lambda old, mod: [(old + s) % mod for s in steps])
 
 
 def interesting(data: bytes, width: int) -> Iterator[bytes]:
     """Substitute boundary values little-endian; no-op substitutions skipped."""
     values = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}[width]
-    mod = 1 << (8 * width)
-    for start in range(len(data) - width + 1):
-        orig = int.from_bytes(data[start:start + width], "little")
-        for v in values:
-            enc = v % mod
-            if enc == orig:
-                continue
-            buf = bytearray(data)
-            buf[start:start + width] = enc.to_bytes(width, "little")
-            yield bytes(buf)
+    encoded = [v % (1 << 8 * width) for v in values]
+    return _substitutions(data, width, lambda old, mod: [e for e in encoded if e != old])
 
 
 # (name, generator, width) in fixed execution order

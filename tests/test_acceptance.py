@@ -13,12 +13,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from deltafuzz import campaign
 from deltafuzz.benchmarks.crime import lz77_compress, lz77_decompress
 from deltafuzz.benchmarks.micro import wraps_to_negative
 from deltafuzz.campaign import CampaignConfig, replay, run_campaign
 from deltafuzz.cli import main
 from deltafuzz.coverage import CoverageMap, GlobalCoverage
-from deltafuzz.driver import driver_names, get_driver
+from deltafuzz.driver import driver_names, get_driver, run_driver
 from deltafuzz.mutation import deterministic_stage, havoc
 from deltafuzz.oracle import exhaustive_max_delta, structured_max_delta
 
@@ -93,22 +94,27 @@ FULL_DOMAIN_RNG_SEEDS = (1, 2, 3)
 FULL_DOMAIN_BUDGET = 20_000  # evaluations; rng seeds 1-5 cover the domain in 2,464-9,926
 
 
-def test_campaign_high_scores_bounded_by_exhaustive_truth(tmp_path):
+def test_campaign_high_scores_bounded_by_exhaustive_truth(tmp_path, monkeypatch):
     """On two-byte binary domains, paced campaigns on 3 rng seeds evaluate all 72 decoded triples and reach the exhaustive maximum for every driver."""
     assert len(BINARY_TRIPLES) == 72
     seeds = seed_dir(tmp_path, b"\x00" * 6)
+    evaluated = set()
+
+    def record(*args):
+        """Stop once every triple of the domain has been evaluated."""
+        if len(evaluated) == len(BINARY_TRIPLES):
+            raise KeyboardInterrupt
+        result = run_driver(*args)
+        if result.decoded is not None:
+            evaluated.add(result.decoded)
+        return result
+
+    monkeypatch.setattr(campaign, "run_driver", record)
     for name in driver_names():
         spec = get_driver(name)
         truth = max(exhaustive_max_delta(spec, n, charset="binary").max_delta for n in (1, 2))
         for rng_seed in FULL_DOMAIN_RNG_SEEDS:
-            evaluated = set()
-
-            def record(result, evaluated=evaluated):
-                """Stop once every triple of the domain has been evaluated."""
-                if result.decoded is not None:
-                    evaluated.add(result.decoded)
-                return len(evaluated) == len(BINARY_TRIPLES)
-
+            evaluated.clear()
             report = run_campaign(
                 CampaignConfig(
                     driver_name=name,
@@ -120,7 +126,6 @@ def test_campaign_high_scores_bounded_by_exhaustive_truth(tmp_path):
                     charset="binary",
                     rng_seed=rng_seed,
                     pace=1000,
-                    stop_condition=record,
                 )
             )
             assert evaluated == BINARY_TRIPLES, (name, rng_seed, report.executions)
@@ -186,21 +191,24 @@ def shares_four_byte_substring(pub, sec):
     return any(sec[i : i + 4] in pub for i in range(len(sec) - 3))
 
 
-def test_response_size_channel_detects_shared_substring(tmp_path):
+def test_response_size_channel_detects_shared_substring(tmp_path, monkeypatch):
     """The compressed-response campaign finds a secret sharing a 4+ byte substring with the public input."""
     captured = []
 
-    def sharing_witness(result):
+    def sharing_witness(*args):
+        if captured:
+            raise KeyboardInterrupt
+        result = run_driver(*args)
         if result.outcome != "ok" or result.delta.response_bytes <= 0:
-            return False
+            return result
         pub, sec1, sec2 = result.decoded
-        if shares_four_byte_substring(pub, sec1) == shares_four_byte_substring(
+        if shares_four_byte_substring(pub, sec1) != shares_four_byte_substring(
             pub, sec2
         ):
-            return False
-        captured.append(result)
-        return True
+            captured.append(result)
+        return result
 
+    monkeypatch.setattr(campaign, "run_driver", sharing_witness)
     report = run_campaign(
         CampaignConfig(
             driver_name="crime_compress",
@@ -208,10 +216,9 @@ def test_response_size_channel_detects_shared_substring(tmp_path):
             out_dir=str(tmp_path / "out"),
             timeout_seconds=300.0,
             rng_seed=5,
-            stop_condition=sharing_witness,
         )
     )
-    assert report.stop_reason == "stop-condition"
+    assert report.stop_reason == "interrupted"
     result = captured[0]
     pub, sec1, sec2 = result.decoded
     assert shares_four_byte_substring(pub, sec1) != shares_four_byte_substring(

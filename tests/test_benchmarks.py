@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from deltafuzz.benchmarks import BENCHMARK_BY_DRIVER, BENCHMARKS
+from deltafuzz.benchmarks import crime, jetty_eq, login, micro, modpow, pad, pwcheck
 from deltafuzz.benchmarks.crime import (
     crime_compress_target,
     lz77_compress,
@@ -34,6 +34,7 @@ from deltafuzz.benchmarks.modpow import (
 from deltafuzz.benchmarks.pad import PAD_TOTAL, pad_safe, pad_unsafe
 from deltafuzz.benchmarks.pwcheck import pwcheck_safe, pwcheck_unsafe
 from deltafuzz.benchmarks.support import charge_loop, to_signed32, u32le, wrap_add32
+from deltafuzz.driver import driver_names, get_driver
 from deltafuzz.metering import HarnessError, Meter
 
 
@@ -342,14 +343,21 @@ def test_login_results():
 # --- registry and functional equivalence ----------------------------------------
 
 
+# the benchmarks with a repaired variant, registered as NAME_unsafe and NAME_safe
+PAIRED = sorted(name.removesuffix("_safe") for name in driver_names() if name.endswith("_safe"))
+
+
 def test_benchmark_registry_shape():
-    assert len(BENCHMARKS) == 10
-    assert len(BENCHMARK_BY_DRIVER) == 19
-    unsafe_only = [b.name for b in BENCHMARKS if b.safe_variant is None]
-    assert unsafe_only == ["crime_compress"]
-    for bench in BENCHMARKS:
-        assert bench.cost_model_doc
-        assert bench.description
+    names = driver_names()
+    assert len(names) == 19
+    for name in PAIRED:
+        assert f"{name}_unsafe" in names
+    assert [n for n in names if not n.endswith(("_safe", "_unsafe"))] == ["crime_compress"]
+    for name in names:
+        assert get_driver(name).description
+    # each module states its cost model; perfbench derives its truths from them
+    for module in (crime, jetty_eq, login, micro, modpow, pad, pwcheck):
+        assert module.COST_MODEL
 
 
 def random_pairs(n, max_len=16, seed=0):
@@ -370,14 +378,13 @@ def exhaustive_small_pairs():
             yield pub, sec
 
 
-@pytest.mark.parametrize(
-    "bench", [b for b in BENCHMARKS if b.safe_variant is not None], ids=lambda b: b.name
-)
-def test_functional_equivalence(bench):
+@pytest.mark.parametrize("name", PAIRED)
+def test_functional_equivalence(name):
     """safe(pub, sec) == unsafe(pub, sec) for random and small exhaustive
     inputs; aborts must agree too."""
+    unsafe, safe = (get_driver(f"{name}_{variant}").target for variant in ("unsafe", "safe"))
     pairs = list(exhaustive_small_pairs()) + list(random_pairs(10_000, seed=42))
     for pub, sec in pairs:
-        left = run_or_raise(bench.unsafe_variant, pub, sec)
-        right = run_or_raise(bench.safe_variant, pub, sec)
-        assert left == right, (bench.name, pub, sec)
+        left = run_or_raise(unsafe, pub, sec)
+        right = run_or_raise(safe, pub, sec)
+        assert left == right, (name, pub, sec)

@@ -342,10 +342,13 @@ def counted(pub, sec, meter):
         meter.tick(sec[0])
 
 
-def test_a_reused_map_runs_each_execution_once_and_folds_each_pair_once():
+def test_a_reused_map_runs_each_execution_once_and_folds_each_pair_once(monkeypatch):
     """Traced calls over one plain map: the target runs once per distinct
     (pub, sec), in either secret slot, and a pair of paths folded before
-    leaves the map empty. Untraced calls always run both executions."""
+    leaves the map empty. The first miss past a full memo empties it, and
+    an execution run again folds as before. Untraced calls always run both
+    executions."""
+    monkeypatch.setattr(driver_module, "MEMO_ENTRIES", 4)
     spec = DriverSpec(name="counted", target=counted, constraints=Constraints(max_segment_len=1))
     cov = CoverageMap()
     CALLS.clear()
@@ -359,6 +362,12 @@ def test_a_reused_map_runs_each_execution_once_and_folds_each_pair_once():
     assert traced(b"p\x00\x02") == (2, False)  # a new execution, the first pair again
     assert traced(b"q\x00\x00") == (0, True)  # one execution for both secrets
     assert CALLS == [(b"p", b"\x00"), (b"p", b"\x01"), (b"p", b"\x02"), (b"q", b"\x00")]
+
+    CALLS.clear()
+    assert traced(b"r\x00\x00") == (0, False)  # a miss with the memo full
+    assert list(cov.memo) == [(b"r", b"\x00")]
+    assert traced(b"p\x00\x01") == (1, False)  # both run again; their pair is known
+    assert CALLS == [(b"r", b"\x00"), (b"p", b"\x00"), (b"p", b"\x01")]
 
     CALLS.clear()
     assert run_driver(spec, b"q\x00\x00").delta.ops == 0

@@ -107,13 +107,13 @@ def campaign_digest(out_dir) -> dict[str, str]:
     return digest
 
 
-def run_paced(tmp_path, fields, seed, **extra):
+def run_paced(tmp_path, fields, seed):
     seed_dir = tmp_path / "seeds"
     seed_dir.mkdir()
     (seed_dir / "seed").write_bytes(seed)
     out_dir = tmp_path / "out"
     config = CampaignConfig(
-        seed_dir=str(seed_dir), out_dir=str(out_dir), pace=1000, **fields, **extra
+        seed_dir=str(seed_dir), out_dir=str(out_dir), pace=1000, **fields
     )
     return run_campaign(config), out_dir
 
@@ -145,20 +145,22 @@ def counting_driver(monkeypatch):
     TARGET_CALLS.clear()
 
 
-def test_repeated_decodings_skip_the_target_but_count(tmp_path, counting_driver):
+def test_repeated_decodings_skip_the_target_but_count(
+    tmp_path, monkeypatch, counting_driver
+):
     results = []
     calls = []  # target calls per evaluation
 
-    def record(result):
-        results.append(result)
+    def record(*args):
+        results.append(driver_module.run_driver(*args))
         calls.append(len(TARGET_CALLS) - sum(calls))
-        return False
+        return results[-1]
 
+    monkeypatch.setattr("deltafuzz.campaign.run_driver", record)
     report, out_dir = run_paced(
         tmp_path,
         dict(driver_name=COUNTING.name, rng_seed=5, timeout_seconds=2.0),
         COUNTING_SEED,
-        stop_condition=record,
     )
     assert len(results) == report.executions
     assert len(TARGET_CALLS) < 2 * report.executions

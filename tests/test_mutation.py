@@ -95,6 +95,40 @@ def test_flips_are_the_bytewise_walks(data, width):
     assert list(byteflips(data, width)) == list(reference_byteflips(data, width))
 
 
+def reference_substitutions(data, width, values):
+    """The window walk over a bytearray copy: each window of `width` bytes,
+    read little-endian, set to each of values(old)."""
+    for start in range(len(data) - width + 1):
+        old = int.from_bytes(data[start:start + width], "little")
+        for value in values(old):
+            buf = bytearray(data)
+            buf[start:start + width] = value.to_bytes(width, "little")
+            yield bytes(buf)
+
+
+@given(data=st.binary(min_size=1, max_size=48), width=st.sampled_from([1, 2, 4]))
+@settings(max_examples=200)
+@example(data=b"\x00" * 4, width=4)  # substituting 0 is a no-op, skipped
+@example(data=b"\xff" * 4, width=1)  # add and subtract wrap
+def test_arith_and_interesting_are_the_bytewise_walks(data, width):
+    """Substituting a window in the input read as one little-endian integer
+    gives the mutants of the bytewise walk, in the same order."""
+    mod = 1 << 8 * width
+    values = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}[width]
+
+    def arith_values(old):
+        for d in range(1, ARITH_MAX + 1):
+            yield from ((old + d) % mod, (old - d) % mod)
+
+    def interesting_values(old):
+        return [v % mod for v in values if v % mod != old]
+
+    assert list(arith(data, width)) == list(reference_substitutions(data, width, arith_values))
+    assert list(interesting(data, width)) == list(
+        reference_substitutions(data, width, interesting_values)
+    )
+
+
 def test_arith_plus_one():
     mutants = list(arith(b"\x10", 1))
     assert mutants[0] == b"\x11"  # +1 comes first
