@@ -13,7 +13,7 @@ from .campaign import (
     run_campaign,
     verdict,
 )
-from .corpus import FuzzQueue, HighScore, QueueEntry, load_seeds
+from .corpus import FuzzQueue, QueueEntry, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
     CHARSETS,
@@ -51,7 +51,6 @@ __all__ = [
     "FuzzQueue",
     "GlobalCoverage",
     "HarnessError",
-    "HighScore",
     "Meter",
     "OracleResult",
     "ParseReject",

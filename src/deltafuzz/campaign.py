@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .corpus import FuzzQueue, HighScore, consider, load_seeds
+from .corpus import FuzzQueue, consider, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
     OUTCOME_HARNESS_ERROR,
@@ -141,13 +141,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     except OSError as exc:  # out_dir is, or lies under, a file; or is not writable
         raise ConfigError(f"cannot create output directory {queue_dir}: {exc.strerror}") from None
     global_cov = GlobalCoverage()
-    high = HighScore()
     rng = random.Random(config.rng_seed)
     max_len = config.max_input_len
     pace = config.pace
     start = time.monotonic()
 
     executions = 0
+    best, witness = 0, None  # the delta high score and the first input to reach it
     first_positive: Optional[float] = None
     harness_errors = 0
     error_notes: dict[str, None] = {}  # insertion-ordered de-dup
@@ -162,7 +162,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         return executions / pace
 
     def row(second: int) -> tuple[int, int, int, int, int]:
-        return (second, executions, high.value, len(global_cov), len(queue))
+        return (second, executions, best, len(global_cov), len(queue))
 
     def emit_rows(at: float) -> None:
         nonlocal next_row_second
@@ -171,33 +171,34 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             next_row_second += 1
 
     # One map for every evaluation, so its memo and its table of folded
-    # pairs (see run_driver) span the campaign. An evaluation whose two
-    # executions are both remembered still goes through consider: they may
-    # come from two earlier evaluations, so their delta and their summed hit
-    # counts can be new. A pair of paths folded before leaves the map empty,
-    # as global_cov holds all it can show; its delta can still be new. A
-    # result run_driver repeats can change nothing, so it skips consider.
+    # pairs (see run_driver) span the campaign. An evaluation goes through
+    # consider only when it can change something: its map holds edges (an
+    # empty one, left by a parse reject, a pair of paths folded before or a
+    # repeat of the last triple, adds nothing), or its delta beats the high
+    # score. Two remembered executions can still form a new pair or delta.
     cov = CoverageMap()
-    considered: Optional[DiffResult] = None
 
     def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
-        nonlocal executions, first_positive, harness_errors, considered
+        nonlocal executions, best, witness, first_positive, harness_errors
         cov.clear()
         result = run_driver(spec, data, cov)
         executions += 1
         at = now()
-        if result is not considered and result.outcome != OUTCOME_PARSE_REJECT:
-            considered = result
-            consider(queue, data, result, cov, global_cov, high, dim, parent_id)
-            if first_positive is None and result.delta_of(dim) > 0:
-                first_positive = at
+        delta = result.delta_of(dim)
+        improved = delta > best
+        if cov or improved:
+            consider(queue, data, delta, improved, cov, global_cov, parent_id)
+            if improved:
+                if first_positive is None:
+                    first_positive = at
+                best, witness = delta, data
         if result.outcome == OUTCOME_HARNESS_ERROR:
             harness_errors += 1
             if len(error_notes) < 8:
                 error_notes.setdefault(result.note)
         if at >= next_row_second:
             emit_rows(at)
-        if config.stop_on_delta is not None and high.value >= config.stop_on_delta:
+        if config.stop_on_delta is not None and best >= config.stop_on_delta:
             raise _Stop("delta-target-reached")
         if at >= config.timeout_seconds:
             raise _Stop("timeout")
@@ -246,12 +247,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     stats_rows.append(row(int(duration)))  # final snapshot, even mid-second
 
     # with no positive delta, the first seed stands as the exhibit
-    witness_data = high.witness_data or seeds[0][1]
+    witness_data = witness or seeds[0][1]
     report = CampaignReport(
         driver=spec.name,
         dimension=dim,
-        verdict=verdict(high.value, config.report_epsilon),
-        max_delta=high.value,
+        verdict=verdict(best, config.report_epsilon),
+        max_delta=best,
         witness_data=witness_data,
         witness_decoded=default_parse(witness_data, spec.constraints),
         first_positive_at=first_positive,
@@ -270,7 +271,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # is a fault of the target. With no evaluation done (Ctrl-C in the first
     # run) there is nothing to check, and re-running could hang again.
     if executions:
-        replay_check(spec, witness_data, high.value)
+        replay_check(spec, witness_data, best)
     log.info(
         "campaign done: verdict=%s max_delta=%d executions=%d (%s)",
         report.verdict,

@@ -20,6 +20,19 @@ from .metering import DIMENSION_ALIASES
 from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
 
 
+def _domain_flags(parser: argparse.ArgumentParser) -> None:
+    """The cost dimension and domain overrides that fuzz and replay share."""
+    parser.add_argument(
+        "--dimension",
+        choices=DIMENSION_ALIASES,
+        help="cost dimension to maximize (default: the driver's)",
+    )
+    parser.add_argument("--segment-cap", type=int, help="override per-segment byte cap")
+    parser.add_argument(
+        "--charset", choices=sorted(CHARSETS), help="override the driver's segment charset"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltafuzz",
@@ -32,12 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
     fuzz.add_argument("--driver", required=True, help="registered driver name")
-    fuzz.add_argument(
-        "--dimension",
-        choices=DIMENSION_ALIASES,
-        default=None,
-        help="cost dimension to maximize (default: the driver's)",
-    )
+    _domain_flags(fuzz)
     fuzz.add_argument("--seeds", required=True, help="seed input directory")
     fuzz.add_argument("--out", required=True, help="campaign output directory")
     fuzz.add_argument("--timeout", type=float, default=30.0, help="seconds to run")
@@ -48,15 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="verdict threshold; 0 < delta < epsilon reports below-epsilon",
-    )
-    fuzz.add_argument(
-        "--segment-cap", type=int, default=None, help="override per-segment byte cap"
-    )
-    fuzz.add_argument(
-        "--charset",
-        choices=sorted(CHARSETS),
-        default=None,
-        help="override the driver's segment charset",
     )
     fuzz.add_argument(
         "--pace",
@@ -75,9 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay", help="run one input through the harness")
     rep.add_argument("--driver", required=True)
     rep.add_argument("--input", required=True, help="raw input file")
-    rep.add_argument("--dimension", choices=DIMENSION_ALIASES, default=None)
-    rep.add_argument("--segment-cap", type=int, default=None)
-    rep.add_argument("--charset", choices=sorted(CHARSETS), default=None)
+    _domain_flags(rep)
     rep.set_defaults(func=_cmd_replay)
 
     orc = sub.add_parser("oracle", help="ground-truth max delta on a small domain")

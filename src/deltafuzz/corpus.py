@@ -1,7 +1,7 @@
-"""Fuzzing queue: interesting inputs, their lineage, and the high score.
+"""Fuzzing queue: interesting inputs and their lineage.
 
 An input survives into the queue when it reaches coverage the campaign has
-not seen or strictly beats the campaign-wide delta high score (ties are
+not seen or strictly beats the campaign's delta high score (ties are
 discarded). Entries cycle round-robin; anything enqueued mid-cycle waits
 for the next cycle. Persistence is synchronous, one raw-bytes file per
 entry with the metadata in the filename.
@@ -9,12 +9,11 @@ entry with the metadata in the filename.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .coverage import CoverageMap, GlobalCoverage
-from .driver import ConfigError, DiffResult
+from .driver import ConfigError
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,6 @@ class QueueEntry:
     def filename(self) -> str:
         src = "-" if self.parent_id is None else f"{self.parent_id:04d}"
         return f"id:{self.entry_id:04d},src:{src},delta:{self.best_delta}"
-
-
-@dataclass
-class HighScore:
-    """Campaign-wide maximum delta and the input that achieved it."""
-
-    value: int = 0
-    witness_data: bytes | None = None
-
-    def update(self, delta: int, data: bytes) -> None:
-        if delta <= self.value and self.witness_data is not None:
-            raise ValueError("high score only moves up")
-        self.value = delta
-        self.witness_data = data
 
 
 class FuzzQueue:
@@ -100,24 +85,17 @@ class FuzzQueue:
 def consider(
     queue: FuzzQueue,
     data: bytes,
-    result: DiffResult,
+    delta: int,
+    improved: bool,
     run_cov: CoverageMap,
     global_cov: GlobalCoverage,
-    high_score: HighScore,
-    dimension: str,
     parent_id: int | None = None,
 ) -> bool:
-    """Enqueue iff the run found new coverage or strictly beat the high
-    score; the high score and its witness update even when dedup or the
-    non-empty invariant keeps the bytes out of the queue."""
+    """Absorb run_cov into global_cov, and enqueue data iff that found new
+    coverage or improved is set (delta strictly beat the high score), unless
+    the bytes are empty or already queued."""
     new_pairs = global_cov.absorb(run_cov)
-    delta = result.delta_of(dimension)
-    improved = delta > high_score.value
-    if improved:
-        high_score.update(delta, data)
-    if not new_pairs and not improved:
-        return False
-    if not data or queue.seen(data):
+    if not (new_pairs or improved) or not data or queue.seen(data):
         return False
     queue.add(data, best_delta=delta, parent_id=parent_id)
     return True
@@ -133,8 +111,6 @@ def load_seeds(seed_dir: str | Path, max_input_len: int) -> list[tuple[str, byte
     for path in sorted(root.iterdir()):
         if not path.is_file():
             continue
-        if not os.access(path, os.R_OK):
-            raise ConfigError(f"seed file is not readable: {path}")
         try:
             data = path.read_bytes()
         except OSError as exc:

@@ -142,11 +142,11 @@ def run_driver(
     those, so a remembered execution is not run again, and its cost, output,
     note and path stand in for it. A pair of paths in cov_map's table of
     folded pairs is not folded again and leaves the map empty, so a caller
-    that reuses one map must absorb every map this fills into one
+    that reuses one map must absorb every non-empty map into one
     GlobalCoverage. A fresh map per call sees both executions folded.
     A traced call that decodes to the triple of the map's last result, its
-    pair still in the table, returns that result and touches neither memo
-    nor map, as both lookups would hit; one map serves one target.
+    pair still in the table, returns that result again and touches neither
+    memo nor map, as both lookups would hit; one map serves one target.
     """
     try:
         pub, sec1, sec2 = decoded = default_parse(data, spec.constraints)

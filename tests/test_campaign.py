@@ -19,7 +19,7 @@ from deltafuzz.campaign import (
     verdict,
 )
 from deltafuzz.corpus import consider
-from deltafuzz.driver import ConfigError, Constraints, DriverSpec, driver_names
+from deltafuzz.driver import ConfigError, Constraints, DriverSpec, driver_names, get_driver
 
 ARTIFACTS = ("stats.csv", "witness.bin", "witness.txt", "report.txt")
 
@@ -296,8 +296,10 @@ def always_raises(pub, sec, meter):
 
 
 def test_every_evaluation_of_a_raising_target_is_a_harness_error(tmp_path, monkeypatch):
-    """At segment cap 1 most mutants of the seed repeat the last triple and
-    skip the novelty check, yet each is still counted, error and all."""
+    """At segment cap 1 most mutants of the seed repeat the last triple;
+    their empty map and their delta, no higher than the high score, keep
+    them out of the novelty check, yet each is still counted, error and
+    all."""
     spec = DriverSpec(
         name="always_raises", target=always_raises, constraints=Constraints(max_segment_len=1)
     )
@@ -314,6 +316,74 @@ def test_every_evaluation_of_a_raising_target_is_a_harness_error(tmp_path, monke
     assert report.harness_error_count == report.executions
     assert report.harness_error_notes == ("ValueError: refused",)
     assert len(considered) < report.executions // 2
+
+
+def test_consider_sees_only_evaluations_that_can_change_something(tmp_path, monkeypatch):
+    """A hunt-style campaign, the zero seed at segment cap 4, where most
+    evaluations fold a known pair of paths or repeat the last triple: each
+    one that reaches the novelty check has a map with edges or a delta above
+    the high score so far."""
+    dim = get_driver("pad_unsafe").cost_dimension
+    real_run_driver = campaign_module.run_driver
+    best = 0
+    last = None  # the last evaluation: (edges in its map, delta above best)
+    seen = []
+
+    def watching_run_driver(spec, data, cov_map=None):
+        nonlocal best, last
+        result = real_run_driver(spec, data, cov_map)
+        delta = result.delta_of(dim)
+        last = (len(cov_map), delta > best)
+        seen.append(last)
+        best = max(best, delta)
+        return result
+
+    considered = []
+
+    def watching_consider(*args):
+        considered.append(last)
+        return consider(*args)
+
+    monkeypatch.setattr(campaign_module, "run_driver", watching_run_driver)
+    monkeypatch.setattr(campaign_module, "consider", watching_consider)
+    seeds = seeds_dir(tmp_path, {"zero": bytes(48)})
+    report = run_campaign(
+        paced_config(tmp_path, driver="pad_unsafe", seed_dir=seeds, segment_cap=4)
+    )
+    assert len(seen) == report.executions
+    assert considered and all(edges or above for edges, above in considered)
+    # and it skips every evaluation that could change nothing
+    assert len(considered) == sum(1 for edges, above in seen if edges or above)
+    assert len(considered) < report.executions // 4
+
+
+def tie_priced(pub, sec, meter):
+    """One tick, plus one for an odd secret byte: every delta is 0 or 1."""
+    meter.tick(1 + sec[0] % 2)
+
+
+def test_a_tie_keeps_the_first_witness(tmp_path, monkeypatch):
+    """Seed a reaches delta 1, the most any input can; seed b and many
+    mutants tie it. The high score's witness stays seed a."""
+    spec = DriverSpec(
+        name="tie_priced", target=tie_priced, constraints=Constraints(max_segment_len=1)
+    )
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    seeds = seeds_dir(tmp_path, {"a": b"p\x00\x01", "b": b"q\x01\x00"})
+    report = run_campaign(paced_config(tmp_path, driver=spec.name, seed_dir=seeds))
+    assert report.max_delta == 1
+    assert report.witness_data == b"p\x00\x01"
+    assert report.first_positive_at == 1 / 500
+
+
+def test_without_a_positive_delta_the_first_seed_is_the_witness(tmp_path):
+    seeds = seeds_dir(tmp_path, {"a": b"\x01" * 12, "b": b"\x02" * 12})
+    report = run_campaign(
+        paced_config(tmp_path, driver="pwcheck_safe", seed_dir=seeds, timeout_seconds=1.0)
+    )
+    assert report.max_delta == 0
+    assert report.witness_data == b"\x01" * 12
+    assert (tmp_path / "out" / "witness.bin").read_bytes() == b"\x01" * 12
 
 
 # --- output files -----------------------------------------------------------------

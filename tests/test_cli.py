@@ -265,6 +265,16 @@ def test_replay_reports_output_mismatch(tmp_path, capsys):
     assert "different outputs" in capsys.readouterr().out
 
 
+def test_replay_notes_a_harness_error(tmp_path, capsys):
+    blob = tmp_path / "zero.bin"
+    blob.write_bytes(bytes(48))  # decodes to modulus 0, which the target refuses
+    code = main(["replay", "--driver", "modpow_unsafe", "--input", str(blob)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "outcome: harness_error" in out
+    assert "note: HarnessError: modulus must be >= 2" in out.splitlines()
+
+
 def test_replay_missing_file(tmp_path, capsys):
     code = main(
         ["replay", "--driver", "pwcheck_unsafe", "--input", str(tmp_path / "no.bin")]

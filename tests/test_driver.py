@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import re
 import sys
 
 import pytest
@@ -207,6 +208,42 @@ def test_scope_stops_at_a_path_boundary(tmp_path):
         res = run_driver(spec, bytes([1, 2, 0]), CoverageMap())
     assert res.delta.ops == 1  # the helper ran, unprobed
     assert set(files) == {str(tmp_path / "t" / "target.py")}  # not t_old/helper.py
+
+
+def test_helper_reached_through_a_module_attribute_gets_edges(tmp_path):
+    helper = load_module(
+        tmp_path / "pkg" / "helper.py",
+        "def check(sec, meter):\n    if sec[0]:\n        meter.tick(1)\n    return sec\n",
+    )
+    target = load_module(
+        tmp_path / "pkg" / "target.py",
+        "def target(pub, sec, meter):\n    meter.tick(1)\n    return helper.check(sec, meter)\n",
+        helper=helper,
+    )
+    spec = DriverSpec(name="through_module", target=target.target)
+    original = helper.check.__code__
+    callers = []
+
+    def probe(site):
+        callers.append(sys._getframe(1).f_code.co_name)
+
+    with stub_probe(driver_module._tracer(spec), probe):
+        res = run_driver(spec, bytes([1, 2, 0]), CoverageMap())
+    assert res.delta.ops == 1
+    assert set(callers) == {"target", "check"}  # helper is in scope: same directory
+    assert helper.check.__code__ is original
+
+
+def test_target_whose_source_was_deleted_is_refused_before_it_runs(tmp_path):
+    calls = []
+    path = tmp_path / "gone" / "target.py"
+    source = "def target(pub, sec, meter):\n    calls.append(sec)\n    meter.tick(1)\n"
+    module = load_module(path, source, calls=calls)
+    path.unlink()
+    spec = DriverSpec(name="gone", target=module.target)
+    with pytest.raises(ConfigError, match=re.escape(f"no source for {path}")):
+        run_driver(spec, bytes(3), CoverageMap())
+    assert calls == []
 
 
 def test_sourceless_target_is_refused_when_traced():

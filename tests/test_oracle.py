@@ -75,6 +75,12 @@ def test_exhaustive_execution_count_and_witness():
     assert rep.delta_of("ops") == res.max_delta
 
 
+# the drivers above that declare a cost statistic, which the structured
+# oracle enumerates
+DECLARED = [
+    name for name in sorted(BINARY_L2_MAX) + list(SAFE_DRIVERS) if get_driver(name).statistic
+]
+
 STRUCTURED_CASES = [
     ("pwcheck_unsafe", 16, None, 30),  # mismatch at last byte vs at first
     ("jetty_eq_unsafe", 2, None, 2),
@@ -96,12 +102,11 @@ def test_structured_maxima(name, length, charset, expected):
     assert res.executions >= 2
 
 
-@pytest.mark.parametrize("name,expected", sorted(BINARY_L2_MAX.items()))
+@pytest.mark.parametrize(
+    "name,expected", [(name, BINARY_L2_MAX[name]) for name in DECLARED if name in BINARY_L2_MAX]
+)
 def test_structured_agrees_with_exhaustive_where_declared(name, expected):
-    spec = get_driver(name)
-    if spec.statistic is None:
-        pytest.skip("no declared statistic")
-    res = structured_max_delta(spec, 2, charset="binary")
+    res = structured_max_delta(get_driver(name), 2, charset="binary")
     assert res.max_delta == expected
 
 
@@ -115,11 +120,9 @@ def test_structured_agrees_with_exhaustive_byte_one():
     assert full.executions == 256 * 256
 
 
-@pytest.mark.parametrize("name", sorted(BINARY_L2_MAX) + list(SAFE_DRIVERS))
+@pytest.mark.parametrize("name", DECLARED)
 def test_structured_never_exceeds_exhaustive(name):
     spec = get_driver(name)
-    if spec.statistic is None:
-        pytest.skip("no declared statistic")
     full = exhaustive_max_delta(spec, 1, charset="binary")
     shaped = structured_max_delta(spec, 1, charset="binary")
     assert shaped.max_delta <= full.max_delta
@@ -173,6 +176,20 @@ def test_structured_rejects_wrong_length_witnesses():
     )
     with pytest.raises(ConfigError, match="wrong length"):
         structured_max_delta(spec, 2)
+
+
+def test_structured_rejects_a_symbol_outside_the_alphabet():
+    def off_alphabet(segment_len, alphabet):
+        yield b"\x00", b"\x01", b"\x02"  # binary has only 0 and 1
+
+    spec = DriverSpec(
+        name="local_off_alphabet",
+        target=lambda pub, sec, meter: meter.tick(1),
+        statistic=Statistic(name="off", witnesses=off_alphabet),
+        constraints=Constraints(max_segment_len=4, charset="binary"),
+    )
+    with pytest.raises(ConfigError, match="outside the alphabet"):
+        structured_max_delta(spec, 1)
 
 
 def test_structured_rejects_empty_witness_stream():
