@@ -126,9 +126,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"input file not found: {path}")
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"input file is not readable: {path} ({exc})") from None
     result = replay(
         args.driver,
-        path.read_bytes(),
+        data,
         dimension=args.dimension,
         segment_cap=args.segment_cap,
         charset=args.charset,
@@ -207,19 +211,22 @@ def _read_run(out_dir: Path) -> tuple[int, int | None]:
     stats = out_dir / "stats.csv"
     if not stats.is_file():
         raise ConfigError(f"missing stats.csv in {out_dir}")
-    with open(stats, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"seconds", "max_delta"} <= set(reader.fieldnames or ()):
-            raise ConfigError(f"unrecognized stats.csv header in {out_dir}")
-        rows = []
-        for row in reader:
-            try:
-                rows.append((int(row["seconds"]), int(row["max_delta"])))
-            except (TypeError, ValueError):  # a missing cell reads as None
-                raise ConfigError(
-                    f"{stats}, line {reader.line_num}: seconds and max_delta "
-                    "must be integers"
-                ) from None
+    try:
+        text = stats.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"stats file is not readable: {stats} ({exc})") from None
+    reader = csv.DictReader(text.splitlines())
+    if not {"seconds", "max_delta"} <= set(reader.fieldnames or ()):
+        raise ConfigError(f"unrecognized stats.csv header in {out_dir}")
+    rows = []
+    for row in reader:
+        try:
+            rows.append((int(row["seconds"]), int(row["max_delta"])))
+        except (TypeError, ValueError):  # a missing cell reads as None
+            raise ConfigError(
+                f"{stats}, line {reader.line_num}: seconds and max_delta "
+                "must be integers"
+            ) from None
     max_delta = max((delta for _, delta in rows), default=0)
     first_positive = next((sec for sec, delta in rows if delta > 0), None)
     return max_delta, first_positive

@@ -5,9 +5,10 @@ wrapping add/subtract, and interesting-value substitutions, emitting a
 closed-form number of mutants per input length. Havoc stacks 1-64 random
 edits; splice joins a prefix of one corpus entry to a suffix of another.
 All randomness flows through an explicit rng handle so a campaign's mutant
-stream is reproducible from its seed. Havoc draws with rng.getrandbits
-directly, by the rule randrange itself applies (k = n.bit_length() bits,
-redrawn until below n), so its stream is randrange's on Python 3.10-3.13.
+stream is reproducible from its seed. Havoc makes each draw inline with
+rng.getrandbits, by the rule randrange itself applies (k = n.bit_length()
+bits, redrawn until below n): no call per draw, and on Python 3.10-3.13 its
+stream is randrange's.
 """
 
 from __future__ import annotations
@@ -108,77 +109,84 @@ def havoc(data: bytes, max_len: int, rng: random.Random) -> bytes:
     if len(data) > max_len:
         raise ValueError(f"input of {len(data)} bytes is longer than max_len {max_len}")
     getrandbits = rng.getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    # The draws below a fixed bound are inlined with the width below() would
-    # take: 3 bits below 7, 4 below 8, 9 below 256 and 2 below 2. On the
-    # perfbench havoc workload (Python 3.11.7, 2 cores) that is about 1.14x
-    # the evals/s of calling below() for them (BENCH_9.json).
+    # Every draw is inline: a draw, then a redraw while it is out of range.
+    # Below m it takes w = m.bit_length() bits; below the fixed bounds 7, 8,
+    # 256 and 2, the 3, 4, 9 and 2 bits randrange takes. n follows the length
+    # through ops 3, 4 and 6. On the perfbench havoc workload (Python 3.11.7,
+    # 2 cores) this runs 1.14-1.18x the evals/s of drawing positions and
+    # lengths through a helper call (BENCH_15.json).
     buf = bytearray(data)
+    n = len(buf)
     stack = getrandbits(_STACK_BITS)
-    while stack > HAVOC_STACK_POW2:
-        stack = getrandbits(_STACK_BITS)
+    while stack > HAVOC_STACK_POW2: stack = getrandbits(_STACK_BITS)
     for _ in range(1 << stack):
         op = getrandbits(3)
-        while op == 7:
-            op = getrandbits(3)
-        n = len(buf)
-        if op == 0:  # flip one bit
-            pos = below(n)
-            bit = getrandbits(4)
-            while bit >= 8:
-                bit = getrandbits(4)
-            buf[pos] ^= 1 << bit
-        elif op == 1:  # set byte: the value is drawn before the position
-            value = getrandbits(9)
-            while value >= 256:
+        while op == 7: op = getrandbits(3)
+        if op < 3:  # one byte at one position; op 1 draws its value first
+            if op == 1:
                 value = getrandbits(9)
-            buf[below(n)] = value
-        elif op == 2:  # 8-bit wrapping arith by +/- 1..ARITH_MAX
-            pos = below(n)
-            d = getrandbits(_ARITH_BITS)
-            while d >= ARITH_MAX:
+                while value >= 256: value = getrandbits(9)
+            w = n.bit_length(); pos = getrandbits(w)
+            while pos >= n: pos = getrandbits(w)
+            if op == 0:  # flip one bit
+                bit = getrandbits(4)
+                while bit >= 8: bit = getrandbits(4)
+                buf[pos] ^= 1 << bit
+            elif op == 1:  # set byte
+                buf[pos] = value
+            else:  # 8-bit wrapping arith by +/- 1..ARITH_MAX
                 d = getrandbits(_ARITH_BITS)
-            sign = getrandbits(2)
-            while sign >= 2:
+                while d >= ARITH_MAX: d = getrandbits(_ARITH_BITS)
                 sign = getrandbits(2)
-            buf[pos] = (buf[pos] - d - 1 if sign else buf[pos] + d + 1) % 256
+                while sign >= 2: sign = getrandbits(2)
+                buf[pos] = (buf[pos] - d - 1 if sign else buf[pos] + d + 1) & 255
         elif op == 3:  # insert random block (suppressed at the cap)
             room = max_len - n
             if room > 0:
-                k = 1 + below(min(HAVOC_BLOCK_MAX, room))
-                pos = below(n + 1)
+                m = room if room < HAVOC_BLOCK_MAX else HAVOC_BLOCK_MAX
+                w = m.bit_length(); k = getrandbits(w) + 1
+                while k > m: k = getrandbits(w) + 1
+                w = (n + 1).bit_length(); pos = getrandbits(w)
+                while pos > n: pos = getrandbits(w)
                 block = bytearray(k)
                 for i in range(k):
                     value = getrandbits(9)
-                    while value >= 256:
-                        value = getrandbits(9)
+                    while value >= 256: value = getrandbits(9)
                     block[i] = value
                 buf[pos:pos] = block
+                n += k
         elif op == 4:  # delete block, keep at least one byte
             if n > 1:
-                k = 1 + below(min(HAVOC_BLOCK_MAX, n - 1))
-                pos = below(n - k + 1)
+                m = n - 1 if n <= HAVOC_BLOCK_MAX else HAVOC_BLOCK_MAX
+                w = m.bit_length(); k = getrandbits(w) + 1
+                while k > m: k = getrandbits(w) + 1
+                w = (n - k + 1).bit_length(); pos = getrandbits(w)
+                while pos > n - k: pos = getrandbits(w)
                 del buf[pos:pos + k]
+                n -= k
         elif op == 5:  # overwrite block with a copy from elsewhere in buf
-            k = 1 + below(min(HAVOC_BLOCK_MAX, n))
-            src = below(n - k + 1)
-            dst = below(n - k + 1)
+            m = n if n < HAVOC_BLOCK_MAX else HAVOC_BLOCK_MAX
+            w = m.bit_length(); k = getrandbits(w) + 1
+            while k > m: k = getrandbits(w) + 1
+            w = (n - k + 1).bit_length(); src = getrandbits(w)
+            while src > n - k: src = getrandbits(w)
+            dst = getrandbits(w)
+            while dst > n - k: dst = getrandbits(w)
             buf[dst:dst + k] = buf[src:src + k]
         else:  # duplicate block (insert a copy, suppressed at the cap)
             room = max_len - n
             if room > 0:
-                k = 1 + below(min(HAVOC_BLOCK_MAX, room, n))
-                src = below(n - k + 1)
+                m = room if room < n else n
+                if m > HAVOC_BLOCK_MAX: m = HAVOC_BLOCK_MAX
+                w = m.bit_length(); k = getrandbits(w) + 1
+                while k > m: k = getrandbits(w) + 1
+                w = (n - k + 1).bit_length(); src = getrandbits(w)
+                while src > n - k: src = getrandbits(w)
                 block = buf[src:src + k]
-                pos = below(n + 1)
+                w = (n + 1).bit_length(); pos = getrandbits(w)
+                while pos > n: pos = getrandbits(w)
                 buf[pos:pos] = block
+                n += k
     return bytes(buf)
 
 

@@ -2,8 +2,12 @@
 stop conditions, the output files, and the witness self-check."""
 
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltafuzz import campaign as campaign_module
 from deltafuzz import driver as driver_module
@@ -502,6 +506,31 @@ def test_campaign_witness_replays_for_every_driver(tmp_path, name):
             timeout_seconds=1.0,
         )
     )
+    replayed = replay(name, report.witness_data, dimension=report.dimension)
+    assert replayed.delta_of(report.dimension) == report.max_delta
+    assert replayed.decoded == report.witness_decoded
+
+
+@pytest.mark.parametrize("name", driver_names())
+@given(rng_seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=3, deadline=None)
+def test_havoc_only_witness_replays_for_every_driver(name, rng_seed):
+    # The test above never leaves the deterministic stage of its 48-byte
+    # seed; without that stage every evaluation after the seed is a havoc or
+    # splice mutant.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        report = run_campaign(
+            paced_config(
+                tmp_path,
+                driver=name,
+                seed_dir=seeds_dir(tmp_path, {"seed": bytes(range(1, 49))}),
+                pace=200,
+                timeout_seconds=1.0,
+                rng_seed=rng_seed,
+                deterministic_stage_enabled=False,
+            )
+        )
     replayed = replay(name, report.witness_data, dimension=report.dimension)
     assert replayed.delta_of(report.dimension) == report.max_delta
     assert replayed.decoded == report.witness_decoded

@@ -283,6 +283,22 @@ def test_replay_missing_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_replay_unreadable_file_is_exit_two(tmp_path, monkeypatch, capsys):
+    blob = tmp_path / "locked.bin"
+    blob.write_bytes(bytes(48))
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # chmod cannot lock root out, so the read itself raises
+    monkeypatch.setattr(cli.Path, "read_bytes", refuse)
+    code = main(["replay", "--driver", "pwcheck_unsafe", "--input", str(blob)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input file is not readable: ")
+    assert str(blob) in err
+
+
 def test_replay_parse_reject(tmp_path, capsys):
     blob = tmp_path / "tiny.bin"
     blob.write_bytes(b"\x00\x01")
@@ -350,6 +366,30 @@ def test_report_bad_header(tmp_path, capsys):
     (d / "stats.csv").write_text("time,delta\n0,1\n")
     assert main(["report", str(d)]) == 2
     assert "unrecognized" in capsys.readouterr().err
+
+
+def test_report_stats_that_are_not_utf8_is_exit_two(tmp_path, capsys):
+    d = tmp_path / "garbled"
+    d.mkdir()
+    (d / "stats.csv").write_bytes(b"\xff\xfe\x00garbage\n")
+    assert main(["report", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stats file is not readable: ")
+    assert str(d / "stats.csv") in err
+
+
+def test_report_unreadable_stats_is_exit_two(tmp_path, monkeypatch, capsys):
+    d = stats_dir(tmp_path, "locked", [(0, 1)])
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # chmod cannot lock root out, so the read itself raises
+    monkeypatch.setattr(cli.Path, "read_text", refuse)
+    assert main(["report", d]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stats file is not readable: ")
+    assert f"{d}/stats.csv" in err
 
 
 @pytest.mark.parametrize(

@@ -265,14 +265,21 @@ def randrange_havoc(data, max_len, rng):
     data=st.binary(min_size=1, max_size=48),
     room=st.integers(min_value=0, max_value=47),
     seed=st.integers(),
+    mutants=st.just(20),
 )
-@example(data=b"\x01", room=0, seed=0)  # insert and delete both suppressed
-@example(data=bytes(48), room=0, seed=1)
+@example(data=b"\x01", room=0, seed=0, mutants=20)  # insert and delete both suppressed
+@example(data=bytes(48), room=0, seed=1, mutants=20)
+# At length 1, op 6 copies its one byte and op 5's source and destination
+# each still draw below 1, which consumes a word.
+@example(data=b"\x01", room=47, seed=9, mutants=1)
+@example(data=b"\x01\x02", room=1, seed=16, mutants=1)  # op 3 inserts 1 byte: a draw below 1
+# A chain through lengths 48 and 1, so ops 3, 4 and 6 all change the length.
+@example(data=b"\x01", room=47, seed=0, mutants=200)
 @settings(max_examples=200)
-def test_havoc_draws_the_stream_of_randrange(data, room, seed):
+def test_havoc_draws_the_stream_of_randrange(data, room, seed, mutants):
     max_len = min(len(data) + room, 48)
     rng, reference = random.Random(seed), random.Random(seed)
-    for _ in range(20):
+    for _ in range(mutants):
         expected = randrange_havoc(data, max_len, reference)
         data = havoc(data, max_len, rng)
         assert data == expected
