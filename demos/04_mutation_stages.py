@@ -1,9 +1,10 @@
 """Watch the mutation pipeline work on a small input.
 
-Every queue entry goes through a deterministic stage once (systematic bit
-flips, byte flips, arithmetic nudges, interesting-constant overwrites),
-then repeated havoc rounds (stacked random edits) and splices with other
-queue entries. This script prints what each stage produces.
+Every queue entry goes through a deterministic stage once (flips of 1, 2
+and 4 bits at every bit, then of 1, 2 and 4 bytes at every byte: 100
+mutants of this script's 4-byte input), then repeated havoc rounds
+(stacked random edits) and splices with other queue entries. This script
+prints what each stage produces.
 
 Run: python3 demos/04_mutation_stages.py
 """

@@ -93,9 +93,9 @@ def consider(
 ) -> bool:
     """Absorb run_cov into global_cov, and enqueue data iff that found new
     coverage or improved is set (delta strictly beat the high score), unless
-    the bytes are empty or already queued."""
+    the bytes are already queued."""
     new_pairs = global_cov.absorb(run_cov)
-    if not (new_pairs or improved) or not data or queue.seen(data):
+    if not (new_pairs or improved) or queue.seen(data):
         return False
     queue.add(data, best_delta=delta, parent_id=parent_id)
     return True

@@ -1,9 +1,10 @@
-"""Byte-level input mutation: deterministic stages, havoc, and splicing.
+"""Byte-level input mutation: a deterministic flip walk, havoc, and splicing.
 
-The deterministic stage walks a fixed schedule of bit flips, byte flips,
-wrapping add/subtract, and interesting-value substitutions, emitting a
-closed-form number of mutants per input length. Havoc stacks 1-64 random
-edits; splice joins a prefix of one corpus entry to a suffix of another.
+The deterministic stage flips runs of 1, 2 and 4 bits at every bit offset,
+then of 1, 2 and 4 bytes at every byte offset: 27L - 8 mutants for an input
+of L >= 4 bytes. These are the flip sub-stages of AFL's schedule; its
+arithmetic and interesting-value sub-stages are left out. Havoc stacks 1-64
+random edits; splice joins a prefix of one corpus entry to a suffix of another.
 All randomness flows through an explicit rng handle so a campaign's mutant
 stream is reproducible from its seed. Havoc makes each draw inline with
 rng.getrandbits, by the rule randrange itself applies (k = n.bit_length()
@@ -24,65 +25,23 @@ HAVOC_BLOCK_MAX = 32
 _STACK_BITS = (HAVOC_STACK_POW2 + 1).bit_length()
 _ARITH_BITS = ARITH_MAX.bit_length()
 
-INTERESTING_8 = [-128, -1, 0, 1, 16, 32, 64, 100, 127]
-INTERESTING_16 = INTERESTING_8 + [
-    -32768, -129, 128, 255, 256, 512, 1000, 1024, 4096, 32767,
-]
-INTERESTING_32 = INTERESTING_16 + [
-    -2147483648, -100663046, -32769, 32768, 65535, 65536, 100663045, 2147483647,
-]
 
-
-def bitflips(data: bytes, width: int) -> Iterator[bytes]:
-    """Flip `width` consecutive bits at every offset, LSB-first within a byte."""
-    size, word, mask = len(data), int.from_bytes(data, "little"), (1 << width) - 1
-    for start in range(size * 8 - width + 1):
+def flips(data: bytes, bits: int, step: int) -> Iterator[bytes]:
+    """XOR a run of `bits` ones into the input read as one little-endian
+    integer, at every `step`-th bit offset: bit k is bit k % 8 of byte k // 8."""
+    size, word, mask = len(data), int.from_bytes(data, "little"), (1 << bits) - 1
+    for start in range(0, size * 8 - bits + 1, step):
         yield (word ^ (mask << start)).to_bytes(size, "little")
 
 
-def _substitutions(data: bytes, width: int, values) -> Iterator[bytes]:
-    """Each little-endian window of `width` bytes, in offset order, set to
-    each value of values(old, mod) in turn; windows are read from, and
-    written into, the input read as one little-endian integer."""
-    size, word, mod = len(data), int.from_bytes(data, "little"), 1 << 8 * width
-    for shift in range(0, 8 * (size - width + 1), 8):
-        old = word >> shift & mod - 1
-        for value in values(old, mod):
-            yield (word ^ (value ^ old) << shift).to_bytes(size, "little")
-
-
-def byteflips(data: bytes, width: int) -> Iterator[bytes]:
-    """XOR `width` consecutive bytes with 0xFF at every offset."""
-    return _substitutions(data, width, lambda old, mod: (old ^ mod - 1,))
-
-
-def arith(data: bytes, width: int) -> Iterator[bytes]:
-    """Wrapping +/- 1..ARITH_MAX on a little-endian window of `width` bytes."""
-    steps = [s for d in range(1, ARITH_MAX + 1) for s in (d, -d)]
-    return _substitutions(data, width, lambda old, mod: [(old + s) % mod for s in steps])
-
-
-def interesting(data: bytes, width: int) -> Iterator[bytes]:
-    """Substitute boundary values little-endian; no-op substitutions skipped."""
-    values = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}[width]
-    encoded = [v % (1 << 8 * width) for v in values]
-    return _substitutions(data, width, lambda old, mod: [e for e in encoded if e != old])
-
-
-# (name, generator, width) in fixed execution order
+# (name, bits, step) in fixed execution order
 DETERMINISTIC_SCHEDULE = (
-    ("bitflip_1", bitflips, 1),
-    ("bitflip_2", bitflips, 2),
-    ("bitflip_4", bitflips, 4),
-    ("byteflip_1", byteflips, 1),
-    ("byteflip_2", byteflips, 2),
-    ("byteflip_4", byteflips, 4),
-    ("arith_8", arith, 1),
-    ("arith_16", arith, 2),
-    ("arith_32", arith, 4),
-    ("interesting_8", interesting, 1),
-    ("interesting_16", interesting, 2),
-    ("interesting_32", interesting, 4),
+    ("bitflip_1", 1, 1),
+    ("bitflip_2", 2, 1),
+    ("bitflip_4", 4, 1),
+    ("byteflip_1", 8, 8),
+    ("byteflip_2", 16, 8),
+    ("byteflip_4", 32, 8),
 )
 
 
@@ -90,8 +49,8 @@ def deterministic_stage(data: bytes) -> Iterator[bytes]:
     """Every scheduled mutant of `data`, lazily, in fixed order."""
     if not data:
         raise ValueError("input must be non-empty")
-    for _name, gen, width in DETERMINISTIC_SCHEDULE:
-        yield from gen(data, width)
+    for _name, bits, step in DETERMINISTIC_SCHEDULE:
+        yield from flips(data, bits, step)
 
 
 def havoc(data: bytes, max_len: int, rng: random.Random) -> bytes:

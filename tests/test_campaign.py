@@ -23,7 +23,16 @@ from deltafuzz.campaign import (
     verdict,
 )
 from deltafuzz.corpus import consider
-from deltafuzz.driver import ConfigError, Constraints, DriverSpec, driver_names, get_driver
+from deltafuzz.driver import (
+    OUTCOME_HARNESS_ERROR,
+    OUTCOME_PARSE_REJECT,
+    ConfigError,
+    Constraints,
+    DriverSpec,
+    driver_names,
+    get_driver,
+)
+from deltafuzz.oracle import structured_max_delta
 
 ARTIFACTS = ("stats.csv", "witness.bin", "witness.txt", "report.txt")
 
@@ -187,6 +196,39 @@ def test_unsafe_campaign_finds_positive_delta(tmp_path):
     assert report.first_positive_at <= report.duration
 
 
+@pytest.mark.parametrize(
+    "name,cap,executions",
+    [
+        ("pwcheck_unsafe", 16, 513),
+        ("straightline_unsafe", 4, 130),
+        ("pad_unsafe", 4, 1261),
+        ("jetty_eq_unsafe", 4, 1261),
+    ],
+)
+def test_evaluations_to_truth_from_the_zero_seed(tmp_path, name, cap, executions):
+    """From 48 zero bytes each of these truths lies inside the seed's flip
+    walk, which draws nothing from the rng: the evaluations it takes to
+    reach truth are a fixed function of the stage's order."""
+    truth = structured_max_delta(get_driver(name), cap).max_delta
+    zero = tmp_path / "zero"
+    zero.mkdir()
+    (zero / "seed").write_bytes(bytes(48))
+    report = run_campaign(
+        paced_config(
+            tmp_path,
+            driver=name,
+            seed_dir=str(zero),
+            segment_cap=cap,
+            pace=1000,
+            rng_seed=1,
+            timeout_seconds=10.0,
+            stop_on_delta=truth,
+        )
+    )
+    assert report.stop_reason == "delta-target-reached"
+    assert report.executions == executions
+
+
 def test_witness_replays_to_reported_delta(tmp_path):
     report = run_campaign(paced_config(tmp_path, stop_on_delta=2))
     res = replay("pwcheck_unsafe", report.witness_data)
@@ -303,21 +345,32 @@ def test_every_evaluation_of_a_raising_target_is_a_harness_error(tmp_path, monke
     """At segment cap 1 most mutants of the seed repeat the last triple;
     their empty map and their delta, no higher than the high score, keep
     them out of the novelty check, yet each is still counted, error and
-    all."""
+    all. A havoc mutant under 3 bytes cannot be split, so it is a parse
+    reject that never runs the target; every other evaluation raises."""
     spec = DriverSpec(
         name="always_raises", target=always_raises, constraints=Constraints(max_segment_len=1)
     )
     monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    real_run_driver = campaign_module.run_driver
+    outcomes = []
+
+    def recording_run_driver(*args):
+        result = real_run_driver(*args)
+        outcomes.append(result.outcome)
+        return result
+
     considered = []
 
     def counting_consider(*args):
         considered.append(args[1])
         return consider(*args)
 
+    monkeypatch.setattr(campaign_module, "run_driver", recording_run_driver)
     monkeypatch.setattr(campaign_module, "consider", counting_consider)
     report = run_campaign(paced_config(tmp_path, driver=spec.name, timeout_seconds=1.0))
-    assert report.executions == 500
-    assert report.harness_error_count == report.executions
+    assert report.executions == len(outcomes) == 500
+    assert set(outcomes) <= {OUTCOME_HARNESS_ERROR, OUTCOME_PARSE_REJECT}
+    assert report.harness_error_count == outcomes.count(OUTCOME_HARNESS_ERROR)
     assert report.harness_error_notes == ("ValueError: refused",)
     assert len(considered) < report.executions // 2
 

@@ -48,7 +48,7 @@ MODPOW_SEED = (
 
 # name -> (CampaignConfig fields, seed file contents)
 CAMPAIGNS = {
-    # deterministic stage of a 12-byte seed, then havoc and splice
+    # the 316-mutant flip walk of a 12-byte seed, then havoc and splice
     "pwcheck_unsafe": (
         dict(driver_name="pwcheck_unsafe", rng_seed=1, timeout_seconds=5.0),
         bytes(12),
@@ -73,11 +73,11 @@ CAMPAIGNS = {
 # sha256 of each artifact and of the newline-joined sorted queue filenames
 GOLDEN = {
     "pwcheck_unsafe": {
-        "stats.csv": "6dbfbcd3962711f8047bfc2e557c1349d8cd60f8f1cbc802f32b557c314891db",
-        "witness.bin": "e3c5b4ffe2b3498a93ec8e8985a48f152a64de6bc66998f32bf4dd479e066b47",
-        "witness.txt": "c513a16e50f841fc275451cbda72e546b26d5052064cb3262186e3542d3e8e06",
-        "report.txt": "a74e4499e63130cbee9300102bd27182533af42a1567704de3147f8d4e061bbb",
-        "queue": "d65367576dd7c2cb5edd2db47ae0c1ee1d1fcaba5d857ee62c2f2609005de706",
+        "stats.csv": "544229480d854dc7548cb1960634ac376a04f97a56f1d49c477b2131202f2766",
+        "witness.bin": "6483b7cd4db64f06801b5fd20cfab7a87d8b204a2157870828310a9fa5738db0",
+        "witness.txt": "e564a4c203b1d571413af668d058688b58849749d91d4f9e42df9065ae9af19c",
+        "report.txt": "ffccd658c0778a6e4cdedddc3451751393c6c6ff8f913e3a3975bc20a54e07d2",
+        "queue": "6938777f81a7a221003bc76485cf3713b726955a86f9de687c8291eed9ca97f6",
     },
     "pad_unsafe_cap4": {
         "stats.csv": "5f0a46e174164d52cd307bcc59472cbe74e2edcd80cc1208738edea891c43c14",
@@ -129,11 +129,11 @@ def test_paced_artifacts_match_golden(tmp_path, name):
 
 COUNTING_SEED = b"\x01" + bytes(11)
 COUNTING_GOLDEN = {
-    "stats.csv": "1a33f4cf62b31db393b931f8aa18b1bc88d8074136d0e89d197378c4080b0632",
+    "stats.csv": "34aad1f3dc5ae7d9befc8ec9e0fb921a97f7a38e3d8641d62693c0eeaae8a330",
     "witness.bin": "7d450465ceb49083708a6970827f0e0b116ed285072a95b451e55f583f56da8d",
     "witness.txt": "60b9da33331bf8124fb33e2cbe3334971d249531ec3820d8711acab9da067e44",
-    "report.txt": "190331b802592ff4a379880211123a5f7739356c3a1932288b27a7178074a9b6",
-    "queue": "c1e740e57585d8b1d89876ff0019cd51eac6c90a652d2d00bf44d31060a91f07",
+    "report.txt": "bcbcd8266b5ee9236df8cb3b796cc536eee55e495604f0d029ad2ad9b97bc11a",
+    "queue": "3e3430f2498053c7433bea49324a5f0860cb3454ee1dc59c1b0e4ede47608069",
 }
 
 

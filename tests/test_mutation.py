@@ -1,7 +1,7 @@
-"""Deterministic mutation schedule, havoc bounds, splice construction."""
+"""Deterministic flip walk, havoc bounds, splice construction."""
 
+import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,26 +12,15 @@ from deltafuzz.mutation import (
     DETERMINISTIC_SCHEDULE,
     HAVOC_BLOCK_MAX,
     HAVOC_STACK_POW2,
-    INTERESTING_8,
-    INTERESTING_16,
-    INTERESTING_32,
-    arith,
-    bitflips,
-    byteflips,
     deterministic_stage,
+    flips,
     havoc,
-    interesting,
     splice,
 )
 
 
 def deterministic_stage_counts(length: int) -> dict[str, int]:
-    """Closed-form mutant count per sub-stage for an input of `length` bytes.
-
-    Exact when no interesting-value substitution collides with the input's
-    existing bytes/words (collisions are skipped as no-ops); always an upper
-    bound otherwise.
-    """
+    """Closed-form mutant count per sub-stage for an input of `length` bytes."""
     counts = {
         "bitflip_1": max(0, 8 * length),
         "bitflip_2": max(0, 8 * length - 1),
@@ -39,33 +28,27 @@ def deterministic_stage_counts(length: int) -> dict[str, int]:
         "byteflip_1": length,
         "byteflip_2": max(0, length - 1),
         "byteflip_4": max(0, length - 3),
-        "arith_8": 2 * ARITH_MAX * length,
-        "arith_16": 2 * ARITH_MAX * max(0, length - 1),
-        "arith_32": 2 * ARITH_MAX * max(0, length - 3),
-        "interesting_8": len(INTERESTING_8) * length,
-        "interesting_16": len(INTERESTING_16) * max(0, length - 1),
-        "interesting_32": len(INTERESTING_32) * max(0, length - 3),
     }
     counts["total"] = sum(counts.values())
     return counts
 
 
 def test_single_bitflips_of_zero_byte():
-    assert list(bitflips(b"\x00", 1)) == [
+    assert list(flips(b"\x00", 1, 1)) == [
         bytes([v]) for v in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80)
     ]
 
 
 def test_bitflip_window_counts():
     data = b"\x00" * 4
-    assert len(list(bitflips(data, 1))) == 32
-    assert len(list(bitflips(data, 2))) == 31
-    assert len(list(bitflips(data, 4))) == 29
+    assert len(list(flips(data, 1, 1))) == 32
+    assert len(list(flips(data, 2, 1))) == 31
+    assert len(list(flips(data, 4, 1))) == 29
 
 
 def test_byteflip_examples():
-    assert list(byteflips(b"\xff\x00", 1)) == [b"\x00\x00", b"\xff\xff"]
-    assert list(byteflips(b"\x12\x34\x56", 2)) == [b"\xed\xcb\x56", b"\x12\xcb\xa9"]
+    assert list(flips(b"\xff\x00", 8, 8)) == [b"\x00\x00", b"\xff\xff"]
+    assert list(flips(b"\x12\x34\x56", 16, 8)) == [b"\xed\xcb\x56", b"\x12\xcb\xa9"]
 
 
 def reference_bitflips(data, width):
@@ -90,72 +73,30 @@ def reference_byteflips(data, width):
 @settings(max_examples=200)
 def test_flips_are_the_bytewise_walks(data, width):
     """Flipping bits of the input read as one little-endian integer gives
-    the mutants of the bytewise walk, in the same order."""
-    assert list(bitflips(data, width)) == list(reference_bitflips(data, width))
-    assert list(byteflips(data, width)) == list(reference_byteflips(data, width))
+    the mutants of the bytewise walk, in the same order: a byte flip of
+    `width` bytes is a run of 8 * width bits moved 8 bits at a time."""
+    assert list(flips(data, width, 1)) == list(reference_bitflips(data, width))
+    assert list(flips(data, 8 * width, 8)) == list(reference_byteflips(data, width))
 
 
-def reference_substitutions(data, width, values):
-    """The window walk over a bytearray copy: each window of `width` bytes,
-    read little-endian, set to each of values(old)."""
-    for start in range(len(data) - width + 1):
-        old = int.from_bytes(data[start:start + width], "little")
-        for value in values(old):
-            buf = bytearray(data)
-            buf[start:start + width] = value.to_bytes(width, "little")
-            yield bytes(buf)
-
-
-@given(data=st.binary(min_size=1, max_size=48), width=st.sampled_from([1, 2, 4]))
-@settings(max_examples=200)
-@example(data=b"\x00" * 4, width=4)  # substituting 0 is a no-op, skipped
-@example(data=b"\xff" * 4, width=1)  # add and subtract wrap
-def test_arith_and_interesting_are_the_bytewise_walks(data, width):
-    """Substituting a window in the input read as one little-endian integer
-    gives the mutants of the bytewise walk, in the same order."""
-    mod = 1 << 8 * width
-    values = {1: INTERESTING_8, 2: INTERESTING_16, 4: INTERESTING_32}[width]
-
-    def arith_values(old):
-        for d in range(1, ARITH_MAX + 1):
-            yield from ((old + d) % mod, (old - d) % mod)
-
-    def interesting_values(old):
-        return [v % mod for v in values if v % mod != old]
-
-    assert list(arith(data, width)) == list(reference_substitutions(data, width, arith_values))
-    assert list(interesting(data, width)) == list(
-        reference_substitutions(data, width, interesting_values)
-    )
-
-
-def test_arith_plus_one():
-    mutants = list(arith(b"\x10", 1))
-    assert mutants[0] == b"\x11"  # +1 comes first
-    assert mutants[1] == b"\x0f"  # then -1
-    assert len(mutants) == 2 * ARITH_MAX
-
-
-def test_arith_wraps():
-    mutants = list(arith(b"\xff", 1))
-    assert b"\x00" in mutants  # 0xFF + 1
-    mutants16 = list(arith(b"\x00\x00", 2))
-    assert mutants16[1] == b"\xff\xff"  # 0 - 1 little-endian
-
-
-def test_interesting_skips_noops():
-    # 0 is in every interesting set; substituting it into a zero buffer is a no-op
-    zero = list(interesting(b"\x00", 1))
-    assert len(zero) == len(INTERESTING_8) - 1
-    assert b"\x00" not in zero
-    plain = list(interesting(b"\x5a", 1))
-    assert len(plain) == len(INTERESTING_8)
-
-
-def test_interesting_is_little_endian():
-    mutants = list(interesting(b"\x5a" * 4, 4))
-    assert (2147483647).to_bytes(4, "little") in mutants
-    assert b"\xff\xff\xff\x7f" in mutants
+def test_stage_is_the_reference_walks_in_order():
+    """For every length 1-64 the stage is the bit walks of widths 1, 2 and
+    4, then the byte walks of widths 1, 2 and 4, each of its closed-form
+    length, and nothing after them."""
+    rng = random.Random(16)
+    names = [name for name, *_ in DETERMINISTIC_SCHEDULE]
+    assert names == [f"{kind}_{w}" for kind in ("bitflip", "byteflip") for w in (1, 2, 4)]
+    for length in range(1, 65):
+        data = rng.randbytes(length)
+        counts = deterministic_stage_counts(length)
+        stage = deterministic_stage(data)
+        for name in names:
+            kind, width = name.split("_")
+            walk = reference_bitflips if kind == "bitflip" else reference_byteflips
+            expected = list(walk(data, int(width)))
+            assert len(expected) == counts[name], (length, name)
+            assert list(itertools.islice(stage, len(expected))) == expected, (length, name)
+        assert next(stage, None) is None, length
 
 
 def test_deterministic_stage_requires_input():
@@ -172,22 +113,17 @@ def test_stage_mutants_preserve_length():
 
 @pytest.mark.parametrize("length", [1, 2, 4, 5, 16])
 def test_counts_match_closed_form(length):
-    """0x5A avoids every interesting-value encoding, so the enumeration is
-    exactly the closed form at any length."""
+    """Every flip changes the input, so the enumeration is exactly the
+    closed form at any length, whatever the bytes."""
     data = b"\x5a" * length
     expected = deterministic_stage_counts(length)
-    per_stage = Counter()
-    for name, gen, width in DETERMINISTIC_SCHEDULE:
-        per_stage[name] = sum(1 for _ in gen(data, width))
+    per_stage = {
+        name: sum(1 for _ in flips(data, bits, step))
+        for name, bits, step in DETERMINISTIC_SCHEDULE
+    }
     for name, count in per_stage.items():
         assert count == expected[name], name
     assert sum(per_stage.values()) == expected["total"]
-
-
-def test_interesting_set_sizes():
-    assert len(INTERESTING_8) == 9
-    assert len(INTERESTING_16) == 19
-    assert len(INTERESTING_32) == 27
 
 
 @given(
