@@ -7,10 +7,17 @@ The structured oracle instead asks the driver for witnesses of its declared
 cost statistic, which stays tractable at segment lengths the exhaustive
 domain cannot reach. Both replay their witness before returning, so the
 reported delta is by construction reproducible with `replay`.
+
+The exhaustive sweep splits its pubs over the CPUs the process may use, in
+forked children, with results identical to one process's; so targets must be
+pure, as replay assumes. Campaigns stay single-process: each evaluation can
+change the queue the next one draws from.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -73,6 +80,69 @@ def _result(
     )
 
 
+def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
+    """(max - min cost over secs, the first secret at each extreme) per pub."""
+    dim = aspec.cost_dimension
+    out = []
+    for pub in pubs:
+        costs = {}
+        for sec in secs:
+            res = run_driver(aspec, pub + sec + sec)
+            if res.delta_of(dim) != 0:
+                raise RuntimeError(
+                    f"driver {aspec.name!r} cost is nondeterministic: identical "
+                    "secrets produced different readings"
+                )
+            costs[sec] = res.cost1.of(dim)
+        hi, lo = max(costs, key=costs.get), min(costs, key=costs.get)  # first of each, in order
+        out.append((costs[hi] - costs[lo], hi, lo))
+    return out
+
+
+def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
+    """_reduce over pubs[k::w] for each share k of w: share 0 here, each other in
+    a forked child, unless a second thread makes forking liable to deadlock."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(pubs))
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _reduce(aspec, pubs, secs)
+    import pickle
+    import signal
+    children, statuses = [], []  # children: (pid, read end of its pipe)
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        share = _reduce(aspec, pubs[k::w], secs)
+                    except BaseException as exc:  # noqa: BLE001 - the parent raises it
+                        share = exc
+                    with open(wr, "wb") as fh:
+                        fh.write(pickle.dumps(share))
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # nothing sent: the parent reads EOF
+            os.close(wr)  # before the next fork, so EOF means this child is gone
+            children.append((pid, open(r, "rb")))
+        shares = [_reduce(aspec, pubs[::w], secs)]
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), data, status in zip(children, sent, statuses):
+        if not data:  # its share or exception, pickled, never came
+            raise RuntimeError(f"oracle child {pid} exited with status {status}, sending nothing")
+        share = pickle.loads(data)
+        if isinstance(share, BaseException):
+            raise share
+        shares.append(share)
+    return [shares[i % w][i // w] for i in range(len(pubs))]
+
+
 def exhaustive_max_delta(
     spec: DriverSpec,
     segment_len: int,
@@ -94,33 +164,13 @@ def exhaustive_max_delta(
             "or use the structured oracle"
         )
 
-    dim = aspec.cost_dimension
-    executions = 0
-    best_delta = -1
-    best_witness = b""
-    for pub_raw in product(range(n), repeat=segment_len):
-        pub = bytes(pub_raw)
-        lo_cost = hi_cost = None
-        lo_sec = hi_sec = b""
-        for sec_raw in product(range(n), repeat=segment_len):
-            sec = bytes(sec_raw)
-            res = run_driver(aspec, pub + sec + sec)
-            executions += 1
-            if res.delta_of(dim) != 0:
-                raise RuntimeError(
-                    f"driver {aspec.name!r} cost is nondeterministic: identical "
-                    "secrets produced different readings"
-                )
-            cost = res.cost1.of(dim)
-            if lo_cost is None or cost < lo_cost:
-                lo_cost, lo_sec = cost, sec
-            if hi_cost is None or cost > hi_cost:
-                hi_cost, hi_sec = cost, sec
-        delta = hi_cost - lo_cost
+    pubs = secs = [bytes(p) for p in product(range(n), repeat=segment_len)]
+    best_delta, best_witness = -1, b""
+    for pub, (delta, hi_sec, lo_sec) in zip(pubs, _sweep(aspec, pubs, secs)):
         if delta > best_delta:
             best_delta = delta
             best_witness = pub + hi_sec + lo_sec
-
+    executions = len(pubs) * len(secs)
     return _result(aspec, "exhaustive", segment_len, best_witness, best_delta, executions)
 
 

@@ -46,9 +46,12 @@ def seeds_dir(tmp_path, files=None):
 
 
 def paced_config(tmp_path, driver="pwcheck_unsafe", **kw):
+    """A paced campaign config; the 12-byte zero seed unless seed_dir is given,
+    so a caller's seed directory holds only the caller's seeds."""
+    if "seed_dir" not in kw:
+        kw["seed_dir"] = seeds_dir(tmp_path)
     defaults = dict(
         driver_name=driver,
-        seed_dir=seeds_dir(tmp_path),
         out_dir=str(tmp_path / "out"),
         timeout_seconds=3.0,
         pace=500,

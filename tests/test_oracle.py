@@ -1,5 +1,10 @@
 """Ground-truth oracles: frozen exhaustive maxima over tiny domains,
-structured witness enumeration, refusal paths, and mode agreement."""
+structured witness enumeration, refusal paths, mode agreement, and the
+exhaustive sweep split over forked children."""
+
+import os
+import signal
+import threading
 
 import pytest
 
@@ -239,3 +244,128 @@ def test_oracle_and_fuzzer_agree_on_straightline(tmp_path):
     )
     assert report.max_delta == truth == 8
     assert report.stop_reason == "delta-target-reached"
+
+
+# --- the sweep split over forked children ---------------------------------------
+
+
+def set_cpus(monkeypatch, count):
+    """The CPU count the sweep sees, and so its number of shares."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children the sweep forks, so that a test cannot
+    compare an in-process sweep with another in-process one."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fails a sweep that hangs instead of leaving the suite waiting."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_CASES = [
+    ("modpow_unsafe", 2, "binary"),  # the pubs with modulus 0 or 1 are harness errors
+    ("crime_compress", 2, "binary"),  # response_bytes
+    ("login_unsafe", 2, "binary"),
+    ("pwcheck_unsafe", 1, "lower"),
+]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])  # 3 shares of 4 binary pubs are uneven
+@pytest.mark.parametrize("name,length,charset", SPLIT_CASES)
+def test_a_forked_sweep_equals_an_in_process_one(
+    monkeypatch, forked, deadline, name, length, charset, cpus
+):
+    spec = get_driver(name)
+    set_cpus(monkeypatch, 1)
+    alone = exhaustive_max_delta(spec, length, charset=charset)
+    assert forked == []
+    set_cpus(monkeypatch, cpus)
+    split = exhaustive_max_delta(spec, length, charset=charset)
+    assert len(forked) == cpus - 1
+    assert split == alone
+    assert_no_child_left()
+
+
+def test_modpow_split_case_covers_harness_errors():
+    for pub in (b"\x00\x00", b"\x01\x00"):
+        rep = replay("modpow_unsafe", pub + b"\x00\x00" * 2, segment_cap=2, charset="binary")
+        assert rep.outcome == "harness_error"
+
+
+def test_nondeterminism_in_a_child_raises_the_same_error(monkeypatch, forked, deadline):
+    parent = os.getpid()
+    calls = [0]
+
+    def flaky_in_a_child(pub, sec, meter):
+        calls[0] += 1
+        meter.tick(1 if os.getpid() == parent else calls[0])
+
+    spec = DriverSpec(name="local_child_flaky", target=flaky_in_a_child)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as raised:
+        exhaustive_max_delta(spec, 1, charset="binary")
+    assert str(raised.value) == (
+        "driver 'local_child_flaky' cost is nondeterministic: identical "
+        "secrets produced different readings"
+    )
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_is_an_error_not_a_hang(monkeypatch, forked, deadline):
+    parent = os.getpid()
+
+    def dies_in_a_child(pub, sec, meter):
+        if os.getpid() != parent:
+            os._exit(7)
+        meter.tick(1)
+
+    spec = DriverSpec(name="local_child_dies", target=dies_in_a_child)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        exhaustive_max_delta(spec, 1, charset="binary")
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_threaded_process_sweeps_in_process(monkeypatch, forked):
+    set_cpus(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        res = exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, charset="binary")
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forked == []
+    assert res.max_delta == BINARY_L2_MAX["pwcheck_unsafe"]
