@@ -4,7 +4,9 @@ On a tiny input domain the maximum cost difference can be computed exactly
 by brute force, which is how the fuzzer's findings are validated. This
 script sweeps every benchmark pair over two-byte binary segments and prints
 the unsafe/safe maxima side by side, then shows the structured oracle
-reaching domain sizes brute force cannot.
+reaching domain sizes brute force cannot: it runs each secret at the
+extremes of the driver's declared statistic once, against one public input,
+so its run count is the number of those secrets.
 
 Run: python3 demos/02_ground_truth_oracle.py
 """
@@ -33,7 +35,8 @@ def main():
     print()
     print("structured oracle: full byte alphabets, segment lengths brute")
     print("force cannot enumerate (the driver declares which secret")
-    print("statistic drives its cost, and only its extremes are run)")
+    print("statistic drives its cost; each secret at its extremes runs")
+    print("once against one public input)")
     print()
     for name, length in (("pwcheck_unsafe", 16), ("jetty_eq_unsafe", 8),
                          ("modpow_unsafe", 8), ("pad_unsafe", 8)):

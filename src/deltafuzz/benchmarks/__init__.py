@@ -3,20 +3,21 @@
 Every benchmark registers one driver per variant (NAME_unsafe / NAME_safe,
 or just NAME when there is no repaired form). Where a target's cost depends
 on a single simple statistic of the secret (match prefix, effective length,
-exponent bit pattern, parity), the driver declares it so the structured
-oracle can enumerate that statistic instead of the raw byte domain. Each
-target module's COST_MODEL states what its meter charges, in prose.
+exponent bit pattern, parity), the driver declares it: one public input and
+the secrets at the statistic's extremes, which the structured oracle runs
+once each instead of the raw byte domain. Each target module's COST_MODEL
+states what its meter charges, in prose.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..driver import ConfigError, Constraints, DriverSpec, Statistic, register_driver
 from ..metering import Meter
 from . import crime, jetty_eq, login, micro, modpow, pad, pwcheck
 
-Triple = tuple[bytes, bytes, bytes]
+Witnesses = tuple[bytes, list[bytes]]  # one pub, the secrets at the extremes
 
 
 def _two_symbols(alphabet: bytes) -> tuple[int, int]:
@@ -25,13 +26,7 @@ def _two_symbols(alphabet: bytes) -> tuple[int, int]:
     return alphabet[0], alphabet[-1]
 
 
-def _pairs(pub: bytes, secs: list[bytes]) -> Iterator[Triple]:
-    for s1 in secs:
-        for s2 in secs:
-            yield pub, s1, s2
-
-
-def prefix_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
+def prefix_witnesses(segment_len: int, alphabet: bytes) -> Witnesses:
     """Secrets matching the public input on exactly 0..L leading bytes."""
     low, high = _two_symbols(alphabet)
     pub = bytes([high]) * segment_len
@@ -39,10 +34,10 @@ def prefix_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
         bytes([high]) * k + bytes([low]) * (segment_len - k)
         for k in range(segment_len + 1)
     ]
-    return _pairs(pub, secs)
+    return pub, secs
 
 
-def efflen_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
+def efflen_witnesses(segment_len: int, alphabet: bytes) -> Witnesses:
     """Secrets whose NUL-terminated effective length spans 0..L."""
     if 0 not in alphabet:
         raise ConfigError("statistic needs the NUL symbol in the alphabet")
@@ -55,10 +50,10 @@ def efflen_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
         bytes([fill]) * k + b"\x00" * (segment_len - k)
         for k in range(segment_len + 1)
     ]
-    return _pairs(pub, secs)
+    return pub, secs
 
 
-def exponent_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
+def exponent_witnesses(segment_len: int, alphabet: bytes) -> Witnesses:
     """Exponents extremizing bit length and popcount within the alphabet."""
     allowed = set(alphabet)
     width = 8 * segment_len
@@ -77,10 +72,10 @@ def exponent_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
     if len(secs) < 2:
         raise ConfigError("alphabet cannot express exponent witnesses")
     pub = bytes([max(alphabet)]) * segment_len
-    return _pairs(pub, secs)
+    return pub, secs
 
 
-def parity_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
+def parity_witnesses(segment_len: int, alphabet: bytes) -> Witnesses:
     """One even and one odd secret (cost branches on the low bit)."""
     evens = [s for s in alphabet if s % 2 == 0]
     odds = [s for s in alphabet if s % 2 == 1]
@@ -91,7 +86,7 @@ def parity_witnesses(segment_len: int, alphabet: bytes) -> Iterator[Triple]:
         bytes([evens[0]]) * segment_len,
         bytes([odds[0]]) + bytes([evens[0]]) * (segment_len - 1),
     ]
-    return _pairs(pub, secs)
+    return pub, secs
 
 
 def _register(

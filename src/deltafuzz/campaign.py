@@ -87,9 +87,9 @@ class CampaignConfig:
     stop_on_delta: Optional[int] = None
 
     def __post_init__(self):
-        if self.timeout_seconds < 1:
+        if not self.timeout_seconds >= 1:  # NaN fails this, as it must
             raise ConfigError("timeout must be >= 1 second")
-        if self.report_epsilon is not None and self.report_epsilon < 0:
+        if self.report_epsilon is not None and not self.report_epsilon >= 0:
             raise ConfigError("epsilon must be >= 0")
         if self.max_input_len < 1:
             raise ConfigError("max input length must be >= 1")

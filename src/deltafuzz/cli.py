@@ -1,7 +1,8 @@
 """Command-line front end: fuzz, replay, oracle, list-drivers, report.
 
 Exit codes: 0 on normal completion (a leak-indicated verdict is a normal,
-successful outcome), 2 on configuration errors, 3 on internal errors.
+successful outcome, and so is an interrupted campaign), 2 on configuration
+errors, 3 on internal errors, 130 on an interrupt outside a campaign.
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a campaign catches its own and exits 0
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .coverage import CoverageMap, EdgeTracer, InstrumentError
 from .metering import DIMENSION_ALIASES, DIMENSIONS, CostReading, Meter
@@ -85,13 +85,13 @@ class Statistic:
     """Declares the one cost-relevant statistic of a target so the oracle can
     enumerate the statistic's range instead of the raw byte domain.
 
-    witnesses(segment_len, alphabet) yields (pub, sec1, sec2) segment triples
-    covering the statistic's extremes, drawn from the given alphabet; it
-    raises ConfigError for alphabets it cannot express witnesses in.
+    witnesses(segment_len, alphabet) returns (pub, secrets): one public
+    segment and the secrets at the statistic's extremes, drawn from the given
+    alphabet; it raises ConfigError for alphabets it cannot express them in.
     """
 
     name: str
-    witnesses: Callable[[int, bytes], Iterator[tuple[bytes, bytes, bytes]]]
+    witnesses: Callable[[int, bytes], tuple[bytes, list[bytes]]]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Ground-truth maximum cost difference for small or structured domains.
 
-The exhaustive oracle enumerates every (pub, sec) pair in the constrained
-input domain, measures each cost through the same two-run harness the
-fuzzer uses, and reports max over pub of (max over sec - min over sec).
-The structured oracle instead asks the driver for witnesses of its declared
-cost statistic, which stays tractable at segment lengths the exhaustive
-domain cannot reach. Both replay their witness before returning, so the
-reported delta is by construction reproducible with `replay`.
+Both oracles reduce each public input to max - min cost over a list of
+secrets, through the same two-run harness the fuzzer uses, and witness the
+widest pub with its dearest and cheapest secret. The exhaustive oracle takes
+the whole constrained domain. The structured oracle takes the one pub and
+the extreme secrets of the driver's declared cost statistic, which stays
+tractable at segment lengths the exhaustive domain cannot reach. Both replay
+their witness, so the reported delta is by construction reproducible with
+`replay`.
 
 The exhaustive sweep splits its pubs over the CPUs the process may use, in
 forked children, with results identical to one process's; so targets must be
@@ -54,30 +55,6 @@ def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
         raise ConfigError(
             "witness generator produced a symbol outside the alphabet"
         ) from None
-
-
-def _result(
-    aspec: DriverSpec,
-    mode: str,
-    segment_len: int,
-    witness: bytes,
-    max_delta: int,
-    executions: int,
-) -> OracleResult:
-    """Replay the witness once and package the verdict around it."""
-    replayed = replay_check(aspec, witness, max_delta)
-    return OracleResult(
-        driver=aspec.name,
-        dimension=aspec.cost_dimension,
-        mode=mode,
-        segment_len=segment_len,
-        charset=aspec.constraints.charset,
-        max_delta=max_delta,
-        witness=witness,
-        decoded=replayed.decoded,
-        executions=executions,
-        statistic=aspec.statistic.name if mode == "structured" else None,
-    )
 
 
 def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
@@ -143,6 +120,30 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     return [shares[i % w][i // w] for i in range(len(pubs))]
 
 
+def _best(
+    aspec: DriverSpec, mode: str, segment_len: int, pubs: list[bytes], secs: list[bytes]
+) -> OracleResult:
+    """The first pub with the widest spread of costs over secs, witnessed by
+    its dearest and cheapest secret, replayed once."""
+    best_delta, best_witness = -1, b""
+    for pub, (delta, hi_sec, lo_sec) in zip(pubs, _sweep(aspec, pubs, secs)):
+        if delta > best_delta:
+            best_delta, best_witness = delta, pub + hi_sec + lo_sec
+    replayed = replay_check(aspec, best_witness, best_delta)
+    return OracleResult(
+        driver=aspec.name,
+        dimension=aspec.cost_dimension,
+        mode=mode,
+        segment_len=segment_len,
+        charset=aspec.constraints.charset,
+        max_delta=best_delta,
+        witness=best_witness,
+        decoded=replayed.decoded,
+        executions=len(pubs) * len(secs),
+        statistic=aspec.statistic.name if mode == "structured" else None,
+    )
+
+
 def exhaustive_max_delta(
     spec: DriverSpec,
     segment_len: int,
@@ -165,13 +166,7 @@ def exhaustive_max_delta(
         )
 
     pubs = secs = [bytes(p) for p in product(range(n), repeat=segment_len)]
-    best_delta, best_witness = -1, b""
-    for pub, (delta, hi_sec, lo_sec) in zip(pubs, _sweep(aspec, pubs, secs)):
-        if delta > best_delta:
-            best_delta = delta
-            best_witness = pub + hi_sec + lo_sec
-    executions = len(pubs) * len(secs)
-    return _result(aspec, "exhaustive", segment_len, best_witness, best_delta, executions)
+    return _best(aspec, "exhaustive", segment_len, pubs, secs)
 
 
 def structured_max_delta(
@@ -192,26 +187,13 @@ def structured_max_delta(
             "use the exhaustive oracle"
         )
     symbols = aspec.constraints.alphabet()
-    dim = aspec.cost_dimension
-    executions = 0
-    best_delta = -1
-    best_witness = b""
-    for pub, sec1, sec2 in aspec.statistic.witnesses(segment_len, symbols):
-        if not (len(pub) == len(sec1) == len(sec2) == segment_len):
-            raise ConfigError(
-                f"statistic {aspec.statistic.name!r} produced segments of the "
-                f"wrong length for --len {segment_len}"
-            )
-        data = b"".join(_encode_segment(seg, symbols) for seg in (pub, sec1, sec2))
-        res = run_driver(aspec, data)
-        executions += 1
-        delta = res.delta_of(dim)
-        if delta > best_delta:
-            best_delta = delta
-            best_witness = data
-    if executions == 0:
+    pub, secs = aspec.statistic.witnesses(segment_len, symbols)
+    if not secs:
+        raise ConfigError(f"statistic {aspec.statistic.name!r} produced no witnesses")
+    if any(len(seg) != segment_len for seg in (pub, *secs)):
         raise ConfigError(
-            f"statistic {aspec.statistic.name!r} produced no witnesses"
+            f"statistic {aspec.statistic.name!r} produced segments of the "
+            f"wrong length for --len {segment_len}"
         )
-
-    return _result(aspec, "structured", segment_len, best_witness, best_delta, executions)
+    secs = [_encode_segment(sec, symbols) for sec in secs]
+    return _best(aspec, "structured", segment_len, [_encode_segment(pub, symbols)], secs)

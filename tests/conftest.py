@@ -3,7 +3,15 @@
 Each test in test_acceptance.py states its guarantee in the first line of
 its docstring; this hook replays those lines with outcomes at the end of
 the run so the acceptance gate can be read without scrolling the log.
+
+It also holds the fixtures that the oracle and CLI tests share to watch the
+exhaustive sweep's forked children.
 """
+
+import os
+import signal
+
+import pytest
 
 _lines: dict[str, str] = {}  # nodeid -> summary line (collection order)
 _outcomes: dict[str, str] = {}
@@ -37,3 +45,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             outcome, outcome.upper()
         )
         terminalreporter.write_line(f"[{tag}] {line}")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children the sweep forks, so that a test cannot
+    compare an in-process sweep with another in-process one."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def deadline():
+    """Fails a sweep that hangs instead of leaving the suite waiting."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the sweep hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, and the aggregate report table."""
 
 import json
+import os
 
 import pytest
 
@@ -64,6 +65,33 @@ def test_oracle_structured_json(capsys):
     assert payload["max_delta"] == 30
     assert payload["mode"] == "structured"
     assert payload["statistic"] == "match-prefix-length"
+    assert payload["executions"] == 17  # one per match-prefix length 0..16
+    # the dearest secret first: it matches the pub on 15 bytes, the cheapest on none
+    assert payload["pub_hex"] == "ff" * 16
+    assert payload["sec_1_hex"] == "ff" * 15 + "00"
+    assert payload["sec_2_hex"] == "00" * 16
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "structured"])
+def test_an_interrupted_oracle_is_exit_130_without_a_traceback(
+    monkeypatch, capsys, forked, deadline, mode
+):
+    def interrupted(pub, sec, meter):
+        raise KeyboardInterrupt  # Ctrl-C while the target runs
+
+    spec = driver_module.DriverSpec(
+        name="local_interrupted",
+        target=interrupted,
+        statistic=driver_module.Statistic("any", lambda n, alphabet: (b"\x00", [b"\x00"])),
+    )
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["oracle", "--driver", spec.name, "--len", "1", "--alphabet", "binary"]
+    assert main(argv + (["--structured"] if mode == "structured" else [])) == 130
+    assert len(forked) == (1 if mode == "exhaustive" else 0)  # two pubs over two CPUs
+    assert capsys.readouterr().err == "interrupted\n"  # and no traceback
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_oracle_domain_too_large(capsys):
@@ -122,21 +150,24 @@ def test_fuzz_unknown_driver(tmp_path, capsys):
     assert "unknown driver" in capsys.readouterr().err
 
 
-def test_fuzz_bad_timeout(tmp_path):
-    code = main(
-        [
-            "fuzz",
-            "--driver",
-            "pwcheck_unsafe",
-            "--seeds",
-            make_seeds(tmp_path),
-            "--out",
-            str(tmp_path / "out"),
-            "--timeout",
-            "0.5",
-        ]
-    )
-    assert code == 2
+def test_fuzz_bad_timeout(tmp_path, capsys):
+    for timeout in ("0.5", "nan"):  # a NaN timeout would never expire
+        assert main(fuzz_args(tmp_path, "--timeout", timeout)) == 2
+        assert capsys.readouterr().err == "error: timeout must be >= 1 second\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_fuzz_bad_epsilon(tmp_path, capsys):
+    for epsilon in ("-1", "nan"):
+        assert main(fuzz_args(tmp_path, "--epsilon", epsilon)) == 2
+        assert capsys.readouterr().err == "error: epsilon must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_fuzz_infinite_timeout_runs_until_the_stop_delta(tmp_path):
+    assert main(fuzz_args(tmp_path, "--timeout", "inf", "--stop-delta", "2")) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "stop reason:       delta-target-reached" in report
 
 
 def test_fuzz_segment_cap_below_one_is_exit_two(tmp_path, capsys):

@@ -3,7 +3,6 @@ structured witness enumeration, refusal paths, mode agreement, and the
 exhaustive sweep split over forked children."""
 
 import os
-import signal
 import threading
 
 import pytest
@@ -16,6 +15,9 @@ from deltafuzz.driver import (
     DriverSpec,
     Statistic,
     get_driver,
+    replay_check,
+    run_driver,
+    with_domain,
 )
 from deltafuzz.oracle import (
     DEFAULT_BUDGET,
@@ -93,6 +95,7 @@ STRUCTURED_CASES = [
     ("jetty_eq_unsafe", 8, None, 8),
     ("pad_unsafe", 8, None, 8),
     ("modpow_unsafe", 8, "binary", 122),
+    ("modpow_unsafe", 8, None, 192),
     ("modpow_unsafe", 1, None, 24),
     ("straightline_unsafe", 4, None, 8),
 ]
@@ -133,6 +136,40 @@ def test_structured_never_exceeds_exhaustive(name):
     assert shaped.max_delta <= full.max_delta
 
 
+def ordered_pairs_max(aspec, pub, secs):
+    """The largest delta the harness reports over every ordered pair of secs."""
+    return max(
+        run_driver(aspec, pub + sec1 + sec2).delta_of(aspec.cost_dimension)
+        for sec1 in secs
+        for sec2 in secs
+    )
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_structured_reduction_equals_the_ordered_pairs_maximum(name):
+    """One run per secret finds the maximum over all ordered pairs of them,
+    at caps 1-8 and the driver's own cap, wherever the statistic fits."""
+    spec = get_driver(name)
+    for cap in sorted({*range(1, 9), spec.constraints.max_segment_len}):
+        for charset in ("byte", "binary"):
+            aspec = with_domain(spec, segment_cap=cap, charset=charset)
+            symbols = aspec.constraints.alphabet()
+            try:
+                pub, secs = spec.statistic.witnesses(cap, symbols)
+            except ConfigError:  # binary cannot express it
+                with pytest.raises(ConfigError):
+                    structured_max_delta(spec, cap, charset=charset)
+                continue
+            pub = bytes(symbols.index(b) for b in pub)
+            secs = [bytes(symbols.index(b) for b in sec) for sec in secs]
+            res = structured_max_delta(spec, cap, charset=charset)
+            assert res.max_delta == ordered_pairs_max(aspec, pub, secs), (cap, charset)
+            assert res.executions == len(secs)
+            rep = replay_check(aspec, res.witness, res.max_delta)
+            dim = aspec.cost_dimension
+            assert rep.cost1.of(dim) >= rep.cost2.of(dim)  # the dearest secret first
+
+
 def test_single_symbol_alphabet_has_no_leak(monkeypatch):
     # only one possible secret value per position, so delta is identically 0
     monkeypatch.setitem(CHARSETS, "single", b"\x2a")
@@ -169,45 +206,35 @@ def test_structured_refuses_inexpressible_alphabet():
         structured_max_delta(get_driver("pad_unsafe"), 4, charset="lower")
 
 
-def test_structured_rejects_wrong_length_witnesses():
-    def bad_witnesses(segment_len, alphabet):
-        yield b"\x00", b"\x00", b"\x00"  # always length 1
-
-    spec = DriverSpec(
-        name="local_badlen",
+def local_statistic(name, witnesses):
+    """A cheap driver that declares the given witness function."""
+    return DriverSpec(
+        name=f"local_{name}",
         target=lambda pub, sec, meter: meter.tick(1),
-        statistic=Statistic(name="bad", witnesses=bad_witnesses),
+        statistic=Statistic(name=name, witnesses=witnesses),
         constraints=Constraints(max_segment_len=4, charset="binary"),
     )
-    with pytest.raises(ConfigError, match="wrong length"):
-        structured_max_delta(spec, 2)
+
+
+def test_structured_rejects_wrong_length_witnesses():
+    for pub, secs in [(b"\x00", [b"\x00\x00"]), (b"\x00\x00", [b"\x00\x00", b"\x00"])]:
+        spec = local_statistic("bad", lambda segment_len, alphabet: (pub, secs))
+        with pytest.raises(ConfigError, match="'bad' produced segments of the wrong length"):
+            structured_max_delta(spec, 2)
 
 
 def test_structured_rejects_a_symbol_outside_the_alphabet():
-    def off_alphabet(segment_len, alphabet):
-        yield b"\x00", b"\x01", b"\x02"  # binary has only 0 and 1
-
-    spec = DriverSpec(
-        name="local_off_alphabet",
-        target=lambda pub, sec, meter: meter.tick(1),
-        statistic=Statistic(name="off", witnesses=off_alphabet),
-        constraints=Constraints(max_segment_len=4, charset="binary"),
-    )
-    with pytest.raises(ConfigError, match="outside the alphabet"):
-        structured_max_delta(spec, 1)
+    # binary has only 0 and 1
+    for pub, secs in [(b"\x02", [b"\x00"]), (b"\x00", [b"\x01", b"\x02"])]:
+        spec = local_statistic("off", lambda segment_len, alphabet: (pub, secs))
+        with pytest.raises(ConfigError, match="symbol outside the alphabet"):
+            structured_max_delta(spec, 1)
 
 
 def test_structured_rejects_empty_witness_stream():
-    def no_witnesses(segment_len, alphabet):
-        return iter(())
-
-    spec = DriverSpec(
-        name="local_empty",
-        target=lambda pub, sec, meter: meter.tick(1),
-        statistic=Statistic(name="empty", witnesses=no_witnesses),
-    )
-    with pytest.raises(ConfigError, match="no witnesses"):
-        structured_max_delta(spec, 1, charset="binary")
+    spec = local_statistic("empty", lambda segment_len, alphabet: (b"\x00" * segment_len, []))
+    with pytest.raises(ConfigError, match="'empty' produced no witnesses"):
+        structured_max_delta(spec, 1)
 
 
 def test_nondeterministic_cost_is_reported():
@@ -217,9 +244,14 @@ def test_nondeterministic_cost_is_reported():
         calls[0] += 1
         meter.tick(calls[0])
 
-    spec = DriverSpec(name="local_flaky", target=flaky)
-    with pytest.raises(RuntimeError, match="nondeterministic"):
-        exhaustive_max_delta(spec, 1, charset="binary")
+    spec = DriverSpec(
+        name="local_flaky",
+        target=flaky,
+        statistic=Statistic("any", lambda segment_len, alphabet: (b"\x00", [b"\x00", b"\x01"])),
+    )
+    for oracle in (exhaustive_max_delta, structured_max_delta):
+        with pytest.raises(RuntimeError, match="nondeterministic"):
+            oracle(spec, 1, charset="binary")
 
 
 def test_oracle_and_fuzzer_agree_on_straightline(tmp_path):
@@ -252,37 +284,6 @@ def test_oracle_and_fuzzer_agree_on_straightline(tmp_path):
 def set_cpus(monkeypatch, count):
     """The CPU count the sweep sees, and so its number of shares."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids of the children the sweep forks, so that a test cannot
-    compare an in-process sweep with another in-process one."""
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
-@pytest.fixture
-def deadline():
-    """Fails a sweep that hangs instead of leaving the suite waiting."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the sweep hung")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def assert_no_child_left():
