@@ -4,9 +4,11 @@ On a tiny input domain the maximum cost difference can be computed exactly
 by brute force, which is how the fuzzer's findings are validated. This
 script sweeps every benchmark pair over two-byte binary segments and prints
 the unsafe/safe maxima side by side, then shows the structured oracle
-reaching domain sizes brute force cannot: it runs each secret at the
-extremes of the driver's declared statistic once, against one public input,
-so its run count is the number of those secrets.
+reaching domain sizes brute force cannot: it takes the secrets at the
+extremes of the driver's declared statistic against one public input, so
+its execution count is the number of those secrets. Each (pub, secret)
+pair runs the target twice, the second run checking that its cost is
+deterministic, so the target runs twice per counted execution.
 
 Run: python3 demos/02_ground_truth_oracle.py
 """
@@ -35,15 +37,15 @@ def main():
     print()
     print("structured oracle: full byte alphabets, segment lengths brute")
     print("force cannot enumerate (the driver declares which secret")
-    print("statistic drives its cost; each secret at its extremes runs")
-    print("once against one public input)")
+    print("statistic drives its cost; each secret at its extremes is")
+    print("paired with one public input, and each pair runs twice)")
     print()
     for name, length in (("pwcheck_unsafe", 16), ("jetty_eq_unsafe", 8),
                          ("modpow_unsafe", 8), ("pad_unsafe", 8)):
         res = structured_max_delta(get_driver(name), length)
         print(
             f"{name:20} len={length:<3} max_delta={res.max_delta:<5} "
-            f"statistic={res.statistic} ({res.executions} runs)"
+            f"statistic={res.statistic} ({res.executions} pairs)"
         )
 
 

@@ -1,18 +1,22 @@
 """Ground-truth maximum cost difference for small or structured domains.
 
 Both oracles reduce each public input to max - min cost over a list of
-secrets, through the same two-run harness the fuzzer uses, and witness the
-widest pub with its dearest and cheapest secret. The exhaustive oracle takes
+secrets, and witness the widest pub with its dearest and cheapest secret.
+They enumerate decoded segments and run the target on each (pub, secret)
+pair twice, the second run checking that its cost is deterministic, so
+`executions` counts pairs, half the target runs. The exhaustive oracle takes
 the whole constrained domain. The structured oracle takes the one pub and
 the extreme secrets of the driver's declared cost statistic, which stays
-tractable at segment lengths the exhaustive domain cannot reach. Both replay
-their witness, so the reported delta is by construction reproducible with
-`replay`.
+tractable at segment lengths the exhaustive domain cannot reach. Both encode
+their witness to input bytes and replay it through the fuzzer's two-run
+harness, parse included, so the reported delta is by construction
+reproducible with `replay`.
 
-The exhaustive sweep splits its pubs over the CPUs the process may use, in
-forked children, with results identical to one process's; so targets must be
-pure, as replay assumes. Campaigns stay single-process: each evaluation can
-change the queue the next one draws from.
+The exhaustive sweep shares its pubs among the CPUs the process may use, in
+forked children that pull chunks of pubs as they finish, with results
+identical to one process's; so targets must be pure, as replay assumes.
+Campaigns stay single-process: each evaluation can change the queue the
+next one draws from.
 """
 
 from __future__ import annotations
@@ -22,9 +26,18 @@ import threading
 from dataclasses import dataclass
 from itertools import product
 
-from .driver import ConfigError, DriverSpec, replay_check, run_driver, with_domain
+from . import driver
+from .driver import ConfigError, DriverSpec, _execute, replay_check, with_domain
+
+# perfbench's tracer (perfbench/layers.py, Tracer.active) wraps
+# oracle.run_driver, which the sweep no longer calls; so the name stays bound
+run_driver = driver.run_driver
 
 DEFAULT_BUDGET = 2**24
+
+# chunks a forked sweep hands out at most: their 4-byte tokens fill at most
+# 4 KiB, which one write puts into an empty pipe whole, without blocking
+_CHUNKS = 1024
 
 
 class DomainTooLarge(ConfigError):
@@ -58,33 +71,53 @@ def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
 
 
 def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
-    """(max - min cost over secs, the first secret at each extreme) per pub."""
-    dim = aspec.cost_dimension
+    """(max - min cost over secs, the first secret at each extreme) per pub.
+
+    Segments are decoded symbols, run on the target directly; each pair runs
+    twice, and the second run checks that the target is deterministic."""
+    target, dim = aspec.target, aspec.cost_dimension
     out = []
     for pub in pubs:
         costs = {}
         for sec in secs:
-            res = run_driver(aspec, pub + sec + sec)
-            if res.delta_of(dim) != 0:
+            cost = _execute(target, None, pub, sec)[0].of(dim)
+            if _execute(target, None, pub, sec)[0].of(dim) != cost:
                 raise RuntimeError(
                     f"driver {aspec.name!r} cost is nondeterministic: identical "
                     "secrets produced different readings"
                 )
-            costs[sec] = res.cost1.of(dim)
+            costs[sec] = cost
         hi, lo = max(costs, key=costs.get), min(costs, key=costs.get)  # first of each, in order
         out.append((costs[hi] - costs[lo], hi, lo))
     return out
 
 
 def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
-    """_reduce over pubs[k::w] for each share k of w: share 0 here, each other in
-    a forked child, unless a second thread makes forking liable to deadlock."""
+    """_reduce over pubs, shared by w workers: worker 0 here, each other in a
+    forked child, unless a second thread makes forking liable to deadlock.
+
+    Worker k reduces pub k, so every child gets work; then each worker claims
+    the next unclaimed chunk of the rest, by reading its start, a 4-byte
+    token, from one pipe, until the pipe is empty. The parent merges the
+    chunks by pub index, so the result is a one-process sweep's."""
     affinity = getattr(os, "sched_getaffinity", None)
     w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(pubs))
     if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return _reduce(aspec, pubs, secs)
     import pickle
     import signal
+    size = (len(pubs) - w) // _CHUNKS + 1  # so at most _CHUNKS chunks
+    tokens, wr = os.pipe()
+    os.write(wr, b"".join(i.to_bytes(4, "little") for i in range(w, len(pubs), size)))
+    os.close(wr)  # before any fork, so an empty pipe reads as EOF
+
+    def work(k: int) -> dict[int, list[tuple]]:
+        done = {k: _reduce(aspec, pubs[k : k + 1], secs)}
+        while token := os.read(tokens, 4):
+            i = int.from_bytes(token, "little")
+            done[i] = _reduce(aspec, pubs[i : i + size], secs)
+        return done
+
     children, statuses = [], []  # children: (pid, read end of its pipe)
     try:
         for k in range(1, w):
@@ -93,7 +126,7 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
             if pid == 0:
                 try:
                     try:
-                        share = _reduce(aspec, pubs[k::w], secs)
+                        share = work(k)
                     except BaseException as exc:  # noqa: BLE001 - the parent raises it
                         share = exc
                     with open(wr, "wb") as fh:
@@ -103,32 +136,36 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
                     os._exit(1)  # nothing sent: the parent reads EOF
             os.close(wr)  # before the next fork, so EOF means this child is gone
             children.append((pid, open(r, "rb")))
-        shares = [_reduce(aspec, pubs[::w], secs)]
+        done = work(0)
         sent = [pipe.read() for _, pipe in children]
     finally:
+        os.close(tokens)
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for (pid, _), data, status in zip(children, sent, statuses):
-        if not data:  # its share or exception, pickled, never came
+        if not data:  # its chunks or exception, pickled, never came
             raise RuntimeError(f"oracle child {pid} exited with status {status}, sending nothing")
         share = pickle.loads(data)
         if isinstance(share, BaseException):
             raise share
-        shares.append(share)
-    return [shares[i % w][i // w] for i in range(len(pubs))]
+        done.update(share)
+    return [res for i in sorted(done) for res in done[i]]
 
 
 def _best(
     aspec: DriverSpec, mode: str, segment_len: int, pubs: list[bytes], secs: list[bytes]
 ) -> OracleResult:
     """The first pub with the widest spread of costs over secs, witnessed by
-    its dearest and cheapest secret, replayed once."""
-    best_delta, best_witness = -1, b""
+    its dearest and cheapest secret, encoded to input bytes and replayed once
+    through the harness's parse."""
+    best_delta, best = -1, ()
     for pub, (delta, hi_sec, lo_sec) in zip(pubs, _sweep(aspec, pubs, secs)):
         if delta > best_delta:
-            best_delta, best_witness = delta, pub + hi_sec + lo_sec
+            best_delta, best = delta, (pub, hi_sec, lo_sec)
+    symbols = aspec.constraints.alphabet()
+    best_witness = b"".join(_encode_segment(seg, symbols) for seg in best)
     replayed = replay_check(aspec, best_witness, best_delta)
     return OracleResult(
         driver=aspec.name,
@@ -156,7 +193,8 @@ def exhaustive_max_delta(
     exceeds the budget; cost enumeration itself needs |A|**(2*len) runs.
     """
     aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
-    n = len(aspec.constraints.alphabet())
+    symbols = aspec.constraints.alphabet()
+    n = len(symbols)
     cardinality = n ** (3 * segment_len)
     if cardinality > budget:
         raise DomainTooLarge(
@@ -165,7 +203,7 @@ def exhaustive_max_delta(
             "or use the structured oracle"
         )
 
-    pubs = secs = [bytes(p) for p in product(range(n), repeat=segment_len)]
+    pubs = secs = [bytes(p) for p in product(symbols, repeat=segment_len)]
     return _best(aspec, "exhaustive", segment_len, pubs, secs)
 
 
@@ -195,5 +233,5 @@ def structured_max_delta(
             f"statistic {aspec.statistic.name!r} produced segments of the "
             f"wrong length for --len {segment_len}"
         )
-    secs = [_encode_segment(sec, symbols) for sec in secs]
-    return _best(aspec, "structured", segment_len, [_encode_segment(pub, symbols)], secs)
+    _encode_segment(pub + b"".join(secs), symbols)  # refuses a symbol outside the alphabet
+    return _best(aspec, "structured", segment_len, [pub], secs)

@@ -4,6 +4,7 @@ exhaustive sweep split over forked children."""
 
 import os
 import threading
+from itertools import product
 
 import pytest
 
@@ -22,6 +23,8 @@ from deltafuzz.driver import (
 from deltafuzz.oracle import (
     DEFAULT_BUDGET,
     DomainTooLarge,
+    _reduce,
+    _sweep,
     exhaustive_max_delta,
     structured_max_delta,
 )
@@ -313,6 +316,55 @@ def test_a_forked_sweep_equals_an_in_process_one(
     assert len(forked) == cpus - 1
     assert split == alone
     assert_no_child_left()
+
+
+def test_a_pulled_sweep_of_many_chunks_equals_an_in_process_one(monkeypatch, forked, deadline):
+    """More pubs than tokens, so each chunk a worker pulls holds several."""
+
+    def cheap(pub, sec, meter):
+        meter.tick(1 + (pub[0] * 7 + pub[1] * 3 + sec[0]) % 11)
+
+    spec = DriverSpec(name="local_cheap", target=cheap)
+    pubs = [i.to_bytes(2, "little") for i in range(2500)]
+    secs = [b"\x00", b"\x05", b"\x09"]
+    alone = _reduce(spec, pubs, secs)
+    for cpus in (2, 3):
+        forked.clear()
+        set_cpus(monkeypatch, cpus)
+        assert _sweep(spec, pubs, secs) == alone
+        assert len(forked) == cpus - 1
+        assert_no_child_left()
+
+
+def harness_reference(aspec, segment_len):
+    """max_delta, witness and executions of an exhaustive sweep that runs
+    every encoded (pub, sec, sec) input through run_driver."""
+    symbols = aspec.constraints.alphabet()
+    segments = [bytes(p) for p in product(symbols, repeat=segment_len)]
+
+    def enc(seg):
+        return bytes(symbols.index(b) for b in seg)
+
+    dim, best, witness = aspec.cost_dimension, -1, b""
+    for pub in segments:
+        costs = {}
+        for sec in segments:
+            res = run_driver(aspec, enc(pub) + enc(sec) + enc(sec))
+            assert res.decoded == (pub, sec, sec)
+            costs[sec] = res.cost1.of(dim)
+        hi, lo = max(costs, key=costs.get), min(costs, key=costs.get)
+        if costs[hi] - costs[lo] > best:
+            best, witness = costs[hi] - costs[lo], enc(pub) + enc(hi) + enc(lo)
+    return best, witness, len(segments) ** 2
+
+
+@pytest.mark.parametrize(
+    "name,length,charset", [("pwcheck_unsafe", 1, "lower"), ("login_unsafe", 2, "binary")]
+)
+def test_the_decoded_sweep_equals_a_sweep_through_the_harness(name, length, charset):
+    res = exhaustive_max_delta(get_driver(name), length, charset=charset)
+    aspec = with_domain(get_driver(name), segment_cap=length, charset=charset)
+    assert (res.max_delta, res.witness, res.executions) == harness_reference(aspec, length)
 
 
 def test_modpow_split_case_covers_harness_errors():
