@@ -1,7 +1,8 @@
 """Campaign orchestration: seeds in, mutants through the harness, report out.
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
-Inputs cycle round-robin; each entry gets the deterministic stage on its
+`_schedule` is the one place that sets the mutant order: the seeds, then
+the queue round-robin, each entry getting the deterministic stage on its
 first visit, then bounded havoc and splice passes. Every candidate runs
 through the two-execution harness and is kept iff it reaches new coverage
 or strictly raises the delta high score. Progress lands in stats.csv at one
@@ -119,10 +120,35 @@ class CampaignReport:
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = field(repr=False, default=())
 
 
-class _Stop(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool):
+    """(input, parent entry id) in evaluation order: the seeds, then per queue
+    pick the deterministic stage on the entry's first visit, HAVOC_ITERATIONS
+    havoc mutants and up to SPLICE_ITERATIONS splices. The caller enqueues
+    between yields, so each pick and splice partner sees the queue so far."""
+    for _, data in seeds:
+        yield data, None
+    staged = 0  # entries get ids in order and are first visited in id order
+    while True:
+        entry = queue.next()
+        data, parent = entry.data, entry.entry_id
+        if stage and parent == staged:
+            staged += 1
+            for mutant in deterministic_stage(data):
+                yield mutant, parent
+        for _ in range(HAVOC_ITERATIONS):
+            yield havoc(data, max_len, rng), parent
+        for _ in range(SPLICE_ITERATIONS):
+            mutant = splice(data, rng.choice(queue.entries).data, max_len, rng)
+            if mutant is not None:
+                yield mutant, parent
+
+
+def _add_rows(rows: list, second: int, until: float, *snapshot: int) -> int:
+    """A stats row per whole second from second through until; returns the next due."""
+    while second <= until:
+        rows.append((second, *snapshot))
+        second += 1
+    return second
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
@@ -142,7 +168,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         raise ConfigError(f"cannot create output directory {queue_dir}: {exc.strerror}") from None
     global_cov = GlobalCoverage()
     rng = random.Random(config.rng_seed)
-    max_len = config.max_input_len
     pace = config.pace
     start = time.monotonic()
 
@@ -154,22 +179,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     stats_rows: list[tuple[int, int, int, int, int]] = []
     next_row_second = 0
 
-    def now() -> float:
-        """Campaign time: evaluations/pace when paced, so every artifact
-        depends only on the evaluation sequence; else real elapsed seconds."""
-        if pace is None:
-            return time.monotonic() - start
-        return executions / pace
-
-    def row(second: int) -> tuple[int, int, int, int, int]:
-        return (second, executions, best, len(global_cov), len(queue))
-
-    def emit_rows(at: float) -> None:
-        nonlocal next_row_second
-        while next_row_second <= at:
-            stats_rows.append(row(next_row_second))
-            next_row_second += 1
-
     # One map for every evaluation, so its memo and its table of folded
     # pairs (see run_driver) span the campaign. An evaluation goes through
     # consider only when it can change something: its map holds edges (an
@@ -177,32 +186,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # repeat of the last triple, adds nothing), or its delta beats the high
     # score. Two remembered executions can still form a new pair or delta.
     cov = CoverageMap()
-
-    def evaluate(data: bytes, parent_id: Optional[int]) -> DiffResult:
-        nonlocal executions, best, witness, first_positive, harness_errors
-        cov.clear()
-        result = run_driver(spec, data, cov)
-        executions += 1
-        at = now()
-        delta = result.delta_of(dim)
-        improved = delta > best
-        if cov or improved:
-            consider(queue, data, delta, improved, cov, global_cov, parent_id)
-            if improved:
-                if first_positive is None:
-                    first_positive = at
-                best, witness = delta, data
-        if result.outcome == OUTCOME_HARNESS_ERROR:
-            harness_errors += 1
-            if len(error_notes) < 8:
-                error_notes.setdefault(result.note)
-        if at >= next_row_second:
-            emit_rows(at)
-        if config.stop_on_delta is not None and best >= config.stop_on_delta:
-            raise _Stop("delta-target-reached")
-        if at >= config.timeout_seconds:
-            raise _Stop("timeout")
-        return result
 
     log.info(
         "campaign start: driver=%s dimension=%s timeout=%ss seeds=%d",
@@ -213,38 +196,51 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     )
 
     stop_reason = "timeout"
-    det_done: set[int] = set()
+    stage = config.deterministic_stage_enabled
     try:
-        for name, data in seeds:
-            result = evaluate(data, None)
-            if result.outcome == OUTCOME_PARSE_REJECT:
-                raise ConfigError(f"seed {name!r} does not parse: {result.note}")
-            if not queue.seen(data):
-                # seeds are enqueued even when boring; they anchor the corpus
-                queue.add(data, best_delta=result.delta_of(dim))
-        while True:
-            entry = queue.next()
-            if entry.entry_id not in det_done:
-                det_done.add(entry.entry_id)
-                if config.deterministic_stage_enabled:
-                    for mutant in deterministic_stage(entry.data):
-                        evaluate(mutant, entry.entry_id)
-            for _ in range(HAVOC_ITERATIONS):
-                evaluate(havoc(entry.data, max_len, rng), entry.entry_id)
-            for _ in range(SPLICE_ITERATIONS):
-                partner = rng.choice(queue.entries).data
-                mutant = splice(entry.data, partner, max_len, rng)
-                if mutant is not None:
-                    evaluate(mutant, entry.entry_id)
-    except _Stop as stop:
-        stop_reason = stop.reason
+        for data, parent_id in _schedule(seeds, queue, rng, config.max_input_len, stage):
+            cov.clear()
+            result = run_driver(spec, data, cov)
+            executions += 1
+            # campaign time: evaluations/pace when paced, so every artifact
+            # depends only on the evaluation sequence; else elapsed seconds
+            at = time.monotonic() - start if pace is None else executions / pace
+            delta = result.delta_of(dim)
+            improved = delta > best
+            if cov or improved:
+                consider(queue, data, delta, improved, cov, global_cov, parent_id)
+                if improved:
+                    if first_positive is None:
+                        first_positive = at
+                    best, witness = delta, data
+            if result.outcome == OUTCOME_HARNESS_ERROR:
+                harness_errors += 1
+                if len(error_notes) < 8:
+                    error_notes.setdefault(result.note)
+            if at >= next_row_second:
+                next_row_second = _add_rows(
+                    stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
+                )
+            if config.stop_on_delta is not None and best >= config.stop_on_delta:
+                stop_reason = "delta-target-reached"
+                break
+            if at >= config.timeout_seconds:
+                break
+            if executions <= len(seeds):
+                if result.outcome == OUTCOME_PARSE_REJECT:
+                    name = seeds[executions - 1][0]
+                    raise ConfigError(f"seed {name!r} does not parse: {result.note}")
+                if not queue.seen(data):
+                    # seeds are enqueued even when boring; they anchor the corpus
+                    queue.add(data, best_delta=delta)
     except KeyboardInterrupt:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"
 
-    duration = now()
-    emit_rows(duration)
-    stats_rows.append(row(int(duration)))  # final snapshot, even mid-second
+    duration = time.monotonic() - start if pace is None else executions / pace
+    snapshot = (executions, best, len(global_cov), len(queue))
+    _add_rows(stats_rows, next_row_second, duration, *snapshot)
+    stats_rows.append((int(duration), *snapshot))  # final snapshot, even mid-second
 
     # with no positive delta, the first seed stands as the exhibit
     witness_data = witness or seeds[0][1]

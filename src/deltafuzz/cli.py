@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="ground-truth max delta on a small domain")
     orc.add_argument("--driver", required=True)
     orc.add_argument("--len", dest="segment_len", type=int, required=True)
-    orc.add_argument("--alphabet", choices=("binary", "byte"), default="byte")
+    orc.add_argument("--alphabet", choices=sorted(CHARSETS), default="byte")
     orc.add_argument(
         "--structured",
         action="store_true",

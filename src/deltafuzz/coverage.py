@@ -136,14 +136,8 @@ def _path_edges(path: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _probe(site: int, at: ast.stmt) -> ast.stmt:
     """The statement `__deltafuzz_hit__(site)` at the source position of `at`."""
-    pos = dict(
-        lineno=at.lineno,
-        col_offset=at.col_offset,
-        end_lineno=at.end_lineno,
-        end_col_offset=at.end_col_offset,
-    )
-    name = ast.Name(_PROBE, ast.Load(), **pos)
-    return ast.Expr(ast.Call(name, [ast.Constant(site, **pos)], [], **pos), **pos)
+    call = ast.Call(ast.Name(_PROBE, ast.Load()), [ast.Constant(site)], [])
+    return ast.copy_location(ast.Expr(call), at)
 
 
 # compound statements other than def and class
@@ -158,13 +152,6 @@ def _blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
     return [block for block in blocks + [part.body for part in parts] if block]
 
 
-def _is_docstring(stmt: ast.stmt) -> bool:
-    value = getattr(stmt, "value", None)
-    return isinstance(stmt, ast.Expr) and isinstance(value, ast.Constant) and isinstance(
-        value.value, str
-    )
-
-
 def _instrument(stmts: list[ast.stmt], modname: str) -> list[ast.stmt]:
     """stmts with probes at each function's entry (site: the def line), at
     the head of every block of a compound statement (site: the block's first
@@ -174,8 +161,8 @@ def _instrument(stmts: list[ast.stmt], modname: str) -> list[ast.stmt]:
     for i, stmt in enumerate(stmts):
         out.append(stmt)
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = int(ast.get_docstring(stmt, clean=False) is not None)  # docstring stays first
             body = _instrument(stmt.body, modname)
-            first = 1 if _is_docstring(body[0]) else 0  # keep the docstring first
             at = body[min(first, len(body) - 1)]
             body.insert(first, _probe(site_id(modname, stmt.lineno), at))
             stmt.body = body
@@ -213,6 +200,7 @@ def _compile_probed(filename: str, module_globals: dict) -> dict[tuple[str, int]
     except SyntaxError as exc:
         raise InstrumentError(f"cannot parse {filename}: {exc}") from None
     tree.body = _instrument(tree.body, module_globals.get("__name__", filename))
+    ast.fix_missing_locations(tree)  # a probe's subnodes take its position
     found: dict[tuple[str, int], CodeType] = {}
     todo = [compile(tree, filename, "exec", dont_inherit=True)]
     while todo:

@@ -60,8 +60,6 @@ class OracleResult:
 
 def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
     """Raw bytes that the charset map decodes back into seg."""
-    if len(alphabet) == 256:
-        return seg
     try:
         return bytes(alphabet.index(s) for s in seg)
     except ValueError:

@@ -287,6 +287,30 @@ def test_deterministic_stage_can_be_disabled(tmp_path):
     assert report.executions > 0
 
 
+@pytest.mark.parametrize("stage", [True, False])
+def test_the_stage_runs_once_per_entry_in_id_order(tmp_path, monkeypatch, stage):
+    staged = []
+    real = campaign_module.deterministic_stage
+
+    def recording_stage(data):
+        staged.append(data)
+        return real(data)
+
+    monkeypatch.setattr(campaign_module, "deterministic_stage", recording_stage)
+    config = paced_config(
+        tmp_path, rng_seed=1, pace=1000, timeout_seconds=5, deterministic_stage_enabled=stage
+    )
+    run_campaign(config)
+    queue = sorted((tmp_path / "out" / "queue").iterdir())  # id:NNNN,... sorts by id
+    entries = [path.read_bytes() for path in queue]
+    if not stage:
+        assert staged == []
+        return
+    # every entry first visited before the budget ran out was staged, once
+    assert 1 < len(staged) < len(entries)
+    assert staged == entries[: len(staged)]
+
+
 # --- the execution memo -------------------------------------------------------
 
 SECRET_CALLS: list[tuple[bytes, bytes]] = []

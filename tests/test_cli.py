@@ -9,6 +9,8 @@ import deltafuzz.campaign as campaign
 import deltafuzz.cli as cli
 import deltafuzz.driver as driver_module
 from deltafuzz.cli import main
+from deltafuzz.driver import get_driver
+from deltafuzz.oracle import exhaustive_max_delta
 
 
 def make_seeds(tmp_path):
@@ -56,6 +58,15 @@ def test_oracle_exhaustive_json(capsys):
     assert payload["executions"] == 16
     assert payload["statistic"] is None
     assert bytes.fromhex(payload["witness_hex"])  # replayable bytes
+
+
+def test_oracle_takes_every_fuzz_charset(capsys):
+    argv = ["oracle", "--driver", "pwcheck_unsafe", "--len", "1", "--alphabet", "lower"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    truth = exhaustive_max_delta(get_driver("pwcheck_unsafe"), 1, charset="lower")
+    assert payload["alphabet"] == "lower"
+    assert payload["max_delta"] == truth.max_delta
 
 
 def test_oracle_structured_json(capsys):

@@ -75,7 +75,7 @@ def test_exhaustive_binary_two_bytes_safe(name):
 
 def test_exhaustive_execution_count_and_witness():
     res = exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, charset="binary")
-    # one run per (pub, sec) pair: (2**2)**2
+    # one counted per (pub, sec) pair, though each runs twice: (2**2)**2
     assert res.executions == 16
     assert len(res.witness) == 6
     pub, sec1, sec2 = res.decoded
@@ -150,7 +150,7 @@ def ordered_pairs_max(aspec, pub, secs):
 
 @pytest.mark.parametrize("name", DECLARED)
 def test_structured_reduction_equals_the_ordered_pairs_maximum(name):
-    """One run per secret finds the maximum over all ordered pairs of them,
+    """The reduction over the secrets finds the maximum over all ordered pairs of them,
     at caps 1-8 and the driver's own cap, wherever the statistic fits."""
     spec = get_driver(name)
     for cap in sorted({*range(1, 9), spec.constraints.max_segment_len}):
