@@ -3,11 +3,17 @@
 One campaign is one thread owning the queue, coverage, high score, and RNG.
 `_schedule` is the one place that sets the mutant order: the seeds, then
 the queue round-robin, each entry getting the deterministic stage on its
-first visit, then bounded havoc and splice passes. Every candidate runs
-through the two-execution harness and is kept iff it reaches new coverage
-or strictly raises the delta high score. Progress lands in stats.csv at one
-row per second; the final report carries the verdict, the witness triple,
-and the reminder that finding nothing proves nothing.
+first visit, then bounded havoc and splice passes. A visit's havoc mutants
+depend only on the entry and the RNG state at the visit's start, never on
+an evaluation. So `_HavocFeed` makes them in one forked child, which works
+ahead on a copy of that state while the campaign evaluates, then hands
+back its final state: the splices and every later draw are those of
+inline havoc, which runs where the process may not use a second CPU.
+Every candidate runs through the two-execution harness and is kept iff it
+reaches new coverage or strictly raises the delta high score. Progress
+lands in stats.csv at one row per second; the final report carries the
+verdict, the witness triple, and the reminder that finding nothing proves
+nothing.
 
 The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,6 +41,7 @@ from .driver import (
     ConfigError,
     DiffResult,
     default_parse,
+    fork_cpus,
     get_driver,
     replay_check,
     run_driver,
@@ -50,6 +58,9 @@ VERDICT_LEAK = "leak-indicated"
 # mutants per queue visit, after the entry's one deterministic stage
 HAVOC_ITERATIONS = 256
 SPLICE_ITERATIONS = 32
+# the havoc mutant counts after which a forked feed sends a chunk of them:
+# a small first chunk, so the campaign soon has mutants to evaluate
+_HAVOC_SENDS = frozenset(range(8, HAVOC_ITERATIONS, 24))
 
 STATS_HEADER = ("seconds", "executions", "max_delta", "coverage_count", "queue_size")
 
@@ -120,11 +131,132 @@ class CampaignReport:
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = field(repr=False, default=())
 
 
-def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool):
+class _HavocFeed:
+    """Each queue visit's HAVOC_ITERATIONS havoc mutants, leaving the rng as
+    havoc leaves it.
+
+    On its first visit it forks one child if fork_cpus allows two CPUs, and
+    runs havoc inline otherwise or if the fork fails. Per visit the child
+    gets the entry and the rng state, makes the mutants from its copy of
+    that state, and sends them in chunks, the last with its final rng
+    state, which the campaign takes. If havoc raises there, the child sends
+    the mutants made before it and then the exception, which is raised here
+    at the same point of the stream as inline. close() kills and reaps the
+    child."""
+
+    def __init__(self):
+        self.child = None  # (pid, request writer, reply reader); () when inline
+
+    def __call__(self, data: bytes, max_len: int, rng: random.Random):
+        if self.child is None:
+            self.child = _fork_havoc() if fork_cpus() >= 2 else ()
+        if not self.child:
+            for _ in range(HAVOC_ITERATIONS):
+                yield havoc(data, max_len, rng)
+            return
+        import pickle
+
+        pid, requests, replies = self.child
+        end = None  # until the last chunk: then the rng state, or an exception
+        try:
+            requests.write(pickle.dumps((data, max_len, rng.getstate())))
+            requests.flush()
+            while end is None:
+                mutants, end = pickle.load(replies)
+                yield from mutants
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"havoc child {pid} exited with status {self.close()}") from None
+        if isinstance(end, BaseException):
+            raise end
+        rng.setstate(end)
+
+    def close(self):
+        """Kill and reap the child, if one runs; its exit status."""
+        if not self.child:
+            return None
+        import signal
+
+        pid, requests, replies = self.child
+        self.child = ()
+        os.kill(pid, signal.SIGKILL)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        replies.close()
+        try:
+            requests.close()  # flushes a request cut short by Ctrl-C, if any
+        except BrokenPipeError:
+            pass
+        return status
+
+
+def _fork_havoc() -> tuple:
+    """Fork the havoc child: (its pid, request writer, reply reader); () when
+    the system has no process to spare, so that havoc runs inline."""
+    import signal
+
+    requests, to_child = os.pipe()
+    from_child, replies = os.pipe()
+    # blocked across the fork, so a Ctrl-C interrupts the campaign, never the child
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(to_child)
+                os.close(from_child)
+                _serve_havoc(open(requests, "rb"), open(replies, "wb"))
+                os._exit(0)
+            finally:
+                os._exit(1)
+    except OSError:  # EAGAIN or ENOMEM
+        pid = None
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    os.close(requests)
+    os.close(replies)
+    if pid is None:
+        os.close(to_child)
+        os.close(from_child)
+        return ()
+    return pid, open(to_child, "wb"), open(from_child, "rb")
+
+
+def _serve_havoc(requests, replies) -> None:
+    """The havoc child's loop: per request (data, max_len, rng state), the
+    visit's havoc mutants in chunks, each pickled as (mutants, end); end is
+    None until the last, then the final rng state or havoc's exception.
+    Returns when the campaign closes its end of the requests."""
+    import pickle
+
+    rng = random.Random()
+    while True:
+        try:
+            data, max_len, state = pickle.load(requests)
+        except EOFError:
+            return
+        rng.setstate(state)
+        mutants, end = [], None
+        try:
+            for i in range(HAVOC_ITERATIONS):
+                if i in _HAVOC_SENDS:
+                    replies.write(pickle.dumps((mutants, None)))
+                    replies.flush()
+                    mutants = []
+                mutants.append(havoc(data, max_len, rng))
+            end = rng.getstate()
+        except BaseException as exc:  # noqa: BLE001 - the campaign raises it
+            end = exc
+        replies.write(pickle.dumps((mutants, end)))
+        replies.flush()
+
+
+def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool, feed):
     """(input, parent entry id) in evaluation order: the seeds, then per queue
     pick the deterministic stage on the entry's first visit, HAVOC_ITERATIONS
-    havoc mutants and up to SPLICE_ITERATIONS splices. The caller enqueues
-    between yields, so each pick and splice partner sees the queue so far."""
+    havoc mutants from feed and up to SPLICE_ITERATIONS splices. The caller
+    enqueues between yields, so each pick and splice partner sees the queue
+    so far."""
     for _, data in seeds:
         yield data, None
     staged = 0  # entries get ids in order and are first visited in id order
@@ -135,8 +267,8 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, s
             staged += 1
             for mutant in deterministic_stage(data):
                 yield mutant, parent
-        for _ in range(HAVOC_ITERATIONS):
-            yield havoc(data, max_len, rng), parent
+        for mutant in feed(data, max_len, rng):
+            yield mutant, parent
         for _ in range(SPLICE_ITERATIONS):
             mutant = splice(data, rng.choice(queue.entries).data, max_len, rng)
             if mutant is not None:
@@ -197,8 +329,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     stop_reason = "timeout"
     stage = config.deterministic_stage_enabled
+    feed = _HavocFeed()
     try:
-        for data, parent_id in _schedule(seeds, queue, rng, config.max_input_len, stage):
+        for data, parent_id in _schedule(seeds, queue, rng, config.max_input_len, stage, feed):
             cov.clear()
             result = run_driver(spec, data, cov)
             executions += 1
@@ -236,6 +369,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     except KeyboardInterrupt:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"
+    finally:
+        feed.close()  # on every stop, so no child outlives the campaign
 
     duration = time.monotonic() - start if pace is None else executions / pace
     snapshot = (executions, best, len(global_cov), len(queue))

@@ -9,6 +9,8 @@ nonzero difference: same public input, different secrets, different cost.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -230,6 +232,15 @@ def replay_check(spec: DriverSpec, data: bytes, expected: int) -> DiffResult:
             f"witness failed replay: expected delta {expected}, got {got}"
         )
     return result
+
+
+def fork_cpus() -> int:
+    """The CPUs this process may use for forked workers: 1 where it cannot
+    fork, or where a second thread runs, since forking it can deadlock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 _REGISTRY: dict[str, DriverSpec] = {}

@@ -15,19 +15,19 @@ reproducible with `replay`.
 The exhaustive sweep shares its pubs among the CPUs the process may use, in
 forked children that pull chunks of pubs as they finish, with results
 identical to one process's; so targets must be pure, as replay assumes.
-Campaigns stay single-process: each evaluation can change the queue the
-next one draws from.
+A campaign evaluates in one process, since each evaluation can change the
+queue the next draws from; it forks only to make each queue visit's havoc
+mutants ahead, which no evaluation feeds.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from itertools import product
 
 from . import driver
-from .driver import ConfigError, DriverSpec, _execute, replay_check, with_domain
+from .driver import ConfigError, DriverSpec, _execute, fork_cpus, replay_check, with_domain
 
 # perfbench's tracer (perfbench/layers.py, Tracer.active) wraps
 # oracle.run_driver, which the sweep no longer calls; so the name stays bound
@@ -92,15 +92,14 @@ def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tup
 
 def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
     """_reduce over pubs, shared by w workers: worker 0 here, each other in a
-    forked child, unless a second thread makes forking liable to deadlock.
+    forked child, one per CPU that fork_cpus allows.
 
     Worker k reduces pub k, so every child gets work; then each worker claims
     the next unclaimed chunk of the rest, by reading its start, a 4-byte
     token, from one pipe, until the pipe is empty. The parent merges the
     chunks by pub index, so the result is a one-process sweep's."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    w = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(pubs))
-    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    w = min(fork_cpus(), len(pubs))
+    if w < 2:
         return _reduce(aspec, pubs, secs)
     import pickle
     import signal

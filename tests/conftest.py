@@ -4,8 +4,9 @@ Each test in test_acceptance.py states its guarantee in the first line of
 its docstring; this hook replays those lines with outcomes at the end of
 the run so the acceptance gate can be read without scrolling the log.
 
-It also holds the fixtures that the oracle and CLI tests share to watch the
-exhaustive sweep's forked children.
+It also holds the fixtures that the oracle, campaign and CLI tests share to
+watch forked children: the exhaustive sweep's workers and a campaign's
+havoc child.
 """
 
 import os
@@ -49,8 +50,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pids of the children the sweep forks, so that a test cannot
-    compare an in-process sweep with another in-process one."""
+    """The pids of the children a sweep or a campaign forks, so that a test
+    cannot compare an in-process run with another in-process one."""
     pids = []
     real_fork = os.fork
 
@@ -66,10 +67,10 @@ def forked(monkeypatch):
 
 @pytest.fixture
 def deadline():
-    """Fails a sweep that hangs instead of leaving the suite waiting."""
+    """Fails a sweep or campaign that hangs instead of leaving the suite waiting."""
 
     def expire(signum, frame):
-        raise TimeoutError("the sweep hung")
+        raise TimeoutError("the sweep or campaign hung")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)

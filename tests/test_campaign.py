@@ -1,8 +1,12 @@
 """Campaign orchestration: verdicts, clocks, liveness, reproducibility,
-stop conditions, the output files, and the witness self-check."""
+stop conditions, the output files, the witness self-check, and havoc made
+ahead in a forked child."""
 
 import csv
+import os
+import signal
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -632,3 +636,202 @@ def test_witness_that_does_not_replay_fails_after_writing(tmp_path, monkeypatch)
     for name in ARTIFACTS:
         assert (out / name).is_file(), name
     assert "leak-indicated" in (out / "report.txt").read_text()
+
+
+# --- havoc made ahead in a forked child -------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_fork_cpus(monkeypatch, cpus):
+    """The CPUs the campaign's fork guard reports: 1 keeps havoc inline."""
+    monkeypatch.setattr(campaign_module, "fork_cpus", lambda: cpus)
+
+
+def artifacts(out):
+    """The files a paced campaign must reproduce byte for byte, queue by name."""
+    files = {name: (out / name).read_bytes() for name in ("stats.csv", "witness.bin", "report.txt")}
+    files.update({f"queue/{path.name}": path.read_bytes() for path in (out / "queue").iterdir()})
+    return files
+
+
+def inline_then_forked(tmp_path, monkeypatch, forked, **kw):
+    """The reports and artifacts of one config's campaign, run with havoc
+    inline and then with havoc made in a forked child."""
+    runs = []
+    for cpus, forks in ((1, 0), (2, 1)):
+        set_fork_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        report = run_campaign(paced_config(tmp_path, out_dir=str(out), **kw))
+        assert len(forked) == forks
+        assert_no_child_left()
+        runs.append((report, artifacts(out)))
+    return runs
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["pwcheck_unsafe", "straightline_unsafe"])
+def test_a_forked_campaign_equals_an_inline_one(
+    tmp_path, monkeypatch, forked, deadline, name, rng_seed
+):
+    (inline, inline_files), (fork, fork_files) = inline_then_forked(
+        tmp_path, monkeypatch, forked, driver=name, rng_seed=rng_seed,
+        pace=1000, timeout_seconds=3.0, deterministic_stage_enabled=False,
+    )
+    assert fork == inline
+    assert fork_files == inline_files
+    assert inline.executions == 3000 and inline.queue_size > 1
+
+
+def test_a_stop_in_the_middle_of_a_visit_equals_inline(tmp_path, monkeypatch, forked, deadline):
+    (inline, inline_files), (fork, fork_files) = inline_then_forked(
+        tmp_path, monkeypatch, forked, rng_seed=1, pace=1000, timeout_seconds=3.0,
+        deterministic_stage_enabled=False, stop_on_delta=10,
+    )
+    assert fork == inline
+    assert fork_files == inline_files
+    assert fork.stop_reason == "delta-target-reached"
+    # the seed, then part of the first visit's havoc: the child had more in flight
+    assert 1 < fork.executions < 1 + campaign_module.HAVOC_ITERATIONS
+
+
+def test_no_child_outlives_an_interrupted_campaign(tmp_path, monkeypatch, forked, deadline):
+    evaluations = [0]
+
+    def interrupt_at_100(*args):
+        evaluations[0] += 1
+        if evaluations[0] == 100:
+            raise KeyboardInterrupt
+        return driver_module.run_driver(*args)
+
+    monkeypatch.setattr(campaign_module, "run_driver", interrupt_at_100)
+    set_fork_cpus(monkeypatch, 2)
+    report = run_campaign(paced_config(tmp_path, deterministic_stage_enabled=False))
+    assert report.stop_reason == "interrupted"
+    assert report.executions == 99
+    assert len(forked) == 1
+    assert_no_child_left()
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_the_havoc_child_ignores_ctrl_c(tmp_path, monkeypatch, forked, deadline):
+    """Ctrl-C signals the terminal's whole foreground group; only the
+    campaign's process may act on it."""
+    evaluations = [0]
+
+    def signal_the_child_at_100(*args):
+        evaluations[0] += 1
+        if evaluations[0] == 100:
+            os.kill(forked[0], signal.SIGINT)
+        return driver_module.run_driver(*args)
+
+    monkeypatch.setattr(campaign_module, "run_driver", signal_the_child_at_100)
+    set_fork_cpus(monkeypatch, 2)
+    report = run_campaign(paced_config(tmp_path, deterministic_stage_enabled=False))
+    assert report.stop_reason == "timeout"
+    assert report.executions == 1500
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_havoc_error_reaches_the_caller_after_the_mutants_before_it(
+    tmp_path, monkeypatch, forked, deadline, cpus
+):
+    real_havoc = campaign_module.havoc
+    calls, evaluations = [0], [0]
+
+    def havoc_fails_at_50(*args):
+        calls[0] += 1
+        if calls[0] == 50:
+            raise ValueError("havoc failed on call 50")
+        return real_havoc(*args)
+
+    def counting(*args):
+        evaluations[0] += 1
+        return driver_module.run_driver(*args)
+
+    monkeypatch.setattr(campaign_module, "havoc", havoc_fails_at_50)
+    monkeypatch.setattr(campaign_module, "run_driver", counting)
+    set_fork_cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="havoc failed on call 50"):
+        run_campaign(paced_config(tmp_path, deterministic_stage_enabled=False))
+    assert evaluations == [1 + 49]  # the seed and every mutant made before the error
+    assert len(forked) == cpus - 1
+    assert calls == [50 if cpus == 1 else 0]  # forked, havoc ran in the child only
+    assert_no_child_left()
+
+
+def test_a_havoc_child_that_dies_is_an_error_not_a_hang(tmp_path, monkeypatch, forked, deadline):
+    parent = os.getpid()
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        raise AssertionError("havoc ran in the campaign's process")
+
+    monkeypatch.setattr(campaign_module, "havoc", dies_in_a_child)
+    set_fork_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="exited with status 7"):
+        run_campaign(paced_config(tmp_path, deterministic_stage_enabled=False))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_havoc_child_killed_from_outside_is_an_error_not_a_hang(
+    tmp_path, monkeypatch, forked, deadline
+):
+    evaluations = [0]
+
+    def kill_the_child_at_100(*args):
+        evaluations[0] += 1
+        if evaluations[0] == 100:  # it may have sent the whole visit by now
+            os.kill(forked[0], signal.SIGKILL)
+        return driver_module.run_driver(*args)
+
+    monkeypatch.setattr(campaign_module, "run_driver", kill_the_child_at_100)
+    set_fork_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"havoc child \d+ exited with status -9"):
+        run_campaign(paced_config(tmp_path, deterministic_stage_enabled=False))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_fork_that_fails_leaves_havoc_inline(tmp_path, monkeypatch, deadline):
+    def no_process_to_spare():
+        raise BlockingIOError(11, "Resource temporarily unavailable")  # EAGAIN
+
+    set_fork_cpus(monkeypatch, 1)
+    inline = run_campaign(paced_config(tmp_path, out_dir=str(tmp_path / "inline"), rng_seed=1))
+    set_fork_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_process_to_spare)
+    report = run_campaign(paced_config(tmp_path, out_dir=str(tmp_path / "failed"), rng_seed=1))
+    assert report == inline
+    assert artifacts(tmp_path / "failed") == artifacts(tmp_path / "inline")
+    assert report.executions == 1500  # the 316 flips of the 12-byte seed, then havoc
+
+
+@pytest.mark.parametrize("cpus,thread,forks", [(1, False, 0), (2, True, 0), (2, False, 1)])
+def test_a_campaign_forks_only_with_two_cpus_and_one_thread(
+    tmp_path, monkeypatch, forked, deadline, cpus, thread, forks
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if thread:
+        waiter.start()
+    try:
+        report = run_campaign(
+            paced_config(tmp_path, deterministic_stage_enabled=False, timeout_seconds=1.0)
+        )
+    finally:
+        release.set()
+        if thread:
+            waiter.join(timeout=10)
+    assert report.executions == 500  # havoc from the second evaluation on
+    assert len(forked) == forks
+    assert_no_child_left()
