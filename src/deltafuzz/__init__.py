@@ -31,11 +31,22 @@ from .driver import (
 )
 from .metering import DIMENSIONS, CostReading, HarnessError, Meter
 from .mutation import deterministic_stage, havoc, splice
-from .oracle import OracleResult, exhaustive_max_delta, structured_max_delta
 
 from . import benchmarks  # noqa: E402  (import registers the stock drivers)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The oracle module and its public names, imported on first use, since
+    no campaign runs it (PEP 562)."""
+    if name in ("oracle", "OracleResult", "exhaustive_max_delta", "structured_max_delta"):
+        from importlib import import_module
+
+        oracle = import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CHARSETS",

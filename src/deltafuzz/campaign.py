@@ -25,7 +25,6 @@ reported delta.
 from __future__ import annotations
 
 import csv
-import logging
 import os
 import random
 import time
@@ -48,8 +47,6 @@ from .driver import (
     with_domain,
 )
 from .mutation import deterministic_stage, havoc, splice
-
-log = logging.getLogger(__name__)
 
 VERDICT_NO_DIFFERENCE = "no-difference-found"
 VERDICT_BELOW_EPSILON = "below-epsilon"
@@ -109,6 +106,8 @@ class CampaignConfig:
             raise ConfigError("pace must be >= 1 evaluations per second")
         if self.stop_on_delta is not None and self.stop_on_delta < 1:
             raise ConfigError("stop-delta must be >= 1")
+        if self.rng_seed < 0:  # random.Random(-n) would repeat the stream of n
+            raise ConfigError("rng seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -319,14 +318,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # score. Two remembered executions can still form a new pair or delta.
     cov = CoverageMap()
 
-    log.info(
-        "campaign start: driver=%s dimension=%s timeout=%ss seeds=%d",
-        spec.name,
-        dim,
-        config.timeout_seconds,
-        len(seeds),
-    )
-
     stop_reason = "timeout"
     stage = config.deterministic_stage_enabled
     feed = _HavocFeed()
@@ -403,13 +394,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # run) there is nothing to check, and re-running could hang again.
     if executions:
         replay_check(spec, witness_data, best)
-    log.info(
-        "campaign done: verdict=%s max_delta=%d executions=%d (%s)",
-        report.verdict,
-        report.max_delta,
-        report.executions,
-        stop_reason,
-    )
     return report
 
 

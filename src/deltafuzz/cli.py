@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--out", required=True, help="campaign output directory")
     fuzz.add_argument("--timeout", type=float, default=30.0, help="seconds to run")
     fuzz.add_argument("--max-len", type=int, default=48, help="input byte cap")
-    fuzz.add_argument("--rng-seed", type=int, default=0)
+    fuzz.add_argument(
+        "--rng-seed", type=int, default=0, help="mutation RNG seed, >= 0 (default: 0)"
+    )
     fuzz.add_argument(
         "--epsilon",
         type=float,

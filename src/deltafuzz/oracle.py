@@ -96,8 +96,10 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
 
     Worker k reduces pub k, so every child gets work; then each worker claims
     the next unclaimed chunk of the rest, by reading its start, a 4-byte
-    token, from one pipe, until the pipe is empty. The parent merges the
-    chunks by pub index, so the result is a one-process sweep's."""
+    token, from one pipe, until the pipe is empty. A fork that fails (no
+    process or memory to spare) ends the forking, and worker 0 reduces the
+    first pub of each worker not forked. The parent merges the chunks by pub
+    index, so the result is a one-process sweep's."""
     w = min(fork_cpus(), len(pubs))
     if w < 2:
         return _reduce(aspec, pubs, secs)
@@ -108,8 +110,8 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     os.write(wr, b"".join(i.to_bytes(4, "little") for i in range(w, len(pubs), size)))
     os.close(wr)  # before any fork, so an empty pipe reads as EOF
 
-    def work(k: int) -> dict[int, list[tuple]]:
-        done = {k: _reduce(aspec, pubs[k : k + 1], secs)}
+    def work(*firsts: int) -> dict[int, list[tuple]]:
+        done = {k: _reduce(aspec, pubs[k : k + 1], secs) for k in firsts}
         while token := os.read(tokens, 4):
             i = int.from_bytes(token, "little")
             done[i] = _reduce(aspec, pubs[i : i + size], secs)
@@ -119,7 +121,12 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     try:
         for k in range(1, w):
             r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN or ENOMEM
+                os.close(r)
+                os.close(wr)
+                break
             if pid == 0:
                 try:
                     try:
@@ -133,7 +140,7 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
                     os._exit(1)  # nothing sent: the parent reads EOF
             os.close(wr)  # before the next fork, so EOF means this child is gone
             children.append((pid, open(r, "rb")))
-        done = work(0)
+        done = work(0, *range(len(children) + 1, w))
         sent = [pipe.read() for _, pipe in children]
     finally:
         os.close(tokens)

@@ -115,6 +115,7 @@ def test_canonical_dimension(tmp_path):
         ("max_input_len", 0),
         ("stop_on_delta", 0),
         ("pace", 0),
+        ("rng_seed", -1),
     ],
 )
 def test_config_validation(tmp_path, field, value):

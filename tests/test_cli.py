@@ -175,6 +175,14 @@ def test_fuzz_bad_epsilon(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_fuzz_negative_rng_seed_is_exit_two(tmp_path, capsys):
+    # random.Random(-5) draws the stream of Random(5): two such trials would
+    # be one trial counted twice
+    assert main(fuzz_args(tmp_path, "--rng-seed", "-1")) == 2
+    assert capsys.readouterr().err == "error: rng seed must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_fuzz_infinite_timeout_runs_until_the_stop_delta(tmp_path):
     assert main(fuzz_args(tmp_path, "--timeout", "inf", "--stop-delta", "2")) == 0
     report = (tmp_path / "out" / "report.txt").read_text()

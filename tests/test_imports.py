@@ -1,7 +1,12 @@
 """Source hygiene: every name a deltafuzz module imports is used there or
-exported through its __all__."""
+exported through its __all__; and `import deltafuzz` loads only what a
+campaign runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deltafuzz"
@@ -42,3 +47,37 @@ def test_no_module_imports_a_name_it_never_uses():
     files = sorted(PACKAGE.rglob("*.py"))
     assert files, f"no sources under {PACKAGE}"
     assert [entry for path in files for entry in unused_imports(path)] == []
+
+
+# Run in a fresh interpreter: the test process has usually imported the
+# oracle, and hashlib, already.
+COLD_START = """
+import json, sys
+before = set(sys.modules)
+import deltafuzz
+seen = {"added": sorted(set(sys.modules) - before)}
+seen["oracle"] = [deltafuzz.structured_max_delta.__module__, deltafuzz.oracle.__name__]
+namespace = {}
+exec("from deltafuzz import *", namespace)
+seen["star"] = sorted(set(deltafuzz.__all__) - set(namespace))
+seen["hashlib_before_login"] = "hashlib" in sys.modules
+traced = deltafuzz.CoverageMap()
+result = deltafuzz.run_driver(deltafuzz.get_driver("login_unsafe"), bytes(12), traced)
+seen["login"] = [result.outcome, len(traced) > 0, "hashlib" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_import_loads_only_what_a_campaign_runs():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    seen = json.loads(done.stdout)
+    unused = ("logging", "hashlib", "deltafuzz.oracle")
+    assert [name for name in unused if name in seen["added"]] == []
+    assert seen["oracle"] == ["deltafuzz.oracle", "deltafuzz.oracle"]
+    assert seen["star"] == []
+    assert seen["hashlib_before_login"] is False
+    assert seen["login"] == ["ok", True, True]

@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from deltafuzz import oracle as oracle_module
 from deltafuzz.campaign import CampaignConfig, replay, run_campaign
 from deltafuzz.driver import (
     CHARSETS,
@@ -336,6 +337,32 @@ def test_a_pulled_sweep_of_many_chunks_equals_an_in_process_one(monkeypatch, for
         assert _sweep(spec, pubs, secs) == alone
         assert len(forked) == cpus - 1
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus,failing_call", [(2, 1), (3, 1), (3, 2)])
+def test_a_fork_that_fails_leaves_its_share_to_the_parent(
+    monkeypatch, forked, deadline, cpus, failing_call
+):
+    """A fork that raises EAGAIN ends the forking; the parent reduces the
+    share of every worker not forked, as a one-process sweep would."""
+    fork, calls = os.fork, []  # forked's counting fork
+
+    def fork_until_the_system_refuses():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise BlockingIOError(11, "Resource temporarily unavailable")  # EAGAIN
+        return fork()
+
+    aspec = with_domain(get_driver("pwcheck_unsafe"), segment_cap=3, charset="binary")
+    pubs = secs = [bytes(p) for p in product(aspec.constraints.alphabet(), repeat=3)]
+    monkeypatch.setattr(oracle_module, "fork_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork_until_the_system_refuses)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    assert _sweep(aspec, pubs, secs) == _reduce(aspec, pubs, secs)
+    assert (len(calls), len(forked)) == (failing_call, failing_call - 1)
+    assert_no_child_left()
+    if fds is not None:  # the failed worker's pipe is closed too
+        assert os.listdir("/proc/self/fd") == fds
 
 
 def harness_reference(aspec, segment_len):
