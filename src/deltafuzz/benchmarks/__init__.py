@@ -7,15 +7,18 @@ exponent bit pattern, parity), the driver declares it: one public input and
 the secrets at the statistic's extremes, which the structured oracle runs
 once each instead of the raw byte domain. Each target module's COST_MODEL
 states what its meter charges, in prose.
+
+Importing this package registers every driver by name, with a loader: the
+first get_driver of a name imports its target module (and `support`, for
+`micro` and `modpow`) and builds the DriverSpec, which the registry keeps.
+So driver_names() loads no target module, and a campaign loads only its own.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from importlib import import_module
 
-from ..driver import ConfigError, Constraints, DriverSpec, Statistic, register_driver
-from ..metering import Meter
-from . import crime, jetty_eq, login, micro, modpow, pad, pwcheck
+from ..driver import ConfigError, Constraints, DriverSpec, Statistic, register_loader
 
 Witnesses = tuple[bytes, list[bytes]]  # one pub, the secrets at the extremes
 
@@ -91,44 +94,51 @@ def parity_witnesses(segment_len: int, alphabet: bytes) -> Witnesses:
 
 def _register(
     name: str,
-    unsafe: Callable[[bytes, bytes, Meter], object],
-    safe: Callable[[bytes, bytes, Meter], object] | None,
+    module: str,
+    unsafe: str,
+    safe: str | None,
     description: str,
     cap: int,
     dimension: str = "ops",
     statistic: Statistic | None = None,
 ) -> None:
     """Register NAME_unsafe and NAME_safe, or just NAME without a repaired
-    variant; the variants share every field but the target."""
+    variant, whose targets are the functions named unsafe and safe in the
+    target module; the variants share every field but the target."""
     constraints = Constraints(max_segment_len=cap)
     variants = {name: unsafe} if safe is None else {f"{name}_unsafe": unsafe, f"{name}_safe": safe}
-    for driver, target in variants.items():
-        register_driver(DriverSpec(driver, target, description, dimension, constraints, statistic))
+    for driver, attr in variants.items():
+
+        def load(driver: str = driver, attr: str = attr) -> DriverSpec:
+            target = getattr(import_module(f".{module}", __name__), attr)
+            return DriverSpec(driver, target, description, dimension, constraints, statistic)
+
+        register_loader(driver, load)
 
 
-_register("pwcheck", pwcheck.pwcheck_unsafe, pwcheck.pwcheck_safe,
+_register("pwcheck", "pwcheck", "pwcheck_unsafe", "pwcheck_safe",
           "byte-compare password check; unsafe exits at first mismatch",
           16, statistic=Statistic("match-prefix-length", prefix_witnesses))
-_register("jetty_eq", jetty_eq.string_eq_leaky, jetty_eq.string_eq_const,
+_register("jetty_eq", "jetty_eq", "string_eq_leaky", "string_eq_const",
           "AND-folded string compare; unsafe fold is cheaper on mismatch",
           16, statistic=Statistic("matching-positions", prefix_witnesses))
-_register("pad", pad.pad_unsafe, pad.pad_safe,
+_register("pad", "pad", "pad_unsafe", "pad_safe",
           "fixed-width padder; unsafe work shrinks with name length",
           8, statistic=Statistic("effective-length", efflen_witnesses))
-_register("modpow", modpow.modpow_unsafe_target, modpow.modpow_safe_target,
+_register("modpow", "modpow", "modpow_unsafe_target", "modpow_safe_target",
           "square-and-multiply modular exponentiation, secret exponent",
           8, statistic=Statistic("exponent-bit-pattern", exponent_witnesses))
-_register("array", micro.array_unsafe, micro.array_safe,
+_register("array", "micro", "array_unsafe", "array_safe",
           "table walk of secret-bounded length", 4)
-_register("loop_and_branch", micro.loop_and_branch_unsafe, micro.loop_and_branch_safe,
+_register("loop_and_branch", "micro", "loop_and_branch_unsafe", "loop_and_branch_safe",
           "branchy loops; the repaired guard wraps at secret+10", 4)
-_register("sanity", micro.sanity_unsafe, micro.sanity_safe,
+_register("sanity", "micro", "sanity_unsafe", "sanity_safe",
           "loop of secret-many iterations vs a public-bounded loop", 4)
-_register("straightline", micro.straightline_unsafe, micro.straightline_safe,
+_register("straightline", "micro", "straightline_unsafe", "straightline_safe",
           "constant-size extra block guarded by the secret's low bit",
           4, statistic=Statistic("low-bit-parity", parity_witnesses))
-_register("crime_compress", crime.crime_compress_target, None,
+_register("crime_compress", "crime", "crime_compress_target", None,
           "compressed size of pub++sec reveals shared substrings",
           16, dimension="response_bytes")
-_register("login", login.login_unsafe, login.login_safe,
+_register("login", "login", "login_unsafe", "login_safe",
           "salted-digest credential check; unsafe compare short-circuits", 8)

@@ -28,9 +28,8 @@ import csv
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import FuzzQueue, consider, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
@@ -79,8 +78,7 @@ def verdict(max_delta: int, report_epsilon: Optional[float] = None) -> str:
     return VERDICT_LEAK
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class _CampaignConfig(NamedTuple):
     driver_name: str
     seed_dir: str
     out_dir: str
@@ -95,7 +93,12 @@ class CampaignConfig:
     pace: Optional[int] = None
     stop_on_delta: Optional[int] = None
 
-    def __post_init__(self):
+
+class CampaignConfig(_CampaignConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.timeout_seconds >= 1:  # NaN fails this, as it must
             raise ConfigError("timeout must be >= 1 second")
         if self.report_epsilon is not None and not self.report_epsilon >= 0:
@@ -108,10 +111,10 @@ class CampaignConfig:
             raise ConfigError("stop-delta must be >= 1")
         if self.rng_seed < 0:  # random.Random(-n) would repeat the stream of n
             raise ConfigError("rng seed must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(NamedTuple):
     driver: str
     dimension: str
     verdict: str
@@ -127,7 +130,7 @@ class CampaignReport:
     duration: float
     stop_reason: str
     report_epsilon: Optional[float]
-    stats_rows: tuple[tuple[int, int, int, int, int], ...] = field(repr=False, default=())
+    stats_rows: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
 class _HavocFeed:
@@ -299,7 +302,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         raise ConfigError(f"cannot create output directory {queue_dir}: {exc.strerror}") from None
     global_cov = GlobalCoverage()
     rng = random.Random(config.rng_seed)
-    pace = config.pace
+    pace, stop_on_delta, timeout = config.pace, config.stop_on_delta, config.timeout_seconds
     start = time.monotonic()
 
     executions = 0
@@ -345,10 +348,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 next_row_second = _add_rows(
                     stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
                 )
-            if config.stop_on_delta is not None and best >= config.stop_on_delta:
+            if stop_on_delta is not None and best >= stop_on_delta:
                 stop_reason = "delta-target-reached"
                 break
-            if at >= config.timeout_seconds:
+            if at >= timeout:
                 break
             if executions <= len(seeds):
                 if result.outcome == OUTCOME_PARSE_REJECT:

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
-import statistics
 import sys
 from pathlib import Path
 
 from .campaign import CampaignConfig, replay, run_campaign, triple_lines
 from .driver import CHARSETS, OUTCOME_PARSE_REJECT, ConfigError, driver_names, get_driver
 from .metering import DIMENSION_ALIASES
-from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
 
 
 def _domain_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enumerate the driver's declared cost statistic instead of raw bytes",
     )
-    orc.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    orc.add_argument("--budget", type=int)  # None: the oracle's DEFAULT_BUDGET
     orc.set_defaults(func=_cmd_oracle)
 
     lst = sub.add_parser("list-drivers", help="enumerate registered drivers")
@@ -158,13 +155,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    # here, not at the top: only this subcommand runs the oracle
+    import json
+
+    from .oracle import DEFAULT_BUDGET, exhaustive_max_delta, structured_max_delta
+
     spec = get_driver(args.driver)
     if args.structured:
         res = structured_max_delta(spec, args.segment_len, charset=args.alphabet)
     else:
-        res = exhaustive_max_delta(
-            spec, args.segment_len, charset=args.alphabet, budget=args.budget
-        )
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
+        res = exhaustive_max_delta(spec, args.segment_len, charset=args.alphabet, budget=budget)
     pub, sec1, sec2 = res.decoded
     print(f"driver:    {res.driver}")
     print(f"mode:      {res.mode}")
@@ -230,12 +231,16 @@ def _read_run(out_dir: Path) -> tuple[int, int | None]:
                 f"{stats}, line {reader.line_num}: seconds and max_delta "
                 "must be integers"
             ) from None
-    max_delta = max((delta for _, delta in rows), default=0)
+    if not rows:  # every campaign writes at least its final snapshot row
+        raise ConfigError(f"{stats} has a header and no rows")
+    max_delta = max(delta for _, delta in rows)
     first_positive = next((sec for sec, delta in rows if delta > 0), None)
     return max_delta, first_positive
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    import statistics  # here, not at the top: only this subcommand uses it
+
     runs = [_read_run(Path(d)) for d in args.dirs]
     for d, (delta, first) in zip(args.dirs, runs):
         shown = first if first is not None else "-"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 from .coverage import CoverageMap, EdgeTracer, InstrumentError
@@ -45,18 +44,23 @@ class ParseReject(Exception):
     """Input bytes cannot be decoded into three usable segments."""
 
 
-@dataclass(frozen=True)
-class Constraints:
-    """Per-segment shape limits enforced constructively by the parser."""
-
+class _Constraints(NamedTuple):
     max_segment_len: int = 16
     charset: str = "byte"
 
-    def __post_init__(self):
+
+class Constraints(_Constraints):
+    """Per-segment shape limits enforced constructively by the parser."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_segment_len < 1:
             raise ConfigError("segment cap must be >= 1")
         if self.charset not in CHARSETS:
             raise ConfigError(f"unknown charset: {self.charset!r}")
+        return self
 
     def alphabet(self) -> bytes:
         return CHARSETS[self.charset]
@@ -82,8 +86,7 @@ def _charset_table(alphabet: bytes) -> bytes:
     return bytes(alphabet[b % len(alphabet)] for b in range(256))
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(NamedTuple):
     """Declares the one cost-relevant statistic of a target so the oracle can
     enumerate the statistic's range instead of the raw byte domain.
 
@@ -96,18 +99,23 @@ class Statistic:
     witnesses: Callable[[int, bytes], tuple[bytes, list[bytes]]]
 
 
-@dataclass(frozen=True)
-class DriverSpec:
+class _DriverSpec(NamedTuple):
     name: str
     target: Callable[[bytes, bytes, Meter], object]
     description: str = ""
     cost_dimension: str = "ops"
-    constraints: Constraints = field(default_factory=Constraints)
+    constraints: Constraints = Constraints()
     statistic: Optional[Statistic] = None
 
-    def __post_init__(self):
+
+class DriverSpec(_DriverSpec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cost_dimension not in DIMENSIONS:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
+        return self
 
 
 class DiffResult(NamedTuple):
@@ -243,22 +251,33 @@ def fork_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-_REGISTRY: dict[str, DriverSpec] = {}
+# by name: the spec, or for a stock driver not yet looked up, its loader
+_REGISTRY: dict[str, DriverSpec | Callable[[], DriverSpec]] = {}
 
 
 def register_driver(spec: DriverSpec) -> DriverSpec:
-    if spec.name in _REGISTRY:
-        raise ValueError(f"driver already registered: {spec.name}")
-    _REGISTRY[spec.name] = spec
+    register_loader(spec.name, spec)
     return spec
+
+
+def register_loader(name: str, load: DriverSpec | Callable[[], DriverSpec]) -> None:
+    """Register a driver by name with its spec, or with load, which builds
+    the spec on the first lookup; so a stock driver's target module is
+    imported only when a caller needs it."""
+    if name in _REGISTRY:
+        raise ValueError(f"driver already registered: {name}")
+    _REGISTRY[name] = load
 
 
 def get_driver(name: str) -> DriverSpec:
     try:
-        return _REGISTRY[name]
+        spec = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise ConfigError(f"unknown driver {name!r}; registered: {known}") from None
+    if not isinstance(spec, DriverSpec):
+        spec = _REGISTRY[name] = spec()
+    return spec
 
 
 def driver_names() -> list[str]:
@@ -273,15 +292,17 @@ def with_domain(
 ) -> DriverSpec:
     """Copy of spec with overridden constraints/dimension (campaign- or
     oracle-local; the registry entry is never mutated). The dimension may be
-    a canonical name or a command-line alias (ops/mem/response)."""
+    a canonical name or a command-line alias (ops/mem/response). Built
+    through the constructor, which checks it, as _replace would not."""
     current = spec.constraints
-    return replace(
-        spec,
-        constraints=Constraints(
+    return DriverSpec(
+        spec.name,
+        spec.target,
+        spec.description,
+        spec.cost_dimension if dimension is None else DIMENSION_ALIASES.get(dimension, dimension),
+        Constraints(
             current.max_segment_len if segment_cap is None else segment_cap,
             current.charset if charset is None else charset,
         ),
-        cost_dimension=spec.cost_dimension
-        if dimension is None
-        else DIMENSION_ALIASES.get(dimension, dimension),
+        spec.statistic,
     )

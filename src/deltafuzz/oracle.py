@@ -23,8 +23,8 @@ mutants ahead, which no evaluation feeds.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import driver
 from .driver import ConfigError, DriverSpec, _execute, fork_cpus, replay_check, with_domain
@@ -44,8 +44,7 @@ class DomainTooLarge(ConfigError):
     """Input domain exceeds the exhaustive enumeration budget."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     driver: str
     dimension: str
     mode: str
@@ -193,9 +192,12 @@ def exhaustive_max_delta(
 ) -> OracleResult:
     """True maximum delta over the full constrained domain.
 
-    Refuses with DomainTooLarge when the triple domain |A|**(3*len)
-    exceeds the budget; cost enumeration itself needs |A|**(2*len) runs.
+    Refuses a budget below 1, and with DomainTooLarge a triple domain
+    |A|**(3*len) over the budget; cost enumeration itself needs
+    |A|**(2*len) runs.
     """
+    if budget < 1:
+        raise ConfigError("budget must be >= 1")
     aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
     symbols = aspec.constraints.alphabet()
     n = len(symbols)

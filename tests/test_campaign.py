@@ -107,20 +107,25 @@ def test_canonical_dimension(tmp_path):
         replay("pwcheck_unsafe", b"\x00" * 12, dimension="watts")
 
 
+CONFIG_FAULTS = [
+    ("timeout_seconds", 0.5),
+    ("report_epsilon", -1.0),
+    ("max_input_len", 0),
+    ("stop_on_delta", 0),
+    ("pace", 0),
+    ("rng_seed", -1),
+]
+
+
 @pytest.mark.parametrize(
-    "field,value",
-    [
-        ("timeout_seconds", 0.5),
-        ("report_epsilon", -1.0),
-        ("max_input_len", 0),
-        ("stop_on_delta", 0),
-        ("pace", 0),
-        ("rng_seed", -1),
-    ],
+    "field,value,by_position",
+    [(*fault, False) for fault in CONFIG_FAULTS] + [(*fault, True) for fault in CONFIG_FAULTS],
+    ids=[f"{field}-{value}{suffix}" for suffix in ("", "-by-position") for field, value in CONFIG_FAULTS],
 )
-def test_config_validation(tmp_path, field, value):
+def test_config_validation(tmp_path, field, value, by_position):
+    values = {**paced_config(tmp_path)._asdict(), field: value}
     with pytest.raises(ConfigError):
-        paced_config(tmp_path, **{field: value})
+        CampaignConfig(*values.values()) if by_position else CampaignConfig(**values)
 
 
 # --- clock ----------------------------------------------------------------------

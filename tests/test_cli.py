@@ -115,6 +115,13 @@ def test_oracle_unknown_driver(capsys):
     assert main(["oracle", "--driver", "nope", "--len", "1"]) == 2
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_oracle_budget_below_one_is_exit_two(capsys, budget):
+    argv = ["oracle", "--driver", "pwcheck_unsafe", "--len", "2", "--budget", budget]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 1\n"
+
+
 # --- fuzz ------------------------------------------------------------------------
 
 
@@ -453,6 +460,13 @@ def test_report_bad_row_is_a_config_error(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert f"{d}/stats.csv, line 3" in err
+
+
+def test_report_header_without_rows_is_a_config_error(tmp_path, capsys):
+    # every campaign writes at least its final snapshot row
+    d = stats_dir(tmp_path, "empty", [])
+    assert main(["report", d]) == 2
+    assert capsys.readouterr() == ("", f"error: {d}/stats.csv has a header and no rows\n")
 
 
 def test_report_reads_real_campaign_output(tmp_path, capsys):

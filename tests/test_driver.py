@@ -9,6 +9,7 @@ import pytest
 from test_coverage import assert_maps_equal, edge_map, line_sites, stub_probe, walk
 
 from deltafuzz import driver as driver_module
+from deltafuzz.corpus import QueueEntry
 from deltafuzz.coverage import CoverageMap
 from deltafuzz.driver import (
     OUTCOME_HARNESS_ERROR,
@@ -342,17 +343,32 @@ def test_with_domain_validates():
 
 
 @pytest.mark.parametrize(
-    "kwargs,message",
+    "cls,kwargs,by_position,error,message",
     [
-        ({"max_segment_len": 0}, "segment cap must be >= 1"),
-        ({"max_segment_len": -1}, "segment cap must be >= 1"),
-        ({"charset": "klingon"}, "unknown charset: 'klingon'"),
+        (Constraints, {"max_segment_len": 0}, False, ConfigError, "segment cap must be >= 1"),
+        (Constraints, {"max_segment_len": -1}, False, ConfigError, "segment cap must be >= 1"),
+        (Constraints, {"charset": "klingon"}, False, ConfigError, "unknown charset: 'klingon'"),
+        (Constraints, {"max_segment_len": 0}, True, ConfigError, "segment cap must be >= 1"),
+        (Constraints, {"charset": "klingon"}, True, ConfigError, "unknown charset: 'klingon'"),
+        (DriverSpec, {"name": "bad", "target": toy_compare, "cost_dimension": "watts"}, True,
+         ConfigError, "unknown cost dimension: 'watts'"),
+        (QueueEntry, {"entry_id": 0, "data": b"", "best_delta": 0}, False,
+         ValueError, "queue entry bytes must be non-empty"),
+        (QueueEntry, {"entry_id": 0, "data": b"x", "best_delta": -1}, False,
+         ValueError, "best_delta must be >= 0"),
     ],
-    ids=["cap-zero", "cap-negative", "unknown-charset"],
+    ids=[
+        "cap-zero", "cap-negative", "unknown-charset", "cap-zero-by-position",
+        "unknown-charset-by-position", "spec-dimension-by-position", "entry-empty-data",
+        "entry-negative-delta",
+    ],
 )
-def test_constraints_are_checked_at_construction(kwargs, message):
-    with pytest.raises(ConfigError, match=message):
-        Constraints(**kwargs)
+def test_constraints_are_checked_at_construction(cls, kwargs, by_position, error, message):
+    # the other ways in: DriverSpec by keyword and QueueEntry by position
+    # have tests of their own
+    values = {**cls._field_defaults, **kwargs}
+    with pytest.raises(error, match=message):
+        cls(*(values[name] for name in cls._fields)) if by_position else cls(**kwargs)
 
 
 def test_a_driver_with_bad_constraints_never_reaches_the_registry():

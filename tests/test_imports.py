@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from deltafuzz import get_driver
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "deltafuzz"
 
 
@@ -50,12 +52,16 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 # Run in a fresh interpreter: the test process has usually imported the
-# oracle, and hashlib, already.
+# oracle, hashlib and every target module already.
 COLD_START = """
 import json, sys
 before = set(sys.modules)
 import deltafuzz
 seen = {"added": sorted(set(sys.modules) - before)}
+seen["drivers"] = deltafuzz.driver_names()
+seen["benchmarks"] = sorted(name for name in sys.modules if name.startswith("deltafuzz.benchmarks"))
+import deltafuzz.cli
+seen["cli"] = [name for name in ("deltafuzz.oracle", "statistics") if name in sys.modules]
 seen["oracle"] = [deltafuzz.structured_max_delta.__module__, deltafuzz.oracle.__name__]
 namespace = {}
 exec("from deltafuzz import *", namespace)
@@ -67,17 +73,38 @@ seen["login"] = [result.outcome, len(traced) > 0, "hashlib" in sys.modules]
 print(json.dumps(seen))
 """
 
+# the modules one lookup of the driver named by argv[1] adds
+LOOKUP = """
+import json, sys
+import deltafuzz
+before = set(sys.modules)
+deltafuzz.get_driver(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
 
-def test_import_loads_only_what_a_campaign_runs():
+
+def fresh_interpreter(script: str, *args: str):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_START],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    seen = json.loads(done.stdout)
-    unused = ("logging", "hashlib", "deltafuzz.oracle")
+    return json.loads(done.stdout)
+
+
+def test_import_loads_only_what_a_campaign_runs():
+    seen = fresh_interpreter(COLD_START)
+    unused = ("logging", "hashlib", "dataclasses", "inspect", "deltafuzz.oracle")
     assert [name for name in unused if name in seen["added"]] == []
+    assert [name for name in seen["added"] if name.startswith("deltafuzz.benchmarks.")] == []
+    assert len(seen["drivers"]) == 19
+    assert seen["benchmarks"] == ["deltafuzz.benchmarks"]
+    assert seen["cli"] == []
     assert seen["oracle"] == ["deltafuzz.oracle", "deltafuzz.oracle"]
     assert seen["star"] == []
     assert seen["hashlib_before_login"] is False
     assert seen["login"] == ["ok", True, True]
+    for name in seen["drivers"]:
+        module = get_driver(name).target.__module__
+        shared = ["deltafuzz.benchmarks.support"] if module.endswith((".micro", ".modpow")) else []
+        assert fresh_interpreter(LOOKUP, name) == sorted([module, *shared]), name

@@ -191,6 +191,12 @@ def test_budget_refusal_names_the_cardinality():
     assert 256 ** 3 == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("budget", [-5, 0])
+def test_budget_below_one_is_refused(budget):
+    with pytest.raises(ConfigError, match=r"^budget must be >= 1$"):
+        exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, budget=budget)
+
+
 def test_budget_refusal_binary_long_segments():
     with pytest.raises(DomainTooLarge):
         exhaustive_max_delta(get_driver("pwcheck_unsafe"), 13, charset="binary")
