@@ -5,15 +5,15 @@ One campaign is one thread owning the queue, coverage, high score, and RNG.
 the queue round-robin, each entry getting the deterministic stage on its
 first visit, then bounded havoc and splice passes. A visit's havoc mutants
 depend only on the entry and the RNG state at the visit's start, never on
-an evaluation. So `_HavocFeed` makes them in one forked child, which works
-ahead on a copy of that state while the campaign evaluates, then hands
-back its final state: the splices and every later draw are those of
-inline havoc, which runs where the process may not use a second CPU.
-Every candidate runs through the two-execution harness and is kept iff it
-reaches new coverage or strictly raises the delta high score. Progress
-lands in stats.csv at one row per second; the final report carries the
-verdict, the witness triple, and the reminder that finding nothing proves
-nothing.
+an evaluation. So `_HavocFeed` makes them in one child of driver.fork_child,
+the oracle's sweep workers' fork too. The child works ahead on a copy of
+that state while the campaign evaluates, then hands back its final state:
+the splices and every later draw are those of inline havoc, which runs
+where the process may not use a second CPU. Every candidate runs through
+the two-execution harness and is kept iff it reaches new coverage or
+strictly raises the delta high score. Progress lands in stats.csv at one
+row per second; the final report carries the verdict, the witness triple,
+and the reminder that finding nothing proves nothing.
 
 The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
@@ -25,7 +25,6 @@ reported delta.
 from __future__ import annotations
 
 import csv
-import os
 import random
 import time
 from pathlib import Path
@@ -39,8 +38,10 @@ from .driver import (
     ConfigError,
     DiffResult,
     default_parse,
+    fork_child,
     fork_cpus,
     get_driver,
+    kill_child,
     replay_check,
     run_driver,
     with_domain,
@@ -151,7 +152,7 @@ class _HavocFeed:
 
     def __call__(self, data: bytes, max_len: int, rng: random.Random):
         if self.child is None:
-            self.child = _fork_havoc() if fork_cpus() >= 2 else ()
+            self.child = fork_child(_serve_havoc) if fork_cpus() >= 2 else ()
         if not self.child:
             for _ in range(HAVOC_ITERATIONS):
                 yield havoc(data, max_len, rng)
@@ -174,54 +175,8 @@ class _HavocFeed:
 
     def close(self):
         """Kill and reap the child, if one runs; its exit status."""
-        if not self.child:
-            return None
-        import signal
-
-        pid, requests, replies = self.child
-        self.child = ()
-        os.kill(pid, signal.SIGKILL)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        replies.close()
-        try:
-            requests.close()  # flushes a request cut short by Ctrl-C, if any
-        except BrokenPipeError:
-            pass
-        return status
-
-
-def _fork_havoc() -> tuple:
-    """Fork the havoc child: (its pid, request writer, reply reader); () when
-    the system has no process to spare, so that havoc runs inline."""
-    import signal
-
-    requests, to_child = os.pipe()
-    from_child, replies = os.pipe()
-    # blocked across the fork, so a Ctrl-C interrupts the campaign, never the child
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(to_child)
-                os.close(from_child)
-                _serve_havoc(open(requests, "rb"), open(replies, "wb"))
-                os._exit(0)
-            finally:
-                os._exit(1)
-    except OSError:  # EAGAIN or ENOMEM
-        pid = None
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    os.close(requests)
-    os.close(replies)
-    if pid is None:
-        os.close(to_child)
-        os.close(from_child)
-        return ()
-    return pid, open(to_child, "wb"), open(from_child, "rb")
+        child, self.child = self.child, ()
+        return kill_child(child) if child else None
 
 
 def _serve_havoc(requests, replies) -> None:

@@ -136,8 +136,9 @@ def _path_edges(path: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def _probe(site: int, at: ast.stmt) -> ast.stmt:
     """The statement `__deltafuzz_hit__(site)` at the source position of `at`."""
-    call = ast.Call(ast.Name(_PROBE, ast.Load()), [ast.Constant(site)], [])
-    return ast.copy_location(ast.Expr(call), at)
+    pos = {k: getattr(at, k) for k in ("lineno", "col_offset", "end_lineno", "end_col_offset")}
+    call = ast.Call(ast.Name(_PROBE, ast.Load(), **pos), [ast.Constant(site, **pos)], [], **pos)
+    return ast.Expr(call, **pos)
 
 
 # compound statements other than def and class
@@ -200,7 +201,6 @@ def _compile_probed(filename: str, module_globals: dict) -> dict[tuple[str, int]
     except SyntaxError as exc:
         raise InstrumentError(f"cannot parse {filename}: {exc}") from None
     tree.body = _instrument(tree.body, module_globals.get("__name__", filename))
-    ast.fix_missing_locations(tree)  # a probe's subnodes take its position
     found: dict[tuple[str, int], CodeType] = {}
     todo = [compile(tree, filename, "exec", dont_inherit=True)]
     while todo:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from typing import Callable, NamedTuple, Optional
+from typing import BinaryIO, Callable, NamedTuple, Optional
 
 from .coverage import CoverageMap, EdgeTracer, InstrumentError
 from .metering import DIMENSION_ALIASES, DIMENSIONS, CostReading, Meter
@@ -84,6 +84,21 @@ def default_parse(data: bytes, constraints: Constraints) -> tuple[bytes, bytes, 
 def _charset_table(alphabet: bytes) -> bytes:
     """The translation table that maps byte b to alphabet[b % len(alphabet)]."""
     return bytes(alphabet[b % len(alphabet)] for b in range(256))
+
+
+def encode(triple: tuple[bytes, bytes, bytes], constraints: Constraints) -> bytes:
+    """The input bytes that default_parse decodes into triple: its segments
+    back to back, each symbol as its index in the alphabet. Refuses, with
+    ConfigError, segments that are empty, of unequal length, longer than the
+    segment cap, or that hold a symbol outside the alphabet."""
+    n, cap = len(triple[0]), constraints.max_segment_len
+    if not 0 < n <= cap or any(len(seg) != n for seg in triple):
+        raise ConfigError(f"segments must share one length from 1 to the segment cap of {cap}")
+    alphabet = constraints.alphabet()
+    try:
+        return bytes(alphabet.index(s) for seg in triple for s in seg)
+    except ValueError:
+        raise ConfigError("witness generator produced a symbol outside the alphabet") from None
 
 
 class Statistic(NamedTuple):
@@ -249,6 +264,57 @@ def fork_cpus() -> int:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
+    """Fork a child that runs serve(requests, replies) on two pipes and
+    leaves through os._exit: 0 once serve returns and its replies are
+    flushed, 1 on any other path. Returns (its pid, request writer, reply
+    reader), or () when the system has no process to spare. SIGINT stays
+    blocked across the fork and is ignored in the child, so Ctrl-C interrupts
+    only this process. kill_child ends the child."""
+    import signal
+    requests, to_child = os.pipe()
+    from_child, replies = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(to_child)
+                os.close(from_child)
+                with open(requests, "rb") as reader, open(replies, "wb") as writer:
+                    serve(reader, writer)
+                os._exit(0)
+            finally:
+                os._exit(1)
+    except OSError:  # EAGAIN or ENOMEM
+        pid = None
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    os.close(requests)
+    os.close(replies)
+    if pid is None:
+        os.close(to_child)
+        os.close(from_child)
+        return ()
+    return pid, open(to_child, "wb"), open(from_child, "rb")
+
+
+def kill_child(child: tuple) -> int:
+    """Kill and reap a child of fork_child, and close its pipes; its exit status."""
+    import signal
+    pid, requests, replies = child
+    os.kill(pid, signal.SIGKILL)
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    replies.close()
+    try:
+        requests.close()  # flushes a request cut short by Ctrl-C, if any
+    except BrokenPipeError:
+        pass
+    return status
 
 
 # by name: the spec, or for a stock driver not yet looked up, its loader

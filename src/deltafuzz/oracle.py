@@ -8,16 +8,16 @@ pair twice, the second run checking that its cost is deterministic, so
 the whole constrained domain. The structured oracle takes the one pub and
 the extreme secrets of the driver's declared cost statistic, which stays
 tractable at segment lengths the exhaustive domain cannot reach. Both encode
-their witness to input bytes and replay it through the fuzzer's two-run
-harness, parse included, so the reported delta is by construction
-reproducible with `replay`.
+their witness to input bytes with driver.encode, the inverse of the
+harness's parse, and replay it through the fuzzer's two-run harness, parse
+included, so the reported delta is by construction reproducible with
+`replay`.
 
 The exhaustive sweep shares its pubs among the CPUs the process may use, in
-forked children that pull chunks of pubs as they finish, with results
-identical to one process's; so targets must be pure, as replay assumes.
-A campaign evaluates in one process, since each evaluation can change the
-queue the next draws from; it forks only to make each queue visit's havoc
-mutants ahead, which no evaluation feeds.
+children that pull chunks of pubs as they finish, with results identical to
+one process's; so targets must be pure, as replay assumes. Like a
+campaign's havoc child, they come from driver.fork_child: they ignore
+Ctrl-C, and the sweep kills and reaps each of them on any exit.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class OracleResult(NamedTuple):
     statistic: str | None = None
 
 
-def _encode_segment(seg: bytes, alphabet: bytes) -> bytes:
-    """Raw bytes that the charset map decodes back into seg."""
-    try:
-        return bytes(alphabet.index(s) for s in seg)
-    except ValueError:
-        raise ConfigError(
-            "witness generator produced a symbol outside the alphabet"
-        ) from None
-
-
 def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
     """(max - min cost over secs, the first secret at each extreme) per pub.
 
@@ -91,7 +81,7 @@ def _reduce(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tup
 
 def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tuple]:
     """_reduce over pubs, shared by w workers: worker 0 here, each other in a
-    forked child, one per CPU that fork_cpus allows.
+    child of fork_child, one per CPU that fork_cpus allows.
 
     Worker k reduces pub k, so every child gets work; then each worker claims
     the next unclaimed chunk of the rest, by reading its start, a 4-byte
@@ -103,7 +93,6 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     if w < 2:
         return _reduce(aspec, pubs, secs)
     import pickle
-    import signal
     size = (len(pubs) - w) // _CHUNKS + 1  # so at most _CHUNKS chunks
     tokens, wr = os.pipe()
     os.write(wr, b"".join(i.to_bytes(4, "little") for i in range(w, len(pubs), size)))
@@ -116,38 +105,26 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
             done[i] = _reduce(aspec, pubs[i : i + size], secs)
         return done
 
-    children, statuses = [], []  # children: (pid, read end of its pipe)
+    def send(requests, replies) -> None:  # in the child of worker k's fork
+        try:
+            share = work(k)
+        except BaseException as exc:  # noqa: BLE001 - the parent raises it
+            share = exc
+        replies.write(pickle.dumps(share))
+
+    children = []  # (pid, request writer, reply reader)
     try:
         for k in range(1, w):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # EAGAIN or ENOMEM
-                os.close(r)
-                os.close(wr)
+            child = driver.fork_child(send)
+            if not child:  # EAGAIN or ENOMEM
                 break
-            if pid == 0:
-                try:
-                    try:
-                        share = work(k)
-                    except BaseException as exc:  # noqa: BLE001 - the parent raises it
-                        share = exc
-                    with open(wr, "wb") as fh:
-                        fh.write(pickle.dumps(share))
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # nothing sent: the parent reads EOF
-            os.close(wr)  # before the next fork, so EOF means this child is gone
-            children.append((pid, open(r, "rb")))
+            children.append(child)
         done = work(0, *range(len(children) + 1, w))
-        sent = [pipe.read() for _, pipe in children]
+        sent = [replies.read() for _, _, replies in children]
     finally:
         os.close(tokens)
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _), data, status in zip(children, sent, statuses):
+        statuses = [driver.kill_child(child) for child in children]
+    for (pid, _, _), data, status in zip(children, sent, statuses):
         if not data:  # its chunks or exception, pickled, never came
             raise RuntimeError(f"oracle child {pid} exited with status {status}, sending nothing")
         share = pickle.loads(data)
@@ -167,8 +144,7 @@ def _best(
     for pub, (delta, hi_sec, lo_sec) in zip(pubs, _sweep(aspec, pubs, secs)):
         if delta > best_delta:
             best_delta, best = delta, (pub, hi_sec, lo_sec)
-    symbols = aspec.constraints.alphabet()
-    best_witness = b"".join(_encode_segment(seg, symbols) for seg in best)
+    best_witness = driver.encode(best, aspec.constraints)
     replayed = replay_check(aspec, best_witness, best_delta)
     return OracleResult(
         driver=aspec.name,
@@ -239,5 +215,6 @@ def structured_max_delta(
             f"statistic {aspec.statistic.name!r} produced segments of the "
             f"wrong length for --len {segment_len}"
         )
-    _encode_segment(pub + b"".join(secs), symbols)  # refuses a symbol outside the alphabet
+    for sec in secs:  # refuses a symbol outside the alphabet
+        driver.encode((pub, sec, sec), aspec.constraints)
     return _best(aspec, "structured", segment_len, [pub], secs)

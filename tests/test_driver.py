@@ -4,14 +4,18 @@ import functools
 import importlib.util
 import re
 import sys
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_coverage import assert_maps_equal, edge_map, line_sites, stub_probe, walk
 
 from deltafuzz import driver as driver_module
 from deltafuzz.corpus import QueueEntry
 from deltafuzz.coverage import CoverageMap
 from deltafuzz.driver import (
+    CHARSETS,
     OUTCOME_HARNESS_ERROR,
     OUTCOME_OK,
     OUTCOME_PARSE_REJECT,
@@ -21,6 +25,7 @@ from deltafuzz.driver import (
     ParseReject,
     default_parse,
     driver_names,
+    encode,
     get_driver,
     register_driver,
     run_driver,
@@ -76,6 +81,55 @@ def test_segments_always_satisfy_constraints():
         for seg in default_parse(blob, c):
             assert len(seg) <= 3
             assert all(97 <= b <= 122 for b in seg)
+
+
+def triples_of(alphabet: bytes, n: int) -> list[tuple[bytes, bytes, bytes]]:
+    """Every triple of n-symbol segments over alphabet when there are at most
+    4096; else, per symbol, the triple whose segments read the alphabet
+    cyclically from that symbol and the next two, so that every symbol
+    stands at every position of every segment."""
+    if len(alphabet) ** (3 * n) <= 4096:
+        return list(product([bytes(s) for s in product(alphabet, repeat=n)], repeat=3))
+    cyclic = alphabet * (n // len(alphabet) + 3)
+    return [tuple(cyclic[i + k : i + k + n] for k in range(3)) for i in range(len(alphabet))]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 16])
+@pytest.mark.parametrize("charset", ["binary", "lower"])
+def test_default_parse_inverts_encode(charset, cap):
+    c = Constraints(cap, charset)
+    for n in range(1, cap + 1):
+        for triple in triples_of(c.alphabet(), n):
+            assert default_parse(encode(triple, c), c) == triple
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.binary(min_size=3, max_size=64),
+    cap=st.integers(1, 20),
+    charset=st.sampled_from(sorted(CHARSETS)),
+)
+def test_encoding_a_parsed_input_is_a_fixed_point(data, cap, charset):
+    c = Constraints(cap, charset)
+    canonical = encode(default_parse(data, c), c)
+    assert default_parse(canonical, c) == default_parse(data, c)
+    assert encode(default_parse(canonical, c), c) == canonical
+
+
+@pytest.mark.parametrize(
+    "triple,constraints,message",
+    [
+        ((b"", b"", b""), Constraints(), "one length from 1 to the segment cap of 16"),
+        ((b"ab", b"a", b"ab"), Constraints(), "one length from 1 to the segment cap of 16"),
+        ((b"abc",) * 3, Constraints(2), "one length from 1 to the segment cap of 2"),
+        ((b"\x00", b"\x02", b"\x01"), Constraints(4, "binary"), "symbol outside the alphabet"),
+        ((b"ab", b"aB", b"ab"), Constraints(4, "lower"), "symbol outside the alphabet"),
+    ],
+    ids=["empty", "unequal", "over-the-cap", "binary-2", "lower-B"],
+)
+def test_encode_refusals_are_config_errors(triple, constraints, message):
+    with pytest.raises(ConfigError, match=message):
+        encode(triple, constraints)
 
 
 def test_identical_secrets_give_zero_delta():

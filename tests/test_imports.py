@@ -94,7 +94,9 @@ def fresh_interpreter(script: str, *args: str):
 
 def test_import_loads_only_what_a_campaign_runs():
     seen = fresh_interpreter(COLD_START)
-    unused = ("logging", "hashlib", "dataclasses", "inspect", "deltafuzz.oracle")
+    unused = (
+        "logging", "hashlib", "dataclasses", "inspect", "signal", "pickle", "deltafuzz.oracle"
+    )
     assert [name for name in unused if name in seen["added"]] == []
     assert [name for name in seen["added"] if name.startswith("deltafuzz.benchmarks.")] == []
     assert len(seen["drivers"]) == 19

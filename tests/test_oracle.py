@@ -3,6 +3,7 @@ structured witness enumeration, refusal paths, mode agreement, and the
 exhaustive sweep split over forked children."""
 
 import os
+import signal
 import threading
 from itertools import product
 
@@ -441,6 +442,29 @@ def test_a_child_that_dies_is_an_error_not_a_hang(monkeypatch, forked, deadline)
     with pytest.raises(RuntimeError, match="exited with status 7"):
         exhaustive_max_delta(spec, 1, charset="binary")
     assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_sweep_worker_ignores_ctrl_c(monkeypatch, forked, deadline):
+    """Ctrl-C signals the terminal's whole foreground group; only the
+    oracle's process may act on it."""
+    parent = os.getpid()
+
+    def interrupts_a_child(pub, sec, meter):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGINT)
+        meter.tick(1 + pub[0] + sec[0])
+
+    spec = DriverSpec(name="local_child_interrupted", target=interrupts_a_child)
+    aspec = with_domain(spec, segment_cap=1, charset="binary")
+    pubs = secs = [b"\x00", b"\x01"]
+    set_cpus(monkeypatch, 2)
+    try:
+        res = exhaustive_max_delta(spec, 1, charset="binary")
+    except KeyboardInterrupt:
+        pytest.fail("a SIGINT to a sweep worker interrupted the oracle")
+    assert len(forked) == 1
+    assert res.max_delta == max(delta for delta, _, _ in _reduce(aspec, pubs, secs))
     assert_no_child_left()
 
 
