@@ -1,11 +1,11 @@
 """Campaign orchestration: seeds in, mutants through the harness, report out.
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
-`_schedule` is the one place that sets the mutant order: the seeds, then
-the queue round-robin, each entry getting the deterministic stage on its
+`_schedule` alone sets the mutant order: the seeds, then the queue
+round-robin in cycles, each entry getting the deterministic stage on its
 first visit, then bounded havoc and splice passes. A visit's havoc mutants
 depend only on the entry and the RNG state at the visit's start, never on
-an evaluation. So `_HavocFeed` makes them in one child of driver.fork_child,
+an evaluation. So `_schedule` makes them in one child of driver.fork_child,
 the oracle's sweep workers' fork too. The child works ahead on a copy of
 that state while the campaign evaluates, then hands back its final state:
 the splices and every later draw are those of inline havoc, which runs
@@ -42,6 +42,7 @@ from .driver import (
     fork_cpus,
     get_driver,
     kill_child,
+    receive,
     replay_check,
     run_driver,
     with_domain,
@@ -55,7 +56,7 @@ VERDICT_LEAK = "leak-indicated"
 # mutants per queue visit, after the entry's one deterministic stage
 HAVOC_ITERATIONS = 256
 SPLICE_ITERATIONS = 32
-# the havoc mutant counts after which a forked feed sends a chunk of them:
+# the havoc mutant counts after which the havoc child sends a chunk of them:
 # a small first chunk, so the campaign soon has mutants to evaluate
 _HAVOC_SENDS = frozenset(range(8, HAVOC_ITERATIONS, 24))
 
@@ -134,55 +135,11 @@ class CampaignReport(NamedTuple):
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
-class _HavocFeed:
-    """Each queue visit's HAVOC_ITERATIONS havoc mutants, leaving the rng as
-    havoc leaves it.
-
-    On its first visit it forks one child if fork_cpus allows two CPUs, and
-    runs havoc inline otherwise or if the fork fails. Per visit the child
-    gets the entry and the rng state, makes the mutants from its copy of
-    that state, and sends them in chunks, the last with its final rng
-    state, which the campaign takes. If havoc raises there, the child sends
-    the mutants made before it and then the exception, which is raised here
-    at the same point of the stream as inline. close() kills and reaps the
-    child."""
-
-    def __init__(self):
-        self.child = None  # (pid, request writer, reply reader); () when inline
-
-    def __call__(self, data: bytes, max_len: int, rng: random.Random):
-        if self.child is None:
-            self.child = fork_child(_serve_havoc) if fork_cpus() >= 2 else ()
-        if not self.child:
-            for _ in range(HAVOC_ITERATIONS):
-                yield havoc(data, max_len, rng)
-            return
-        import pickle
-
-        pid, requests, replies = self.child
-        end = None  # until the last chunk: then the rng state, or an exception
-        try:
-            requests.write(pickle.dumps((data, max_len, rng.getstate())))
-            requests.flush()
-            while end is None:
-                mutants, end = pickle.load(replies)
-                yield from mutants
-        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"havoc child {pid} exited with status {self.close()}") from None
-        if isinstance(end, BaseException):
-            raise end
-        rng.setstate(end)
-
-    def close(self):
-        """Kill and reap the child, if one runs; its exit status."""
-        child, self.child = self.child, ()
-        return kill_child(child) if child else None
-
-
 def _serve_havoc(requests, replies) -> None:
     """The havoc child's loop: per request (data, max_len, rng state), the
     visit's havoc mutants in chunks, each pickled as (mutants, end); end is
-    None until the last, then the final rng state or havoc's exception.
+    None until the last, then the final rng state. If havoc raises, the
+    mutants made before it go out as a chunk and the error is raised.
     Returns when the campaign closes its end of the requests."""
     import pickle
 
@@ -202,34 +159,67 @@ def _serve_havoc(requests, replies) -> None:
                     mutants = []
                 mutants.append(havoc(data, max_len, rng))
             end = rng.getstate()
-        except BaseException as exc:  # noqa: BLE001 - the campaign raises it
-            end = exc
-        replies.write(pickle.dumps((mutants, end)))
-        replies.flush()
+        finally:
+            replies.write(pickle.dumps((mutants, end)))
+            replies.flush()
 
 
-def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool, feed):
-    """(input, parent entry id) in evaluation order: the seeds, then per queue
-    pick the deterministic stage on the entry's first visit, HAVOC_ITERATIONS
-    havoc mutants from feed and up to SPLICE_ITERATIONS splices. The caller
-    enqueues between yields, so each pick and splice partner sees the queue
-    so far."""
+def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool):
+    """(input, parent entry id) in evaluation order: the seeds, then the
+    queue round-robin, in cycles over the entries present at each cycle's
+    start. Per pick: the deterministic stage on the entry's first visit,
+    HAVOC_ITERATIONS havoc mutants and up to SPLICE_ITERATIONS splices. The
+    caller enqueues between yields, so each cycle and splice partner sees
+    the queue so far; an empty queue after the seeds is a LookupError.
+
+    At the first havoc mutant it forks one child if fork_cpus allows two
+    CPUs; havoc runs inline otherwise or if the fork fails. Per pick the
+    child gets the entry and the rng state, makes the mutants from its copy
+    of that state and sends them in chunks, the last with its final rng
+    state, which is taken here. An error in havoc is raised at the same
+    point of the stream as inline. Closing the generator kills and reaps
+    the child."""
     for _, data in seeds:
         yield data, None
-    staged = 0  # entries get ids in order and are first visited in id order
-    while True:
-        entry = queue.next()
-        data, parent = entry.data, entry.entry_id
-        if stage and parent == staged:
-            staged += 1
-            for mutant in deterministic_stage(data):
-                yield mutant, parent
-        for mutant in feed(data, max_len, rng):
-            yield mutant, parent
-        for _ in range(SPLICE_ITERATIONS):
-            mutant = splice(data, rng.choice(queue.entries).data, max_len, rng)
-            if mutant is not None:
-                yield mutant, parent
+    child = None  # (pid, request writer, reply reader) once forked; () when inline
+    visited = 0  # entries that earlier cycles covered
+    try:
+        while True:
+            n = len(queue.entries)
+            if not n:
+                raise LookupError("queue is empty")
+            for entry in queue.entries[:n]:
+                data, parent = entry.data, entry.entry_id
+                if stage and parent >= visited:
+                    for mutant in deterministic_stage(data):
+                        yield mutant, parent
+                if child is None:
+                    child = fork_child(_serve_havoc) if fork_cpus() >= 2 else ()
+                if child:
+                    import pickle
+
+                    try:
+                        child[1].write(pickle.dumps((data, max_len, rng.getstate())))
+                        child[1].flush()
+                    except BrokenPipeError:  # the child is gone: receive says how
+                        pass
+                    end = None
+                    while end is None:
+                        mutants, end = receive(child, "havoc")
+                        for mutant in mutants:
+                            yield mutant, parent
+                    rng.setstate(end)
+                else:
+                    for _ in range(HAVOC_ITERATIONS):
+                        yield havoc(data, max_len, rng), parent
+                for _ in range(SPLICE_ITERATIONS):
+                    mutant = splice(data, rng.choice(queue.entries).data, max_len, rng)
+                    if mutant is not None:
+                        yield mutant, parent
+            visited = n
+    finally:
+        if child:
+            kill_child(child)
 
 
 def _add_rows(rows: list, second: int, until: float, *snapshot: int) -> int:
@@ -277,10 +267,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     cov = CoverageMap()
 
     stop_reason = "timeout"
-    stage = config.deterministic_stage_enabled
-    feed = _HavocFeed()
+    schedule = _schedule(
+        seeds, queue, rng, config.max_input_len, config.deterministic_stage_enabled
+    )
     try:
-        for data, parent_id in _schedule(seeds, queue, rng, config.max_input_len, stage, feed):
+        for data, parent_id in schedule:
             cov.clear()
             result = run_driver(spec, data, cov)
             executions += 1
@@ -319,7 +310,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"
     finally:
-        feed.close()  # on every stop, so no child outlives the campaign
+        schedule.close()  # on every stop, so no havoc child outlives the campaign
 
     duration = time.monotonic() - start if pace is None else executions / pace
     snapshot = (executions, best, len(global_cov), len(queue))

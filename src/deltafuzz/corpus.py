@@ -2,9 +2,9 @@
 
 An input survives into the queue when it reaches coverage the campaign has
 not seen or strictly beats the campaign's delta high score (ties are
-discarded). Entries cycle round-robin; anything enqueued mid-cycle waits
-for the next cycle. Persistence is synchronous, one raw-bytes file per
-entry with the metadata in the filename.
+discarded). The campaign's schedule visits the entries round-robin, in id
+order. Persistence is synchronous, one raw-bytes file per entry with the
+metadata in the filename.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ class QueueEntry(_QueueEntry):
 
 
 class FuzzQueue:
-    """Round-robin corpus with content dedup and filename-metadata persistence."""
+    """Corpus with content dedup and filename-metadata persistence."""
 
     def __init__(self, queue_dir: str | Path):
         self.entries: list[QueueEntry] = []
         self.queue_dir = Path(queue_dir)
         self.queue_dir.mkdir(parents=True, exist_ok=True)
         self._seen: set[bytes] = set()
-        self._cursor = 0
-        self._cycle_len = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -72,18 +70,6 @@ class FuzzQueue:
         self.entries.append(entry)
         self._seen.add(data)
         (self.queue_dir / entry.filename()).write_bytes(data)
-        return entry
-
-    def next(self) -> QueueEntry:
-        """Round-robin pick; a full cycle covers the entries present at its
-        start, so mid-cycle additions wait for the following cycle."""
-        if not self.entries:
-            raise LookupError("queue is empty")
-        if self._cursor >= self._cycle_len:
-            self._cursor = 0
-            self._cycle_len = len(self.entries)
-        entry = self.entries[self._cursor]
-        self._cursor += 1
         return entry
 
 

@@ -267,16 +267,20 @@ def fork_cpus() -> int:
 
 
 def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
-    """Fork a child that runs serve(requests, replies) on two pipes and
-    leaves through os._exit: 0 once serve returns and its replies are
-    flushed, 1 on any other path. Returns (its pid, request writer, reply
-    reader), or () when the system has no process to spare. SIGINT stays
-    blocked across the fork and is ignored in the child, so Ctrl-C interrupts
-    only this process. kill_child ends the child."""
+    """Fork a child that runs serve(requests, replies) on two pipes. If
+    serve raises, the child pickles the exception as its last reply, for
+    receive to raise. It leaves through os._exit: 0 once serve returns or
+    its exception is sent, and its replies are flushed; 1 on any other path.
+    Returns (its pid, request writer, reply reader), or () when the system
+    has no process to spare. SIGINT stays blocked across the fork and is
+    ignored in the child, so Ctrl-C interrupts only this process; a Ctrl-C
+    that comes during the fork kills the child before it is raised here.
+    kill_child ends the child."""
     import signal
     requests, to_child = os.pipe()
     from_child, replies = os.pipe()
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    child = ()
     try:
         pid = os.fork()
         if pid == 0:
@@ -286,27 +290,51 @@ def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
                 os.close(to_child)
                 os.close(from_child)
                 with open(requests, "rb") as reader, open(replies, "wb") as writer:
-                    serve(reader, writer)
+                    try:
+                        serve(reader, writer)
+                    except BaseException as exc:  # noqa: BLE001 - receive raises it
+                        import pickle
+                        writer.write(pickle.dumps(exc))
                 os._exit(0)
             finally:
                 os._exit(1)
+        child = pid, open(to_child, "wb"), open(from_child, "rb")
     except OSError:  # EAGAIN or ENOMEM
-        pid = None
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    os.close(requests)
-    os.close(replies)
-    if pid is None:
         os.close(to_child)
         os.close(from_child)
-        return ()
-    return pid, open(to_child, "wb"), open(from_child, "rb")
+    finally:
+        os.close(requests)
+        os.close(replies)
+        try:  # a SIGINT that came while blocked is raised here
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        except KeyboardInterrupt:
+            if child:
+                kill_child(child)
+            raise
+    return child
 
 
-def kill_child(child: tuple) -> int:
-    """Kill and reap a child of fork_child, and close its pipes; its exit status."""
+def receive(child: tuple, what: str):
+    """The next reply of a child of fork_child, unpickled. Raises the
+    exception serve raised, if that is the reply; if the child exited
+    without one, kills and reaps it and raises RuntimeError."""
+    import pickle
+    try:
+        reply = pickle.load(child[2])
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(f"{what} child {child[0]} exited with status {kill_child(child)}") from None
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
+
+
+def kill_child(child: tuple) -> Optional[int]:
+    """Kill and reap a child of fork_child, and close its pipes; its exit
+    status, or None if it was killed before."""
     import signal
     pid, requests, replies = child
+    if replies.closed:
+        return None
     os.kill(pid, signal.SIGKILL)
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     replies.close()

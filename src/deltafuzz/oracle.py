@@ -106,11 +106,7 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
         return done
 
     def send(requests, replies) -> None:  # in the child of worker k's fork
-        try:
-            share = work(k)
-        except BaseException as exc:  # noqa: BLE001 - the parent raises it
-            share = exc
-        replies.write(pickle.dumps(share))
+        replies.write(pickle.dumps(work(k)))
 
     children = []  # (pid, request writer, reply reader)
     try:
@@ -120,17 +116,12 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
                 break
             children.append(child)
         done = work(0, *range(len(children) + 1, w))
-        sent = [replies.read() for _, _, replies in children]
+        for child in children:
+            done.update(driver.receive(child, "oracle"))
     finally:
         os.close(tokens)
-        statuses = [driver.kill_child(child) for child in children]
-    for (pid, _, _), data, status in zip(children, sent, statuses):
-        if not data:  # its chunks or exception, pickled, never came
-            raise RuntimeError(f"oracle child {pid} exited with status {status}, sending nothing")
-        share = pickle.loads(data)
-        if isinstance(share, BaseException):
-            raise share
-        done.update(share)
+        for child in children:
+            driver.kill_child(child)
     return [res for i in sorted(done) for res in done[i]]
 
 

@@ -1,12 +1,14 @@
 """Campaign orchestration: verdicts, clocks, liveness, reproducibility,
-stop conditions, the output files, the witness self-check, and havoc made
-ahead in a forked child."""
+stop conditions, the schedule's round-robin, the output files, the witness
+self-check, and havoc made ahead in a forked child."""
 
 import csv
 import os
+import random
 import signal
 import tempfile
 import threading
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from deltafuzz.campaign import (
     run_campaign,
     verdict,
 )
-from deltafuzz.corpus import consider
+from deltafuzz.corpus import FuzzQueue, consider
 from deltafuzz.driver import (
     OUTCOME_HARNESS_ERROR,
     OUTCOME_PARSE_REJECT,
@@ -295,6 +297,51 @@ def test_deterministic_stage_can_be_disabled(tmp_path):
         paced_config(tmp_path, deterministic_stage_enabled=False, timeout_seconds=2.0)
     )
     assert report.executions > 0
+
+
+# --- the schedule's round-robin ---------------------------------------------------
+
+
+def picks(monkeypatch, queue):
+    """The entries _schedule visits in queue, lazily: with no seeds, no
+    stage, no splice and one havoc mutant made inline per visit, each
+    mutant's parent is one pick."""
+    monkeypatch.setattr(campaign_module, "HAVOC_ITERATIONS", 1)
+    monkeypatch.setattr(campaign_module, "SPLICE_ITERATIONS", 0)
+    set_fork_cpus(monkeypatch, 1)
+    schedule = campaign_module._schedule([], queue, random.Random(0), 48, False)
+    return (queue.entries[parent].data for _, parent in schedule)
+
+
+def test_round_robin_single_entry(tmp_path, monkeypatch):
+    q = FuzzQueue(tmp_path / "queue")
+    q.add(b"A", best_delta=0)
+    assert list(islice(picks(monkeypatch, q), 3)) == [b"A", b"A", b"A"]
+
+
+def test_round_robin_two_entries(tmp_path, monkeypatch):
+    q = FuzzQueue(tmp_path / "queue")
+    q.add(b"A", best_delta=0)
+    q.add(b"B", best_delta=0)
+    assert list(islice(picks(monkeypatch, q), 4)) == [b"A", b"B", b"A", b"B"]
+
+
+def test_mid_cycle_addition_waits_for_next_cycle(tmp_path, monkeypatch):
+    q = FuzzQueue(tmp_path / "queue")
+    q.add(b"A", best_delta=0)
+    q.add(b"B", best_delta=0)
+    schedule = picks(monkeypatch, q)
+    got = [next(schedule)]  # cycle of (A, B) begins
+    q.add(b"C", best_delta=0)
+    got += islice(schedule, 3)
+    # C is absent from the cycle it arrived in; it joins the one after
+    assert got == [b"A", b"B", b"A", b"B"]
+    assert list(islice(schedule, 6)) == [b"C", b"A", b"B", b"C", b"A", b"B"]
+
+
+def test_schedule_on_empty_queue(tmp_path, monkeypatch):
+    with pytest.raises(LookupError):
+        next(picks(monkeypatch, FuzzQueue(tmp_path / "queue")))
 
 
 @pytest.mark.parametrize("stage", [True, False])

@@ -1,5 +1,5 @@
-"""Queue mechanics: entry invariants, round-robin cycles, dedup,
-persistence, the enqueue decision, and seed loading."""
+"""Queue mechanics: entry invariants, dedup, persistence, the enqueue
+decision, and seed loading."""
 
 import re
 
@@ -64,38 +64,6 @@ def test_entry_filename_parses_back_to_its_metadata(entry_id, parent_id, delta):
 
 
 # --- FuzzQueue ------------------------------------------------------------------
-
-
-def test_round_robin_single_entry(tmp_path):
-    q = FuzzQueue(tmp_path / "queue")
-    q.add(b"A", best_delta=0)
-    assert [q.next().data for _ in range(3)] == [b"A", b"A", b"A"]
-
-
-def test_round_robin_two_entries(tmp_path):
-    q = FuzzQueue(tmp_path / "queue")
-    q.add(b"A", best_delta=0)
-    q.add(b"B", best_delta=0)
-    assert [q.next().data for _ in range(4)] == [b"A", b"B", b"A", b"B"]
-
-
-def test_mid_cycle_addition_waits_for_next_cycle(tmp_path):
-    q = FuzzQueue(tmp_path / "queue")
-    q.add(b"A", best_delta=0)
-    q.add(b"B", best_delta=0)
-    picks = [q.next().data]  # cycle of (A, B) begins
-    q.add(b"C", best_delta=0)
-    picks += [q.next().data for _ in range(3)]
-    # C is absent from the cycle it arrived in and from the remainder of the
-    # snapshot; it joins once the cursor wraps past the new length
-    assert picks == [b"A", b"B", b"A", b"B"]
-    window = [q.next().data for _ in range(6)]
-    assert window == [b"C", b"A", b"B", b"C", b"A", b"B"]
-
-
-def test_next_on_empty_queue(tmp_path):
-    with pytest.raises(LookupError):
-        FuzzQueue(tmp_path / "queue").next()
 
 
 def test_entry_ids_are_sequential(tmp_path):

@@ -2,8 +2,12 @@
 
 import functools
 import importlib.util
+import os
+import pickle
 import re
+import signal
 import sys
+import threading
 from itertools import product
 
 import pytest
@@ -504,3 +508,50 @@ def test_a_repeated_triple_returns_the_last_result_and_touches_nothing():
     run_driver(spec, b"q\x00\x00", cov)
     assert run_driver(spec, b"pA\x00B\x01C", cov) is not again
     assert CALLS == [(b"p", b"\x00"), (b"p", b"\x01"), (b"q", b"\x00")]
+
+
+# --- forked children --------------------------------------------------------------
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/dev/fd"))
+
+
+def test_ctrl_c_during_a_fork_leaves_no_child_and_no_fd(monkeypatch):
+    """SIGINT is blocked while fork_child forks; a Ctrl-C that comes then
+    is raised to the caller once the child is killed and reaped and every
+    pipe is closed."""
+    real_fork = os.fork
+
+    def fork_then_ctrl_c():
+        pid = real_fork()
+        if pid:
+            signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        return pid
+
+    fds = open_fds()
+    monkeypatch.setattr(os, "fork", fork_then_ctrl_c)
+    with pytest.raises(KeyboardInterrupt):
+        driver_module.fork_child(lambda requests, replies: requests.read())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def test_a_forked_child_sends_its_error_as_its_last_reply():
+    def serve(requests, replies):
+        replies.write(pickle.dumps("first"))
+        replies.flush()
+        raise ValueError("served")
+
+    fds = open_fds()
+    child = driver_module.fork_child(serve)
+    assert driver_module.receive(child, "probe") == "first"
+    with pytest.raises(ValueError, match="served"):
+        driver_module.receive(child, "probe")
+    with pytest.raises(RuntimeError, match=r"probe child \d+ exited with status"):
+        driver_module.receive(child, "probe")
+    assert driver_module.kill_child(child) is None  # receive reaped it
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds

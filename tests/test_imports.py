@@ -73,6 +73,23 @@ seen["login"] = [result.outcome, len(traced) > 0, "hashlib" in sys.modules]
 print(json.dumps(seen))
 """
 
+# a paced campaign that stops within the seed's deterministic stage, before
+# its first havoc mutant: it must neither fork nor load what forking needs
+STAGE_ONLY = """
+import json, pathlib, sys, tempfile
+import deltafuzz
+with tempfile.TemporaryDirectory() as tmp:
+    seeds = pathlib.Path(tmp, "seeds")
+    seeds.mkdir()
+    (seeds / "zero").write_bytes(bytes(48))
+    config = deltafuzz.CampaignConfig(
+        "pwcheck_unsafe", str(seeds), str(pathlib.Path(tmp, "out")), pace=1000, stop_on_delta=16
+    )
+    report = deltafuzz.run_campaign(config)
+    loaded = [name for name in ("pickle", "signal") if name in sys.modules]
+print(json.dumps([report.executions, report.stop_reason, loaded]))
+"""
+
 # the modules one lookup of the driver named by argv[1] adds
 LOOKUP = """
 import json, sys
@@ -106,6 +123,7 @@ def test_import_loads_only_what_a_campaign_runs():
     assert seen["star"] == []
     assert seen["hashlib_before_login"] is False
     assert seen["login"] == ["ok", True, True]
+    assert fresh_interpreter(STAGE_ONLY) == [130, "delta-target-reached", []]
     for name in seen["drivers"]:
         module = get_driver(name).target.__module__
         shared = ["deltafuzz.benchmarks.support"] if module.endswith((".micro", ".modpow")) else []
