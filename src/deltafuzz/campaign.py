@@ -37,6 +37,7 @@ from .driver import (
     OUTCOME_PARSE_REJECT,
     ConfigError,
     DiffResult,
+    checked,
     default_parse,
     fork_child,
     fork_cpus,
@@ -80,7 +81,8 @@ def verdict(max_delta: int, report_epsilon: Optional[float] = None) -> str:
     return VERDICT_LEAK
 
 
-class _CampaignConfig(NamedTuple):
+@checked
+class CampaignConfig(NamedTuple):
     driver_name: str
     seed_dir: str
     out_dir: str
@@ -95,12 +97,7 @@ class _CampaignConfig(NamedTuple):
     pace: Optional[int] = None
     stop_on_delta: Optional[int] = None
 
-
-class CampaignConfig(_CampaignConfig):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.timeout_seconds >= 1:  # NaN fails this, as it must
             raise ConfigError("timeout must be >= 1 second")
         if self.report_epsilon is not None and not self.report_epsilon >= 0:
@@ -113,7 +110,6 @@ class CampaignConfig(_CampaignConfig):
             raise ConfigError("stop-delta must be >= 1")
         if self.rng_seed < 0:  # random.Random(-n) would repeat the stream of n
             raise ConfigError("rng seed must be >= 0")
-        return self
 
 
 class CampaignReport(NamedTuple):

@@ -46,11 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
     _domain_flags(fuzz)
     fuzz.add_argument("--seeds", required=True, help="seed input directory")
     fuzz.add_argument("--out", required=True, help="campaign output directory")
-    fuzz.add_argument("--timeout", type=float, default=30.0, help="seconds to run")
-    fuzz.add_argument("--max-len", type=int, default=48, help="input byte cap")
+    default = CampaignConfig._field_defaults
     fuzz.add_argument(
-        "--rng-seed", type=int, default=0, help="mutation RNG seed, >= 0 (default: 0)"
+        "--timeout", type=float, default=default["timeout_seconds"], help="seconds to run"
     )
+    fuzz.add_argument("--max-len", type=int, default=default["max_input_len"], help="input byte cap")
+    rng_help = "mutation RNG seed, >= 0 (default: %(default)s)"
+    fuzz.add_argument("--rng-seed", type=int, default=default["rng_seed"], help=rng_help)
     fuzz.add_argument(
         "--epsilon",
         type=float,

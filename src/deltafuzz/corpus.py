@@ -13,26 +13,21 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .coverage import CoverageMap, GlobalCoverage
-from .driver import ConfigError
+from .driver import ConfigError, checked
 
 
-class _QueueEntry(NamedTuple):
+@checked
+class QueueEntry(NamedTuple):
     entry_id: int
     data: bytes
     best_delta: int
     parent_id: int | None = None
 
-
-class QueueEntry(_QueueEntry):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not self.data:
             raise ValueError("queue entry bytes must be non-empty")
         if self.best_delta < 0:
             raise ValueError("best_delta must be >= 0")
-        return self
 
     def filename(self) -> str:
         src = "-" if self.parent_id is None else f"{self.parent_id:04d}"

@@ -44,23 +44,35 @@ class ParseReject(Exception):
     """Input bytes cannot be decoded into three usable segments."""
 
 
-class _Constraints(NamedTuple):
+def checked(cls):
+    """Class decorator for a typing.NamedTuple with a _check(self) method,
+    which raises for a bad record: every way one is built runs it, the
+    constructor, _make, _replace, copy and unpickling alike."""
+    new = cls.__new__
+
+    @functools.wraps(new)  # so the signature still lists the fields
+    def checked_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = checked_new
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+@checked
+class Constraints(NamedTuple):
+    """Per-segment shape limits enforced constructively by the parser."""
+
     max_segment_len: int = 16
     charset: str = "byte"
 
-
-class Constraints(_Constraints):
-    """Per-segment shape limits enforced constructively by the parser."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.max_segment_len < 1:
             raise ConfigError("segment cap must be >= 1")
         if self.charset not in CHARSETS:
             raise ConfigError(f"unknown charset: {self.charset!r}")
-        return self
 
     def alphabet(self) -> bytes:
         return CHARSETS[self.charset]
@@ -114,7 +126,8 @@ class Statistic(NamedTuple):
     witnesses: Callable[[int, bytes], tuple[bytes, list[bytes]]]
 
 
-class _DriverSpec(NamedTuple):
+@checked
+class DriverSpec(NamedTuple):
     name: str
     target: Callable[[bytes, bytes, Meter], object]
     description: str = ""
@@ -122,15 +135,9 @@ class _DriverSpec(NamedTuple):
     constraints: Constraints = Constraints()
     statistic: Optional[Statistic] = None
 
-
-class DriverSpec(_DriverSpec):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.cost_dimension not in DIMENSIONS:
             raise ConfigError(f"unknown cost dimension: {self.cost_dimension!r}")
-        return self
 
 
 class DiffResult(NamedTuple):
@@ -294,7 +301,11 @@ def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
                         serve(reader, writer)
                     except BaseException as exc:  # noqa: BLE001 - receive raises it
                         import pickle
-                        writer.write(pickle.dumps(exc))
+                        try:  # one that cannot be rebuilt goes as its type and message
+                            pickle.loads(reply := pickle.dumps(exc))
+                        except Exception:  # noqa: BLE001 - whatever the round trip raises
+                            reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+                        writer.write(reply)
                 os._exit(0)
             finally:
                 os._exit(1)
@@ -386,17 +397,12 @@ def with_domain(
 ) -> DriverSpec:
     """Copy of spec with overridden constraints/dimension (campaign- or
     oracle-local; the registry entry is never mutated). The dimension may be
-    a canonical name or a command-line alias (ops/mem/response). Built
-    through the constructor, which checks it, as _replace would not."""
-    current = spec.constraints
-    return DriverSpec(
-        spec.name,
-        spec.target,
-        spec.description,
-        spec.cost_dimension if dimension is None else DIMENSION_ALIASES.get(dimension, dimension),
-        Constraints(
+    a canonical name or a command-line alias (ops/mem/response)."""
+    current, dimension = spec.constraints, DIMENSION_ALIASES.get(dimension, dimension)
+    return spec._replace(
+        cost_dimension=spec.cost_dimension if dimension is None else dimension,
+        constraints=Constraints(
             current.max_segment_len if segment_cap is None else segment_cap,
             current.charset if charset is None else charset,
         ),
-        spec.statistic,
     )

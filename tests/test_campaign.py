@@ -116,18 +116,26 @@ CONFIG_FAULTS = [
     ("stop_on_delta", 0),
     ("pace", 0),
     ("rng_seed", -1),
+    ("timeout_seconds", float("nan")),  # would never expire
 ]
+CONFIG_WAYS_IN = {"": "keyword", "-by-position": "position", "-by-replace": "replace"}
 
 
 @pytest.mark.parametrize(
-    "field,value,by_position",
-    [(*fault, False) for fault in CONFIG_FAULTS] + [(*fault, True) for fault in CONFIG_FAULTS],
-    ids=[f"{field}-{value}{suffix}" for suffix in ("", "-by-position") for field, value in CONFIG_FAULTS],
+    "field,value,way",
+    [(*fault, way) for way in CONFIG_WAYS_IN.values() for fault in CONFIG_FAULTS],
+    ids=[f"{field}-{value}{suffix}" for suffix in CONFIG_WAYS_IN for field, value in CONFIG_FAULTS],
 )
-def test_config_validation(tmp_path, field, value, by_position):
-    values = {**paced_config(tmp_path)._asdict(), field: value}
+def test_config_validation(tmp_path, field, value, way):
+    valid = paced_config(tmp_path)
+    values = {**valid._asdict(), field: value}
     with pytest.raises(ConfigError):
-        CampaignConfig(*values.values()) if by_position else CampaignConfig(**values)
+        if way == "keyword":
+            CampaignConfig(**values)
+        elif way == "position":
+            CampaignConfig(*values.values())
+        else:
+            valid._replace(**{field: value})
 
 
 # --- clock ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from test_coverage import assert_maps_equal, edge_map, line_sites, stub_probe, walk
 
 from deltafuzz import driver as driver_module
+from deltafuzz.campaign import CampaignConfig
 from deltafuzz.corpus import QueueEntry
 from deltafuzz.coverage import CoverageMap
 from deltafuzz.driver import (
@@ -400,33 +401,65 @@ def test_with_domain_validates():
         with_domain(spec, dimension="watts")
 
 
+# a valid record of each checked type, and one bad field value per case
+# with the error that every way of building the record must raise
+VALID_RECORDS = {
+    Constraints: Constraints(),
+    DriverSpec: DriverSpec("ok", toy_compare),
+    QueueEntry: QueueEntry(0, b"x", 0),
+    CampaignConfig: CampaignConfig("pwcheck_unsafe", "seeds", "out"),
+}
+BAD_RECORDS = {
+    "cap-zero": (Constraints, {"max_segment_len": 0}, ConfigError, "segment cap must be >= 1"),
+    "cap-negative": (
+        Constraints, {"max_segment_len": -1}, ConfigError, "segment cap must be >= 1"
+    ),
+    "unknown-charset": (
+        Constraints, {"charset": "klingon"}, ConfigError, "unknown charset: 'klingon'"
+    ),
+    "spec-dimension": (
+        DriverSpec, {"cost_dimension": "watts"}, ConfigError, "unknown cost dimension: 'watts'"
+    ),
+    "entry-empty-data": (
+        QueueEntry, {"data": b""}, ValueError, "queue entry bytes must be non-empty"
+    ),
+    "entry-negative-delta": (QueueEntry, {"best_delta": -1}, ValueError, "best_delta must be >= 0"),
+    "config-nan-timeout": (
+        CampaignConfig, {"timeout_seconds": float("nan")}, ConfigError, "timeout must be >= 1 second"
+    ),
+}
+# the other ways in: DriverSpec by keyword, QueueEntry by position, and
+# CampaignConfig by keyword and position have tests of their own
+WAYS_IN = [
+    ("cap-zero", "keyword"),
+    ("cap-negative", "keyword"),
+    ("unknown-charset", "keyword"),
+    ("cap-zero", "position"),
+    ("unknown-charset", "position"),
+    ("spec-dimension", "position"),
+    ("entry-empty-data", "keyword"),
+    ("entry-negative-delta", "keyword"),
+] + [(case, way) for case in BAD_RECORDS for way in ("replace", "make")]
+
+
 @pytest.mark.parametrize(
-    "cls,kwargs,by_position,error,message",
-    [
-        (Constraints, {"max_segment_len": 0}, False, ConfigError, "segment cap must be >= 1"),
-        (Constraints, {"max_segment_len": -1}, False, ConfigError, "segment cap must be >= 1"),
-        (Constraints, {"charset": "klingon"}, False, ConfigError, "unknown charset: 'klingon'"),
-        (Constraints, {"max_segment_len": 0}, True, ConfigError, "segment cap must be >= 1"),
-        (Constraints, {"charset": "klingon"}, True, ConfigError, "unknown charset: 'klingon'"),
-        (DriverSpec, {"name": "bad", "target": toy_compare, "cost_dimension": "watts"}, True,
-         ConfigError, "unknown cost dimension: 'watts'"),
-        (QueueEntry, {"entry_id": 0, "data": b"", "best_delta": 0}, False,
-         ValueError, "queue entry bytes must be non-empty"),
-        (QueueEntry, {"entry_id": 0, "data": b"x", "best_delta": -1}, False,
-         ValueError, "best_delta must be >= 0"),
-    ],
-    ids=[
-        "cap-zero", "cap-negative", "unknown-charset", "cap-zero-by-position",
-        "unknown-charset-by-position", "spec-dimension-by-position", "entry-empty-data",
-        "entry-negative-delta",
-    ],
+    "case,way",
+    WAYS_IN,
+    ids=[case if way == "keyword" else f"{case}-by-{way}" for case, way in WAYS_IN],
 )
-def test_constraints_are_checked_at_construction(cls, kwargs, by_position, error, message):
-    # the other ways in: DriverSpec by keyword and QueueEntry by position
-    # have tests of their own
-    values = {**cls._field_defaults, **kwargs}
+def test_constraints_are_checked_at_construction(case, way):
+    cls, bad, error, message = BAD_RECORDS[case]
+    valid = VALID_RECORDS[cls]
+    values = {**valid._asdict(), **bad}
     with pytest.raises(error, match=message):
-        cls(*(values[name] for name in cls._fields)) if by_position else cls(**kwargs)
+        if way == "keyword":
+            cls(**values)
+        elif way == "position":
+            cls(*values.values())
+        elif way == "replace":
+            valid._replace(**bad)
+        else:
+            cls._make(values.values())
 
 
 def test_a_driver_with_bad_constraints_never_reaches_the_registry():
@@ -538,20 +571,32 @@ def test_ctrl_c_during_a_fork_leaves_no_child_and_no_fd(monkeypatch):
     assert open_fds() == fds
 
 
-def test_a_forked_child_sends_its_error_as_its_last_reply():
-    def serve(requests, replies):
-        replies.write(pickle.dumps("first"))
-        replies.flush()
-        raise ValueError("served")
+class Unrebuilt(Exception):
+    """Pickles, but pickle cannot rebuild it: it passes back one argument."""
 
-    fds = open_fds()
-    child = driver_module.fork_child(serve)
-    assert driver_module.receive(child, "probe") == "first"
-    with pytest.raises(ValueError, match="served"):
-        driver_module.receive(child, "probe")
-    with pytest.raises(RuntimeError, match=r"probe child \d+ exited with status"):
-        driver_module.receive(child, "probe")
-    assert driver_module.kill_child(child) is None  # receive reaped it
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert open_fds() == fds
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_a_forked_child_sends_its_error_as_its_last_reply():
+    # an error the parent cannot rebuild arrives as a RuntimeError naming it
+    for error, raised, message in (
+        (ValueError("served"), ValueError, "^served$"),
+        (Unrebuilt("a", "b"), RuntimeError, "^Unrebuilt: a and b$"),
+    ):
+        def serve(requests, replies, error=error):
+            replies.write(pickle.dumps("first"))
+            replies.flush()
+            raise error
+
+        fds = open_fds()
+        child = driver_module.fork_child(serve)
+        assert driver_module.receive(child, "probe") == "first"
+        with pytest.raises(raised, match=message):
+            driver_module.receive(child, "probe")
+        with pytest.raises(RuntimeError, match=r"probe child \d+ exited with status"):
+            driver_module.receive(child, "probe")
+        assert driver_module.kill_child(child) is None  # receive reaped it
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
