@@ -1,15 +1,8 @@
 """Campaign orchestration: seeds in, mutants through the harness, report out.
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
-`_schedule` alone sets the mutant order: the seeds, then the queue
-round-robin in cycles, each entry getting the deterministic stage on its
-first visit, then bounded havoc and splice passes. A visit's havoc mutants
-depend only on the entry and the RNG state at the visit's start, never on
-an evaluation. So `_schedule` makes them in one child of driver.fork_child,
-the oracle's sweep workers' fork too. The child works ahead on a copy of
-that state while the campaign evaluates, then hands back its final state:
-the splices and every later draw are those of inline havoc, which runs
-where the process may not use a second CPU. Every candidate runs through
+`_schedule` alone sets the mutant order, and owns the forked child that
+makes havoc mutants ahead (see there). Every candidate runs through
 the two-execution harness and is kept iff it reaches new coverage or
 strictly raises the delta high score. Progress lands in stats.csv at one
 row per second; the final report carries the verdict, the witness triple,
@@ -34,9 +27,9 @@ from .corpus import FuzzQueue, consider, load_seeds
 from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
     OUTCOME_HARNESS_ERROR,
-    OUTCOME_PARSE_REJECT,
     ConfigError,
     DiffResult,
+    ParseReject,
     checked,
     default_parse,
     fork_child,
@@ -168,13 +161,16 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, s
     caller enqueues between yields, so each cycle and splice partner sees
     the queue so far; an empty queue after the seeds is a LookupError.
 
-    At the first havoc mutant it forks one child if fork_cpus allows two
-    CPUs; havoc runs inline otherwise or if the fork fails. Per pick the
-    child gets the entry and the rng state, makes the mutants from its copy
-    of that state and sends them in chunks, the last with its final rng
-    state, which is taken here. An error in havoc is raised at the same
-    point of the stream as inline. Closing the generator kills and reaps
-    the child."""
+    Evaluations stay in this process, since each can change the queue the
+    next pick and splice draw from; a pick's havoc mutants depend only on
+    the entry and the rng state at its start. So at the first havoc mutant
+    it forks one child of driver.fork_child if fork_cpus allows two CPUs;
+    havoc runs inline otherwise or if the fork fails. Per pick the child
+    gets the entry and the rng state, makes the mutants from its copy of
+    that state and sends them in chunks, the last with its final rng state,
+    which is taken here; so every later draw is inline havoc's. An error in
+    havoc is raised at the same point of the stream as inline. Closing the
+    generator kills and reaps the child."""
     for _, data in seeds:
         yield data, None
     child = None  # (pid, request writer, reply reader) once forked; () when inline
@@ -232,6 +228,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     )
     dim = spec.cost_dimension
     seeds = load_seeds(config.seed_dir, config.max_input_len)
+    for name, data in seeds:  # before the output directory is touched
+        try:
+            default_parse(data, spec.constraints)
+        except ParseReject as exc:
+            raise ConfigError(f"seed {name!r} does not parse: {exc}") from None
 
     out_dir = Path(config.out_dir)
     queue_dir = out_dir / "queue"
@@ -254,12 +255,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     stats_rows: list[tuple[int, int, int, int, int]] = []
     next_row_second = 0
 
-    # One map for every evaluation, so its memo and its table of folded
-    # pairs (see run_driver) span the campaign. An evaluation goes through
-    # consider only when it can change something: its map holds edges (an
-    # empty one, left by a parse reject, a pair of paths folded before or a
-    # repeat of the last triple, adds nothing), or its delta beats the high
-    # score. Two remembered executions can still form a new pair or delta.
+    # One map for every evaluation, so its memo and folded pairs span the
+    # campaign; an empty map adds nothing, so consider runs only when the map
+    # holds edges or the delta beats the high score (see run_driver).
     cov = CoverageMap()
 
     stop_reason = "timeout"
@@ -270,7 +268,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         for data, parent_id in schedule:
             cov.clear()
             result = run_driver(spec, data, cov)
-            executions += 1
+            executions += 1  # a repeat of the last triple counts too
             # campaign time: evaluations/pace when paced, so every artifact
             # depends only on the evaluation sequence; else elapsed seconds
             at = time.monotonic() - start if pace is None else executions / pace
@@ -295,13 +293,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 break
             if at >= timeout:
                 break
-            if executions <= len(seeds):
-                if result.outcome == OUTCOME_PARSE_REJECT:
-                    name = seeds[executions - 1][0]
-                    raise ConfigError(f"seed {name!r} does not parse: {result.note}")
-                if not queue.seen(data):
-                    # seeds are enqueued even when boring; they anchor the corpus
-                    queue.add(data, best_delta=delta)
+            if parent_id is None and not queue.seen(data):
+                # seeds are enqueued even when boring; they anchor the corpus
+                queue.add(data, best_delta=delta)
     except KeyboardInterrupt:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"

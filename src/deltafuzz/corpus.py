@@ -2,8 +2,8 @@
 
 An input survives into the queue when it reaches coverage the campaign has
 not seen or strictly beats the campaign's delta high score (ties are
-discarded). The campaign's schedule visits the entries round-robin, in id
-order. Persistence is synchronous, one raw-bytes file per entry with the
+discarded). campaign._schedule sets the order in which entries are
+visited. Persistence is synchronous, one raw-bytes file per entry with the
 metadata in the filename.
 """
 

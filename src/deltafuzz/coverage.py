@@ -42,18 +42,8 @@ _CLASS_BIT_OF_BYTE = bytes((1 << bisect_left(_BUCKET_LIMITS, n)) >> 1 for n in r
 
 class CoverageMap(dict):
     """Edge index -> raw hit count, saturating at 255, for one candidate's
-    executions, in first-touch order.
-
-    Each map owns a memo of the executions traced into it, by (pub, sec),
-    and a table of the path pairs folded into it, by token; each is
-    cleared when full (MEMO_ENTRIES, FOLDED_PAIRS in driver). run_driver
-    replays a remembered execution instead of running the target again,
-    and leaves the map empty for a pair folded before. A map is a function
-    of its two paths, so that is exact for a caller that absorbs every map
-    it fills into one GlobalCoverage, which only gains bits: the campaign
-    reuses one map, cleared between candidates. A fresh map per call
-    always holds both executions' edges. run_driver keeps its last traced
-    result here, to return it again for a call that repeats its triple.
+    executions, in first-touch order. It also holds run_driver's memo, table
+    of folded pairs and last result, under the rules run_driver states.
     """
 
     def __init__(self):

@@ -172,10 +172,18 @@ def run_driver(
     A traced execution is looked up in cov_map's memo by (pub, sec) first,
     whichever secret it stands for: the target must be a pure function of
     those, so a remembered execution is not run again, and its cost, output,
-    note and path stand in for it. A pair of paths in cov_map's table of
-    folded pairs is not folded again and leaves the map empty, so a caller
-    that reuses one map must absorb every non-empty map into one
-    GlobalCoverage. A fresh map per call sees both executions folded.
+    note and path stand in for it. So a mutant that changes one secret runs
+    the target once. The memo keeps up to MEMO_ENTRIES executions and starts
+    afresh when full; a run again traces the same path, so only time
+    depends on what it still holds. A map is a function of its two paths,
+    and a GlobalCoverage only gains bits, so a pair of paths folded and
+    absorbed before can show nothing new: a pair in cov_map's table of
+    folded pairs (up to FOLDED_PAIRS, cleared when full) is not folded again
+    and leaves the map empty. So a caller that reuses one map must absorb
+    every non-empty map into one GlobalCoverage; a fresh map per call sees
+    both executions folded. Remembered executions from different calls can
+    still form a new pair or a new delta, so every call's result still
+    needs the caller's novelty check.
     A traced call that decodes to the triple of the map's last result, its
     pair still in the table, returns that result again and touches neither
     memo nor map, as both lookups would hit; one map serves one target.
@@ -276,12 +284,14 @@ def fork_cpus() -> int:
 def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
     """Fork a child that runs serve(requests, replies) on two pipes. If
     serve raises, the child pickles the exception as its last reply, for
-    receive to raise. It leaves through os._exit: 0 once serve returns or
-    its exception is sent, and its replies are flushed; 1 on any other path.
-    Returns (its pid, request writer, reply reader), or () when the system
-    has no process to spare. SIGINT stays blocked across the fork and is
-    ignored in the child, so Ctrl-C interrupts only this process; a Ctrl-C
-    that comes during the fork kills the child before it is raised here.
+    receive to raise; one that would not unpickle goes as a RuntimeError
+    giving its type and message. It leaves through os._exit: 0 once serve
+    returns or its exception is sent, and its replies are flushed; 1 on any
+    other path. Returns (its pid, request writer, reply reader), or () when
+    the system has no process to spare. Ctrl-C signals the terminal's whole
+    foreground group, so the child ignores SIGINT and only this process acts
+    on it; SIGINT stays blocked across the fork, and a Ctrl-C that comes
+    during it kills and reaps the child before it is raised here.
     kill_child ends the child."""
     import signal
     requests, to_child = os.pipe()
@@ -301,7 +311,7 @@ def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
                         serve(reader, writer)
                     except BaseException as exc:  # noqa: BLE001 - receive raises it
                         import pickle
-                        try:  # one that cannot be rebuilt goes as its type and message
+                        try:
                             pickle.loads(reply := pickle.dumps(exc))
                         except Exception:  # noqa: BLE001 - whatever the round trip raises
                             reply = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))

@@ -13,11 +13,10 @@ harness's parse, and replay it through the fuzzer's two-run harness, parse
 included, so the reported delta is by construction reproducible with
 `replay`.
 
-The exhaustive sweep shares its pubs among the CPUs the process may use, in
-children that pull chunks of pubs as they finish, with results identical to
-one process's; so targets must be pure, as replay assumes. Like a
-campaign's havoc child, they come from driver.fork_child: they ignore
-Ctrl-C, and the sweep kills and reaps each of them on any exit.
+The exhaustive sweep shares its pubs among forked children (see _sweep),
+with results identical to one process's; so targets must be pure, as replay
+assumes. driver.fork_child states how a child treats Ctrl-C and its errors;
+the sweep kills and reaps each child on any exit.
 """
 
 from __future__ import annotations

@@ -294,10 +294,14 @@ def test_harness_errors_are_counted_and_noted(tmp_path):
 def test_parse_rejecting_seed_is_a_config_error(tmp_path):
     bad = tmp_path / "badseeds"
     bad.mkdir()
+    (bad / "good").write_bytes(bytes(12))  # sorts first: a check in the loop queues it
     (bad / "tiny").write_bytes(b"\x00\x01")  # under 3 bytes: cannot split
     config = paced_config(tmp_path, seed_dir=str(bad))
     with pytest.raises(ConfigError, match="tiny"):
         run_campaign(config)
+    assert not Path(config.out_dir).exists()  # refused before anything is written
+    (bad / "tiny").write_bytes(bytes(3))
+    assert run_campaign(config).executions > 0  # so a rerun finds no earlier queue
 
 
 def test_deterministic_stage_can_be_disabled(tmp_path):

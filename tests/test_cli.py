@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, and the aggregate report table."""
 
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +269,17 @@ def test_fuzz_into_earlier_run_is_exit_two(tmp_path, capsys):
     assert sorted((tmp_path / "out" / "queue").iterdir()) == queue
 
 
+def test_fuzz_with_unparsable_seed_is_exit_two_and_writes_nothing(tmp_path, capsys):
+    args = fuzz_args(tmp_path, "--timeout", "1")  # its seed "seed" sorts before "tiny"
+    tiny = tmp_path / "seeds" / "tiny"
+    tiny.write_bytes(b"\x00\x01")
+    assert main(args) == 2
+    assert "'tiny' does not parse" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    tiny.write_bytes(bytes(3))
+    assert main(args) == 0  # into the same --out
+
+
 @pytest.mark.parametrize("under", [(), ("sub",)], ids=["out-is-a-file", "out-under-a-file"])
 def test_fuzz_out_at_or_under_a_file_is_exit_two(tmp_path, monkeypatch, capsys, under):
     blocker = tmp_path / "taken"
@@ -496,3 +510,26 @@ def test_report_reads_real_campaign_output(tmp_path, capsys):
     assert "Average δ" in out
     maximum = out.strip().splitlines()[-1].split()[2]
     assert int(maximum) >= 2
+
+
+# --- the README's CLI contract ---------------------------------------------
+
+
+def test_readme_cli_section_names_every_subcommand_and_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (subparsers,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    missing = [name for name in subparsers.choices if f"deltafuzz {name}" not in section]
+    missing += [
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", section)
+    ]
+    assert missing == []
