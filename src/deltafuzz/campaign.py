@@ -2,11 +2,12 @@
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
 `_schedule` alone sets the mutant order, and owns the forked child that
-makes havoc mutants ahead (see there). Every candidate runs through
-the two-execution harness and is kept iff it reaches new coverage or
-strictly raises the delta high score. Progress lands in stats.csv at one
-row per second; the final report carries the verdict, the witness triple,
-and the reminder that finding nothing proves nothing.
+makes havoc mutants ahead (see there). Every candidate runs through the
+two-execution harness, and corpus.consider keeps it iff it is a seed,
+reaches new coverage or strictly raises the delta high score. Progress
+lands in stats.csv at one row per second; the final report carries the
+verdict, the witness triple, and the reminder that finding nothing proves
+nothing.
 
 The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
@@ -30,6 +31,7 @@ from .driver import (
     ConfigError,
     DiffResult,
     ParseReject,
+    _tracer,
     checked,
     default_parse,
     fork_child,
@@ -233,15 +235,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             default_parse(data, spec.constraints)
         except ParseReject as exc:
             raise ConfigError(f"seed {name!r} does not parse: {exc}") from None
+    _tracer(spec)  # an untraceable target, too, is refused before the first write
 
     out_dir = Path(config.out_dir)
-    queue_dir = out_dir / "queue"
-    if queue_dir.is_dir() and any(queue_dir.iterdir()):
-        raise ConfigError(f"output directory holds an earlier run's queue: {out_dir}")
-    try:
-        queue = FuzzQueue(queue_dir)
-    except OSError as exc:  # out_dir is, or lies under, a file; or is not writable
-        raise ConfigError(f"cannot create output directory {queue_dir}: {exc.strerror}") from None
+    queue = FuzzQueue(out_dir / "queue")
     global_cov = GlobalCoverage()
     rng = random.Random(config.rng_seed)
     pace, stop_on_delta, timeout = config.pace, config.stop_on_delta, config.timeout_seconds
@@ -256,8 +253,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     next_row_second = 0
 
     # One map for every evaluation, so its memo and folded pairs span the
-    # campaign; an empty map adds nothing, so consider runs only when the map
-    # holds edges or the delta beats the high score (see run_driver).
+    # campaign; an empty map adds nothing, so consider runs only for a map
+    # with edges, a delta above the high score or a seed (see run_driver).
     cov = CoverageMap()
 
     stop_reason = "timeout"
@@ -274,8 +271,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             at = time.monotonic() - start if pace is None else executions / pace
             delta = result.delta_of(dim)
             improved = delta > best
-            if cov or improved:
-                consider(queue, data, delta, improved, cov, global_cov, parent_id)
+            keep = improved or parent_id is None  # every seed is queued
+            if cov or keep:
+                consider(queue, data, delta, keep, cov, global_cov, parent_id)
                 if improved:
                     if first_positive is None:
                         first_positive = at
@@ -293,9 +291,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 break
             if at >= timeout:
                 break
-            if parent_id is None and not queue.seen(data):
-                # seeds are enqueued even when boring; they anchor the corpus
-                queue.add(data, best_delta=delta)
     except KeyboardInterrupt:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"

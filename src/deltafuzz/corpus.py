@@ -1,10 +1,11 @@
 """Fuzzing queue: interesting inputs and their lineage.
 
-An input survives into the queue when it reaches coverage the campaign has
+Every input enters the queue through `consider`, once per distinct bytes:
+a seed always, any other input when it reaches coverage the campaign has
 not seen or strictly beats the campaign's delta high score (ties are
 discarded). campaign._schedule sets the order in which entries are
 visited. Persistence is synchronous, one raw-bytes file per entry with the
-metadata in the filename.
+metadata in the filename, in a directory that holds no other run's entries.
 """
 
 from __future__ import annotations
@@ -35,12 +36,19 @@ class QueueEntry(NamedTuple):
 
 
 class FuzzQueue:
-    """Corpus with content dedup and filename-metadata persistence."""
+    """Corpus with content dedup and filename-metadata persistence. A
+    queue_dir that holds files (ids restart at 0, so an earlier run's entries
+    would be overwritten) or cannot be created is a ConfigError."""
 
     def __init__(self, queue_dir: str | Path):
         self.entries: list[QueueEntry] = []
-        self.queue_dir = Path(queue_dir)
-        self.queue_dir.mkdir(parents=True, exist_ok=True)
+        self.queue_dir = path = Path(queue_dir)
+        try:
+            if path.is_dir() and any(path.iterdir()):
+                raise ConfigError(f"output directory holds an earlier run's queue: {path.parent}")
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file is in the way, a name is too long, no permission
+            raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
         self._seen: set[bytes] = set()
 
     def __len__(self) -> int:
@@ -72,16 +80,17 @@ def consider(
     queue: FuzzQueue,
     data: bytes,
     delta: int,
-    improved: bool,
+    keep: bool,
     run_cov: CoverageMap,
     global_cov: GlobalCoverage,
     parent_id: int | None = None,
 ) -> bool:
     """Absorb run_cov into global_cov, and enqueue data iff that found new
-    coverage or improved is set (delta strictly beat the high score), unless
-    the bytes are already queued."""
+    coverage or keep is set, unless the bytes are already queued. The
+    campaign sets keep for a seed and for a delta that strictly beat the
+    high score."""
     new_pairs = global_cov.absorb(run_cov)
-    if not (new_pairs or improved) or queue.seen(data):
+    if not (new_pairs or keep) or queue.seen(data):
         return False
     queue.add(data, best_delta=delta, parent_id=parent_id)
     return True

@@ -5,13 +5,13 @@ secrets, and witness the widest pub with its dearest and cheapest secret.
 They enumerate decoded segments and run the target on each (pub, secret)
 pair twice, the second run checking that its cost is deterministic, so
 `executions` counts pairs, half the target runs. The exhaustive oracle takes
-the whole constrained domain. The structured oracle takes the one pub and
-the extreme secrets of the driver's declared cost statistic, which stays
-tractable at segment lengths the exhaustive domain cannot reach. Both encode
-their witness to input bytes with driver.encode, the inverse of the
-harness's parse, and replay it through the fuzzer's two-run harness, parse
-included, so the reported delta is by construction reproducible with
-`replay`.
+the whole constrained domain, whose pairs its budget bounds. The structured
+oracle takes the one pub and the extreme secrets of the driver's declared
+cost statistic, which stays tractable at lengths the exhaustive domain
+cannot reach. Both encode their witness to input bytes with driver.encode,
+the inverse of the harness's parse, and replay it through the fuzzer's
+two-run harness, parse included, so the reported delta is by construction
+reproducible with `replay`.
 
 The exhaustive sweep shares its pubs among forked children (see _sweep),
 with results identical to one process's; so targets must be pure, as replay
@@ -37,10 +37,6 @@ DEFAULT_BUDGET = 2**24
 # chunks a forked sweep hands out at most: their 4-byte tokens fill at most
 # 4 KiB, which one write puts into an empty pipe whole, without blocking
 _CHUNKS = 1024
-
-
-class DomainTooLarge(ConfigError):
-    """Input domain exceeds the exhaustive enumeration budget."""
 
 
 class OracleResult(NamedTuple):
@@ -124,9 +120,7 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     return [res for i in sorted(done) for res in done[i]]
 
 
-def _best(
-    aspec: DriverSpec, mode: str, segment_len: int, pubs: list[bytes], secs: list[bytes]
-) -> OracleResult:
+def _best(aspec: DriverSpec, mode: str, pubs: list[bytes], secs: list[bytes]) -> OracleResult:
     """The first pub with the widest spread of costs over secs, witnessed by
     its dearest and cheapest secret, encoded to input bytes and replayed once
     through the harness's parse."""
@@ -140,7 +134,7 @@ def _best(
         driver=aspec.name,
         dimension=aspec.cost_dimension,
         mode=mode,
-        segment_len=segment_len,
+        segment_len=aspec.constraints.max_segment_len,
         charset=aspec.constraints.charset,
         max_delta=best_delta,
         witness=best_witness,
@@ -158,25 +152,25 @@ def exhaustive_max_delta(
 ) -> OracleResult:
     """True maximum delta over the full constrained domain.
 
-    Refuses a budget below 1, and with DomainTooLarge a triple domain
-    |A|**(3*len) over the budget; cost enumeration itself needs
-    |A|**(2*len) runs.
+    Refuses a budget below 1, and a domain whose |A|**(2*len) (pub,
+    secret) pairs, the pairs the sweep runs and `executions` counts, exceed
+    the budget.
     """
     if budget < 1:
         raise ConfigError("budget must be >= 1")
     aspec = with_domain(spec, segment_cap=segment_len, charset=charset)
     symbols = aspec.constraints.alphabet()
     n = len(symbols)
-    cardinality = n ** (3 * segment_len)
-    if cardinality > budget:
-        raise DomainTooLarge(
-            f"domain has {n}**{3 * segment_len} = {cardinality} inputs, "
+    pairs = n ** (2 * segment_len)
+    if pairs > budget:
+        raise ConfigError(
+            f"domain has {n}**{2 * segment_len} = {pairs} (pub, secret) pairs, "
             f"over the budget of {budget}; shrink --len or the alphabet, "
             "or use the structured oracle"
         )
 
     pubs = secs = [bytes(p) for p in product(symbols, repeat=segment_len)]
-    return _best(aspec, "exhaustive", segment_len, pubs, secs)
+    return _best(aspec, "exhaustive", pubs, secs)
 
 
 def structured_max_delta(
@@ -207,4 +201,4 @@ def structured_max_delta(
         )
     for sec in secs:  # refuses a symbol outside the alphabet
         driver.encode((pub, sec, sec), aspec.constraints)
-    return _best(aspec, "structured", segment_len, [pub], secs)
+    return _best(aspec, "structured", [pub], secs)

@@ -539,6 +539,22 @@ def test_without_a_positive_delta_the_first_seed_is_the_witness(tmp_path):
     assert (tmp_path / "out" / "witness.bin").read_bytes() == b"\x01" * 12
 
 
+def test_a_boring_seed_evaluated_at_the_stop_is_queued(tmp_path):
+    """Seed b's extra zero byte decodes to seed a's triple, so b reaches no
+    new coverage and no higher delta; it is still queued, although the
+    campaign times out at b's evaluation."""
+    seeds = seeds_dir(tmp_path, {"a": bytes(12), "b": bytes(13)})
+    report = run_campaign(paced_config(tmp_path, seed_dir=seeds, pace=1, timeout_seconds=2.0))
+    assert report.executions == 2
+    queue = tmp_path / "out" / "queue"
+    assert sorted(p.name for p in queue.iterdir()) == [
+        "id:0000,src:-,delta:0",
+        "id:0001,src:-,delta:0",
+    ]
+    assert (queue / "id:0001,src:-,delta:0").read_bytes() == bytes(13)
+    assert report.queue_size == 2
+
+
 # --- output files -----------------------------------------------------------------
 
 

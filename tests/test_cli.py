@@ -222,6 +222,7 @@ def test_fuzz_sourceless_target_is_exit_two(tmp_path, monkeypatch, capsys):
     code = main(["fuzz", "--driver", "ghost", "--seeds", seeds, "--out", out])
     assert code == 2
     assert "no source" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused before the first write
 
 
 def test_fuzz_internal_error_is_exit_three(tmp_path, monkeypatch, capsys):
@@ -294,6 +295,15 @@ def test_fuzz_out_at_or_under_a_file_is_exit_two(tmp_path, monkeypatch, capsys, 
     assert "cannot create output directory" in err and str(out) in err
     assert evaluations == []  # refused before the first evaluation
     assert blocker.read_bytes() == b"not a directory"
+
+
+def test_fuzz_out_name_too_long_is_exit_two(tmp_path, capsys):
+    out = tmp_path / ("o" * 300)  # longer than a file name may be
+    args = fuzz_args(tmp_path, "--timeout", "1")
+    args[args.index("--out") + 1] = str(out)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and str(out) in err
 
 
 def test_fuzz_interrupted_is_exit_zero_with_outputs(tmp_path, monkeypatch, capsys):

@@ -82,6 +82,15 @@ def test_persistence_writes_raw_bytes(tmp_path):
     assert (tmp_path / "queue" / files[1]).read_bytes() == b"world"
 
 
+def test_a_queue_directory_holding_an_entry_is_refused(tmp_path):
+    FuzzQueue(tmp_path / "queue").add(b"first run", best_delta=3)
+    with pytest.raises(ConfigError, match="earlier run's queue"):
+        FuzzQueue(tmp_path / "queue")
+    entry = tmp_path / "queue" / "id:0000,src:-,delta:3"
+    assert [p.name for p in (tmp_path / "queue").iterdir()] == [entry.name]
+    assert entry.read_bytes() == b"first run"
+
+
 # --- consider() -------------------------------------------------------------------
 
 
@@ -116,7 +125,7 @@ def test_consider_enqueues_on_new_edge_without_improvement(tmp_path):
 
 
 def test_consider_ties_are_discarded(tmp_path):
-    # the campaign passes improved=False for a delta equal to its high
+    # the campaign passes keep=False for a delta equal to its high
     # score; the delta alone never keeps an input
     q, g = make_state(tmp_path)
     g.absorb(cov_with((5, 1)))

@@ -24,7 +24,6 @@ from deltafuzz.driver import (
 )
 from deltafuzz.oracle import (
     DEFAULT_BUDGET,
-    DomainTooLarge,
     _reduce,
     _sweep,
     exhaustive_max_delta,
@@ -186,10 +185,19 @@ def test_single_symbol_alphabet_has_no_leak(monkeypatch):
 
 
 def test_budget_refusal_names_the_cardinality():
-    with pytest.raises(DomainTooLarge, match="16777216"):
+    with pytest.raises(ConfigError, match=r"256\*\*2 = 65536 \(pub, secret\) pairs"):
         exhaustive_max_delta(get_driver("pwcheck_unsafe"), 1, budget=100)
-    # 2**24 sits exactly at the default budget and is allowed
-    assert 256 ** 3 == DEFAULT_BUDGET
+    # the budget counts the pairs the sweep runs: 2**4 fits a budget of 16
+    res = exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, charset="binary", budget=16)
+    assert res.executions == 16
+    with pytest.raises(ConfigError, match=r"2\*\*4 = 16 \(pub, secret\) pairs"):
+        exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, charset="binary", budget=15)
+
+
+def test_lower_length_two_runs_under_the_default_budget():
+    res = exhaustive_max_delta(get_driver("pwcheck_unsafe"), 2, charset="lower")
+    assert res.executions == 26**4 == 456976 <= DEFAULT_BUDGET
+    assert res.max_delta == 2
 
 
 @pytest.mark.parametrize("budget", [-5, 0])
@@ -199,7 +207,7 @@ def test_budget_below_one_is_refused(budget):
 
 
 def test_budget_refusal_binary_long_segments():
-    with pytest.raises(DomainTooLarge):
+    with pytest.raises(ConfigError, match=r"2\*\*26 = 67108864"):
         exhaustive_max_delta(get_driver("pwcheck_unsafe"), 13, charset="binary")
 
 
