@@ -1,13 +1,13 @@
 """Campaign orchestration: seeds in, mutants through the harness, report out.
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
-`_schedule` alone sets the mutant order, and owns the forked child that
-makes havoc mutants ahead (see there). Every candidate runs through the
-two-execution harness, and corpus.consider keeps it iff it is a seed,
-reaches new coverage or strictly raises the delta high score. Progress
-lands in stats.csv at one row per second; the final report carries the
-verdict, the witness triple, and the reminder that finding nothing proves
-nothing.
+`_schedule` alone sets the mutant order, and owns the forked child that makes
+havoc mutants ahead (see there). Every candidate runs through the
+two-execution harness, but a stage flip of dropped bytes takes its entry's
+result; corpus.consider keeps a candidate iff it is a seed, reaches new
+coverage or strictly raises the delta high score. Progress lands in stats.csv
+at one row per second; the final report carries the verdict, the witness
+triple, and the reminder that finding nothing proves nothing.
 
 The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
@@ -41,6 +41,7 @@ from .driver import (
     receive,
     replay_check,
     run_driver,
+    segment_layout,
     with_domain,
 )
 from .mutation import deterministic_stage, havoc, splice
@@ -155,13 +156,16 @@ def _serve_havoc(requests, replies) -> None:
             replies.flush()
 
 
-def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, stage: bool):
+def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, cap: Optional[int]):
     """(input, parent entry id) in evaluation order: the seeds, then the
     queue round-robin, in cycles over the entries present at each cycle's
     start. Per pick: the deterministic stage on the entry's first visit,
     HAVOC_ITERATIONS havoc mutants and up to SPLICE_ITERATIONS splices. The
     caller enqueues between yields, so each cycle and splice partner sees
     the queue so far; an empty queue after the seeds is a LookupError.
+    With cap None there is no stage; else a run of flips of bytes that
+    segment_layout drops at cap, each decoding to the entry's own triple,
+    comes as (its length, parent).
 
     Evaluations stay in this process, since each can change the queue the
     next pick and splice draw from; a pick's havoc mutants depend only on
@@ -184,8 +188,11 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, s
                 raise LookupError("queue is empty")
             for entry in queue.entries[:n]:
                 data, parent = entry.data, entry.entry_id
-                if stage and parent >= visited:
-                    for mutant in deterministic_stage(data):
+                if cap is not None and parent >= visited:
+                    live = sum((1 << 8 * k) - 1 << 8 * o for o, k in segment_layout(len(data), cap))
+                    stage = deterministic_stage  # a tracer's stand-in may take no mask
+                    args = (data, live) if stage.__code__.co_argcount > 1 else (data,)
+                    for mutant in stage(*args):
                         yield mutant, parent
                 if child is None:
                     child = fork_child(_serve_havoc) if fork_cpus() >= 2 else ()
@@ -258,39 +265,46 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     cov = CoverageMap()
 
     stop_reason = "timeout"
-    schedule = _schedule(
-        seeds, queue, rng, config.max_input_len, config.deterministic_stage_enabled
-    )
+    cap = spec.constraints.max_segment_len if config.deterministic_stage_enabled else None
+    schedule = _schedule(seeds, queue, rng, config.max_input_len, cap)
+    staged: dict[int, DiffResult] = {}  # by entry id: its untraced result, for its dead runs
     try:
         for data, parent_id in schedule:
             cov.clear()
-            result = run_driver(spec, data, cov)
-            executions += 1  # a repeat of the last triple counts too
-            # campaign time: evaluations/pace when paced, so every artifact
-            # depends only on the evaluation sequence; else elapsed seconds
-            at = time.monotonic() - start if pace is None else executions / pace
+            if type(data) is int:  # a dead run: no map, no delta above the high score
+                if parent_id not in staged:
+                    staged[parent_id] = run_driver(spec, queue.entries[parent_id].data)
+                end, result = executions + data, staged[parent_id]
+            else:
+                end, result = executions + 1, run_driver(spec, data, cov)
             delta = result.delta_of(dim)
             improved = delta > best
             keep = improved or parent_id is None  # every seed is queued
-            if cov or keep:
-                consider(queue, data, delta, keep, cov, global_cov, parent_id)
-                if improved:
-                    if first_positive is None:
-                        first_positive = at
-                    best, witness = delta, data
-            if result.outcome == OUTCOME_HARNESS_ERROR:
-                harness_errors += 1
-                if len(error_notes) < 8:
-                    error_notes.setdefault(result.note)
-            if at >= next_row_second:
-                next_row_second = _add_rows(
-                    stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
-                )
-            if stop_on_delta is not None and best >= stop_on_delta:
-                stop_reason = "delta-target-reached"
-                break
-            if at >= timeout:
-                break
+            while executions < end:  # a pass per evaluation, of a repeat or a dead run too
+                executions += 1
+                # campaign time: evaluations/pace when paced, else elapsed seconds
+                at = time.monotonic() - start if pace is None else executions / pace
+                if cov or keep:
+                    consider(queue, data, delta, keep, cov, global_cov, parent_id)
+                    if improved:
+                        if first_positive is None:
+                            first_positive = at
+                        best, witness = delta, data
+                if result.outcome == OUTCOME_HARNESS_ERROR:
+                    harness_errors += 1
+                    if len(error_notes) < 8:
+                        error_notes.setdefault(result.note)
+                if at >= next_row_second:
+                    next_row_second = _add_rows(
+                        stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
+                    )
+                if stop_on_delta is not None and best >= stop_on_delta:
+                    stop_reason = "delta-target-reached"
+                if at >= timeout or stop_reason != "timeout":
+                    break
+            else:
+                continue
+            break
     except KeyboardInterrupt:
         # stop like any other stop: the artifacts below still get written
         stop_reason = "interrupted"

@@ -126,9 +126,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
-    try:
+    try:  # a check, too, raises for a name too long
+        if not path.is_file():
+            raise ConfigError(f"input file not found: {path}")
         data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"input file is not readable: {path} ({exc})") from None
@@ -215,9 +215,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _read_run(out_dir: Path) -> tuple[int, int | None]:
     """(final max_delta, first second with positive delta) from stats.csv."""
     stats = out_dir / "stats.csv"
-    if not stats.is_file():
-        raise ConfigError(f"missing stats.csv in {out_dir}")
-    try:
+    try:  # a check, too, raises for a name too long
+        if not stats.is_file():
+            raise ConfigError(f"missing stats.csv in {out_dir}")
         text = stats.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"stats file is not readable: {stats} ({exc})") from None

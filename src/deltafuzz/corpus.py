@@ -99,20 +99,18 @@ def consider(
 def load_seeds(seed_dir: str | Path, max_input_len: int) -> list[tuple[str, bytes]]:
     """Read every file in seed_dir (sorted by name), truncated to the input
     cap. Missing dir, no files, unreadable or empty files are all refused."""
-    root = Path(seed_dir)
-    if not root.is_dir():
-        raise ConfigError(f"seed directory not found: {root}")
     seeds: list[tuple[str, bytes]] = []
-    for path in sorted(root.iterdir()):
-        if not path.is_file():
-            continue
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise ConfigError(f"seed file is not readable: {path} ({exc})") from exc
-        if not data:
-            raise ConfigError(f"seed file is empty: {path}")
-        seeds.append((path.name, data[:max_input_len]))
+    root = path = Path(seed_dir)
+    try:  # a check, too, raises for a name too long
+        if not root.is_dir():
+            raise ConfigError(f"seed directory not found: {root}")
+        for path in sorted(root.iterdir()):
+            if path.is_file():
+                if not (data := path.read_bytes()):
+                    raise ConfigError(f"seed file is empty: {path}")
+                seeds.append((path.name, data[:max_input_len]))
+    except OSError as exc:
+        raise ConfigError(f"seeds are not readable: {path} ({exc})") from None
     if not seeds:
         raise ConfigError(f"seed directory has no files: {root}")
     return seeds

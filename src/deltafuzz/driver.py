@@ -78,14 +78,20 @@ class Constraints(NamedTuple):
         return CHARSETS[self.charset]
 
 
+@functools.lru_cache(maxsize=1024)  # a lookup costs less than the arithmetic
+def segment_layout(size: int, cap: int) -> tuple[tuple[int, int], ...]:
+    """(offset, kept length) of each third: the bytes default_parse keeps."""
+    third = size // 3
+    return tuple((i * third, min(third, cap)) for i in range(3))
+
+
 def default_parse(data: bytes, constraints: Constraints) -> tuple[bytes, bytes, bytes]:
     """Split into three equal thirds, truncate each to the segment cap, and
     map every byte into the constraint charset."""
-    third = len(data) // 3
-    if third == 0:
+    (_, keep), (b, _), (c, _) = segment_layout(len(data), constraints.max_segment_len)
+    if keep == 0:
         raise ParseReject(f"need at least 3 bytes, got {len(data)}")
-    keep = min(third, constraints.max_segment_len)
-    pub, sec1, sec2 = data[:keep], data[third : third + keep], data[2 * third : 2 * third + keep]
+    pub, sec1, sec2 = data[:keep], data[b : b + keep], data[c : c + keep]
     if constraints.charset == "byte":
         return pub, sec1, sec2
     table = _charset_table(constraints.alphabet())

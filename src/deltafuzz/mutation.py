@@ -1,9 +1,10 @@
 """Byte-level input mutation: a deterministic flip walk, havoc, and splicing.
 
-The deterministic stage flips runs of 1, 2 and 4 bits at every bit offset,
-then of 1, 2 and 4 bytes at every byte offset: 27L - 8 mutants for an input
-of L >= 4 bytes. These are the flip sub-stages of AFL's schedule; its
-arithmetic and interesting-value sub-stages are left out. Havoc stacks 1-64
+The deterministic stage flips runs of 1, 2 and 4 bits at every bit offset, then
+of 1, 2 and 4 bytes at every byte offset: 27L - 8 mutants for an input of
+L >= 4 bytes. These are the flip sub-stages of AFL's schedule; its arithmetic
+and interesting-value sub-stages are left out. A mask of live bits skips flips
+of dead bytes, as AFL's effector map does, but exactly. Havoc stacks 1-64
 random edits; splice joins a prefix of one corpus entry to a suffix of another.
 All randomness flows through an explicit rng handle so a campaign's mutant
 stream is reproducible from its seed. Havoc makes each draw inline with
@@ -26,12 +27,23 @@ _STACK_BITS = (HAVOC_STACK_POW2 + 1).bit_length()
 _ARITH_BITS = ARITH_MAX.bit_length()
 
 
-def flips(data: bytes, bits: int, step: int) -> Iterator[bytes]:
+def flips(data: bytes, bits: int, step: int, live: int = -1) -> Iterator[bytes | int]:
     """XOR a run of `bits` ones into the input read as one little-endian
-    integer, at every `step`-th bit offset: bit k is bit k % 8 of byte k // 8."""
+    integer, at every `step`-th bit offset: bit k is bit k % 8 of byte k // 8.
+    `live` masks that integer's bits (-1: all); each maximal run of flips that
+    sets no live bit comes as one int, its length, instead of its mutants."""
     size, word, mask = len(data), int.from_bytes(data, "little"), (1 << bits) - 1
+    dead = 0
     for start in range(0, size * 8 - bits + 1, step):
-        yield (word ^ (mask << start)).to_bytes(size, "little")
+        if live >> start & mask:
+            if dead:
+                yield dead
+                dead = 0
+            yield (word ^ (mask << start)).to_bytes(size, "little")
+        else:
+            dead += 1
+    if dead:
+        yield dead
 
 
 # (name, bits, step) in fixed execution order
@@ -45,12 +57,12 @@ DETERMINISTIC_SCHEDULE = (
 )
 
 
-def deterministic_stage(data: bytes) -> Iterator[bytes]:
-    """Every scheduled mutant of `data`, lazily, in fixed order."""
+def deterministic_stage(data: bytes, live: int = -1) -> Iterator[bytes | int]:
+    """Every scheduled mutant of `data`, lazily, in fixed order; `live` as in flips."""
     if not data:
         raise ValueError("input must be non-empty")
     for _name, bits, step in DETERMINISTIC_SCHEDULE:
-        yield from flips(data, bits, step)
+        yield from flips(data, bits, step, live)
 
 
 def havoc(data: bytes, max_len: int, rng: random.Random) -> bytes:

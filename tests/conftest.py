@@ -77,3 +77,43 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+class Scheduled(list):
+    """One (input, dead) per evaluation a campaign's schedule handed out, in
+    order. A dead run of k flips of bytes the parser drops is k times (its
+    parent's bytes, True): each of those flips decodes to the parent's
+    triple, so a replay of the parent classifies it. `sizes` holds each
+    schedule item's count of evaluations; the last item is whole, so a
+    campaign that stops inside a dead run evaluates only a prefix."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def evaluated(self, executions: int) -> list:
+        """The first `executions`, checked to end inside the last item: a
+        campaign that counted fewer evaluations per item would have taken
+        more items than this."""
+        assert len(self) - self.sizes[-1] < executions <= len(self)
+        return self[:executions]
+
+
+@pytest.fixture
+def scheduled(monkeypatch):
+    """The Scheduled record of every campaign the test runs."""
+    from deltafuzz import campaign
+
+    record, real = Scheduled(), campaign._schedule
+
+    def recording(seeds, queue, *args):
+        for item, parent in real(seeds, queue, *args):
+            if isinstance(item, int):
+                record.extend([(queue.entries[parent].data, True)] * item)
+            else:
+                record.append((item, False))
+            record.sizes.append(item if isinstance(item, int) else 1)
+            yield item, parent
+
+    monkeypatch.setattr(campaign, "_schedule", recording)
+    return record

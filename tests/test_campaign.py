@@ -37,6 +37,7 @@ from deltafuzz.driver import (
     DriverSpec,
     driver_names,
     get_driver,
+    with_domain,
 )
 from deltafuzz.oracle import structured_max_delta
 
@@ -321,7 +322,7 @@ def picks(monkeypatch, queue):
     monkeypatch.setattr(campaign_module, "HAVOC_ITERATIONS", 1)
     monkeypatch.setattr(campaign_module, "SPLICE_ITERATIONS", 0)
     set_fork_cpus(monkeypatch, 1)
-    schedule = campaign_module._schedule([], queue, random.Random(0), 48, False)
+    schedule = campaign_module._schedule([], queue, random.Random(0), 48, None)
     return (queue.entries[parent].data for _, parent in schedule)
 
 
@@ -361,9 +362,9 @@ def test_the_stage_runs_once_per_entry_in_id_order(tmp_path, monkeypatch, stage)
     staged = []
     real = campaign_module.deterministic_stage
 
-    def recording_stage(data):
+    def recording_stage(data, live=-1):
         staged.append(data)
-        return real(data)
+        return real(data, live)
 
     monkeypatch.setattr(campaign_module, "deterministic_stage", recording_stage)
     config = paced_config(
@@ -437,64 +438,62 @@ def always_raises(pub, sec, meter):
     raise ValueError("refused")
 
 
-def test_every_evaluation_of_a_raising_target_is_a_harness_error(tmp_path, monkeypatch):
-    """At segment cap 1 most mutants of the seed repeat the last triple;
-    their empty map and their delta, no higher than the high score, keep
-    them out of the novelty check, yet each is still counted, error and
-    all. A havoc mutant under 3 bytes cannot be split, so it is a parse
-    reject that never runs the target; every other evaluation raises."""
+def test_every_evaluation_of_a_raising_target_is_a_harness_error(
+    tmp_path, monkeypatch, scheduled
+):
+    """At segment cap 1 most flips of the seed touch only bytes the parser
+    drops, and come in dead runs that never run the target; other mutants
+    repeat the last triple. Their empty map and their delta, no higher than
+    the high score, keep them out of the novelty check, yet each is still
+    counted, error and all. A havoc mutant under 3 bytes cannot be split, so
+    it is a parse reject that never runs the target; every other evaluation
+    raises. Evaluations are counted from the schedule and classified by
+    replay."""
     spec = DriverSpec(
         name="always_raises", target=always_raises, constraints=Constraints(max_segment_len=1)
     )
     monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
-    real_run_driver = campaign_module.run_driver
-    outcomes = []
-
-    def recording_run_driver(*args):
-        result = real_run_driver(*args)
-        outcomes.append(result.outcome)
-        return result
-
     considered = []
 
     def counting_consider(*args):
         considered.append(args[1])
         return consider(*args)
 
-    monkeypatch.setattr(campaign_module, "run_driver", recording_run_driver)
     monkeypatch.setattr(campaign_module, "consider", counting_consider)
     report = run_campaign(paced_config(tmp_path, driver=spec.name, timeout_seconds=1.0))
-    assert report.executions == len(outcomes) == 500
+    assert report.executions == 500
+    evaluated = scheduled.evaluated(report.executions)
+    outcomes = [driver_module.run_driver(spec, data).outcome for data, _ in evaluated]
     assert set(outcomes) <= {OUTCOME_HARNESS_ERROR, OUTCOME_PARSE_REJECT}
     assert report.harness_error_count == outcomes.count(OUTCOME_HARNESS_ERROR)
     assert report.harness_error_notes == ("ValueError: refused",)
     assert len(considered) < report.executions // 2
+    assert sum(dead for _, dead in evaluated) > report.executions // 4  # many were dead
 
 
-def test_consider_sees_only_evaluations_that_can_change_something(tmp_path, monkeypatch):
+def test_consider_sees_only_evaluations_that_can_change_something(
+    tmp_path, monkeypatch, scheduled
+):
     """A hunt-style campaign, the zero seed at segment cap 4, where most
-    evaluations fold a known pair of paths or repeat the last triple: each
-    one that reaches the novelty check has a map with edges or a delta above
-    the high score so far."""
-    dim = get_driver("pad_unsafe").cost_dimension
+    evaluations are flips of dropped bytes, fold a known pair of paths or
+    repeat the last triple: each one that reaches the novelty check has a
+    map with edges or a delta above the high score so far. Evaluations are
+    counted from the schedule, a dead run's with no map, and their deltas
+    taken by replay."""
+    spec = with_domain(get_driver("pad_unsafe"), segment_cap=4)
+    dim = spec.cost_dimension
     real_run_driver = campaign_module.run_driver
-    best = 0
-    last = None  # the last evaluation: (edges in its map, delta above best)
-    seen = []
-
-    def watching_run_driver(spec, data, cov_map=None):
-        nonlocal best, last
-        result = real_run_driver(spec, data, cov_map)
-        delta = result.delta_of(dim)
-        last = (len(cov_map), delta > best)
-        seen.append(last)
-        best = max(best, delta)
-        return result
-
+    maps = []  # edges in the map of each traced evaluation
     considered = []
 
+    def watching_run_driver(spec, data, cov_map=None):
+        result = real_run_driver(spec, data, cov_map)
+        if cov_map is not None:
+            maps.append(len(cov_map))
+        return result
+
     def watching_consider(*args):
-        considered.append(last)
+        considered.append(len(maps))  # the traced evaluations so far
         return consider(*args)
 
     monkeypatch.setattr(campaign_module, "run_driver", watching_run_driver)
@@ -503,11 +502,19 @@ def test_consider_sees_only_evaluations_that_can_change_something(tmp_path, monk
     report = run_campaign(
         paced_config(tmp_path, driver="pad_unsafe", seed_dir=seeds, segment_cap=4)
     )
-    assert len(seen) == report.executions
-    assert considered and all(edges or above for edges, above in considered)
+    best, seen, traced = 0, [], iter(maps)
+    for data, dead in scheduled.evaluated(report.executions):
+        delta = driver_module.run_driver(spec, data).delta_of(dim)
+        seen.append((0 if dead else next(traced), delta > best, dead))
+        best = max(best, delta)
+    assert next(traced, None) is None  # every traced run was an evaluation
+    live = [(edges, above) for edges, above, dead in seen if not dead]
+    assert considered and all(edges or above for edges, above in (live[n - 1] for n in considered))
     # and it skips every evaluation that could change nothing
-    assert len(considered) == sum(1 for edges, above in seen if edges or above)
+    assert len(considered) == sum(1 for edges, above, _ in seen if edges or above)
+    assert not any(above for _, above, dead in seen if dead)
     assert len(considered) < report.executions // 4
+    assert sum(dead for *_, dead in seen) > report.executions // 2
 
 
 def tie_priced(pub, sec, meter):

@@ -306,6 +306,16 @@ def test_fuzz_out_name_too_long_is_exit_two(tmp_path, capsys):
     assert "cannot create output directory" in err and str(out) in err
 
 
+def test_fuzz_seeds_name_too_long_is_exit_two(tmp_path, capsys):
+    seeds = tmp_path / ("s" * 300)  # longer than a file name may be
+    args = fuzz_args(tmp_path, "--timeout", "1")
+    args[args.index("--seeds") + 1] = str(seeds)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds are not readable: ") and str(seeds) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fuzz_interrupted_is_exit_zero_with_outputs(tmp_path, monkeypatch, capsys):
     real_havoc = campaign.havoc
     calls = [0]
@@ -380,6 +390,13 @@ def test_replay_unreadable_file_is_exit_two(tmp_path, monkeypatch, capsys):
     assert str(blob) in err
 
 
+def test_replay_input_name_too_long_is_exit_two(tmp_path, capsys):
+    blob = tmp_path / ("i" * 300)  # longer than a file name may be
+    assert main(["replay", "--driver", "pwcheck_unsafe", "--input", str(blob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input file is not readable: ") and str(blob) in err
+
+
 def test_replay_parse_reject(tmp_path, capsys):
     blob = tmp_path / "tiny.bin"
     blob.write_bytes(b"\x00\x01")
@@ -439,6 +456,13 @@ def test_report_missing_stats(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", str(empty)]) == 2
     assert "missing stats.csv" in capsys.readouterr().err
+
+
+def test_report_dir_name_too_long_is_exit_two(tmp_path, capsys):
+    run = tmp_path / ("r" * 300)  # longer than a file name may be
+    assert main(["report", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stats file is not readable: ") and str(run) in err
 
 
 def test_report_bad_header(tmp_path, capsys):

@@ -11,7 +11,7 @@ import threading
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_coverage import assert_maps_equal, edge_map, line_sites, stub_probe, walk
 
@@ -34,6 +34,7 @@ from deltafuzz.driver import (
     get_driver,
     register_driver,
     run_driver,
+    segment_layout,
     with_domain,
 )
 
@@ -119,6 +120,53 @@ def test_encoding_a_parsed_input_is_a_fixed_point(data, cap, charset):
     canonical = encode(default_parse(data, c), c)
     assert default_parse(canonical, c) == default_parse(data, c)
     assert encode(default_parse(canonical, c), c) == canonical
+
+
+def windows(size: int, cap: int) -> set[int]:
+    """The byte offsets segment_layout keeps."""
+    return {o + i for o, kept in segment_layout(size, cap) for i in range(kept)}
+
+
+def test_segment_layout_examples():
+    assert segment_layout(48, 4) == ((0, 4), (16, 4), (32, 4))
+    assert segment_layout(10, 16) == ((0, 3), (3, 3), (6, 3))  # the tenth byte is dropped
+    assert segment_layout(2, 4) == ((0, 0), (0, 0), (0, 0))
+
+
+@st.composite
+def flipped(draw, inside: bool):
+    """(data, cap, a copy of data XORed with nonzero bytes): any length of
+    at least 3, any cap; the flip confined to bytes the layout drops, or
+    (inside) touching at least one byte it keeps."""
+    data = draw(st.binary(min_size=3, max_size=64))
+    cap = draw(st.integers(1, 24))
+    kept = windows(len(data), cap)
+    pool = sorted(kept) if inside else sorted(set(range(len(data))) - kept)
+    assume(pool)
+    flip = dict.fromkeys(draw(st.lists(st.sampled_from(pool), min_size=1)), 0)
+    if inside:  # and perhaps dropped bytes too
+        dropped = sorted(set(range(len(data))) - kept)
+        flip.update(dict.fromkeys(draw(st.lists(st.sampled_from(dropped))) if dropped else [], 0))
+    for at in flip:
+        flip[at] = draw(st.integers(1, 255))
+    mutant = bytes(b ^ flip.get(i, 0) for i, b in enumerate(data))
+    return data, cap, mutant
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flipped(inside=False), charset=st.sampled_from(sorted(CHARSETS)))
+def test_a_flip_of_dropped_bytes_decodes_to_the_same_triple(case, charset):
+    data, cap, mutant = case
+    c = Constraints(cap, charset)
+    assert default_parse(mutant, c) == default_parse(data, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flipped(inside=True))
+def test_a_flip_of_a_kept_byte_decodes_to_another_triple(case):
+    data, cap, mutant = case
+    c = Constraints(cap, "byte")
+    assert default_parse(mutant, c) != default_parse(data, c)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from deltafuzz import campaign as campaign_module
 from deltafuzz import driver as driver_module
 from deltafuzz.campaign import CampaignConfig, run_campaign
 from deltafuzz.driver import OUTCOME_HARNESS_ERROR, Constraints, DriverSpec
@@ -107,13 +108,13 @@ def campaign_digest(out_dir) -> dict[str, str]:
     return digest
 
 
-def run_paced(tmp_path, fields, seed):
+def run_paced(tmp_path, fields, seed, pace=1000):
     seed_dir = tmp_path / "seeds"
-    seed_dir.mkdir()
+    seed_dir.mkdir(parents=True)
     (seed_dir / "seed").write_bytes(seed)
     out_dir = tmp_path / "out"
     config = CampaignConfig(
-        seed_dir=str(seed_dir), out_dir=str(out_dir), pace=1000, **fields
+        seed_dir=str(seed_dir), out_dir=str(out_dir), pace=pace, **fields
     )
     return run_campaign(config), out_dir
 
@@ -146,15 +147,16 @@ def counting_driver(monkeypatch):
 
 
 def test_repeated_decodings_skip_the_target_but_count(
-    tmp_path, monkeypatch, counting_driver
+    tmp_path, monkeypatch, counting_driver, scheduled
 ):
-    results = []
-    calls = []  # target calls per evaluation
+    traced = []  # (result, target calls) of each traced evaluation
 
-    def record(*args):
-        results.append(driver_module.run_driver(*args))
-        calls.append(len(TARGET_CALLS) - sum(calls))
-        return results[-1]
+    def record(spec, data, cov_map=None):
+        before = len(TARGET_CALLS)
+        result = driver_module.run_driver(spec, data, cov_map)
+        if cov_map is not None:
+            traced.append((result, len(TARGET_CALLS) - before))
+        return result
 
     monkeypatch.setattr("deltafuzz.campaign.run_driver", record)
     report, out_dir = run_paced(
@@ -162,10 +164,21 @@ def test_repeated_decodings_skip_the_target_but_count(
         dict(driver_name=COUNTING.name, rng_seed=5, timeout_seconds=2.0),
         COUNTING_SEED,
     )
-    assert len(results) == report.executions
-    assert len(TARGET_CALLS) < 2 * report.executions
+    target_calls = len(TARGET_CALLS)
     assert campaign_digest(out_dir) == COUNTING_GOLDEN
 
+    # every evaluation, counted from the schedule: a traced one as it ran, a
+    # flip of dropped bytes by a replay of its parent, with no target call
+    live = iter(traced)
+    evaluations = [
+        (driver_module.run_driver(COUNTING, data), 0) if dead else next(live)
+        for data, dead in scheduled.evaluated(report.executions)
+    ]
+    assert next(live, None) is None
+    assert len(evaluations) > len(traced)  # some came in dead runs
+    assert target_calls < 2 * report.executions
+
+    results = [result for result, _ in evaluations]
     errors = [r for r in results if r.outcome == OUTCOME_HARNESS_ERROR]
     assert report.harness_error_count == len(errors)
     # some raising inputs were repeats, and each still counted
@@ -176,8 +189,70 @@ def test_repeated_decodings_skip_the_target_but_count(
     assert report.harness_error_notes == ("ValueError: odd public byte",)
     seen = set()
     served_in_new_triples = 0
-    for result, n in zip(results, calls):
+    for result, n in evaluations:
         if result.outcome == OUTCOME_HARNESS_ERROR and n < 2 and result.decoded not in seen:
             served_in_new_triples += 1
         seen.add(result.decoded)
     assert served_in_new_triples > 0
+
+
+# --- flips of dropped bytes -------------------------------------------------------
+
+
+def always_raises(pub, sec, meter):
+    meter.tick(1)
+    raise ValueError("refused")
+
+
+RAISING = DriverSpec(
+    name="golden_always_raises", target=always_raises, constraints=Constraints(max_segment_len=1)
+)
+
+# name -> (CampaignConfig fields, seed, pace, whether the stop falls in a dead run)
+DEAD_RUN_CAMPAIGNS = {
+    # stops at evaluation 100, inside bitflip_1's first dead run (34-129)
+    "pad_unsafe_pace100": (
+        dict(driver_name="pad_unsafe", segment_cap=4, rng_seed=2, timeout_seconds=1.0),
+        bytes(48), 100, True,
+    ),
+    # the same at pace 1: a stats row at every evaluation of a run
+    "pad_unsafe_pace1": (
+        dict(driver_name="pad_unsafe", segment_cap=4, rng_seed=2, timeout_seconds=100.0),
+        bytes(48), 1, True,
+    ),
+    "jetty_eq_unsafe_cap4": (
+        dict(driver_name="jetty_eq_unsafe", segment_cap=4, rng_seed=1, timeout_seconds=2.0),
+        bytes(48), 1000, False,
+    ),
+    # the golden seed with the stage on; it, too, stops inside a dead run
+    "modpow_unsafe_staged": (
+        dict(driver_name="modpow_unsafe", rng_seed=3, timeout_seconds=1.0), MODPOW_SEED, 1000, True,
+    ),
+    # harness errors inside dead runs
+    "always_raises_cap1": (
+        dict(driver_name=RAISING.name, rng_seed=7, timeout_seconds=1.0), bytes(12), 500, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEAD_RUN_CAMPAIGNS))
+def test_dead_runs_change_no_artifact(tmp_path, monkeypatch, scheduled, name):
+    """A campaign that counts each run of flips of dropped bytes in bulk
+    writes what it writes when it evaluates every flip (the stage told to
+    ignore its mask), and reports the same in every field."""
+    monkeypatch.setitem(driver_module._REGISTRY, RAISING.name, RAISING)
+    fields, seed, pace, stops_in_dead_run = DEAD_RUN_CAMPAIGNS[name]
+    report, out_dir = run_paced(tmp_path / "bulk", fields, seed, pace)
+    evaluated = scheduled.evaluated(report.executions)
+    assert any(dead for _, dead in evaluated)
+    assert evaluated[-1][1] == stops_in_dead_run
+    taken = len(scheduled)
+
+    real = campaign_module.deterministic_stage
+    monkeypatch.setattr(campaign_module, "deterministic_stage", lambda data, live=-1: real(data))
+    every_flip, every_flip_dir = run_paced(tmp_path / "every", fields, seed, pace)
+    assert not any(dead for _, dead in scheduled[taken:])
+    assert campaign_digest(out_dir) == campaign_digest(every_flip_dir)
+    assert report == every_flip
+    if name.startswith("always_raises"):
+        assert report.harness_error_count > 0

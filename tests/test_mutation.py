@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deltafuzz.driver import segment_layout
 from deltafuzz.mutation import (
     ARITH_MAX,
     DETERMINISTIC_SCHEDULE,
@@ -97,6 +98,34 @@ def test_stage_is_the_reference_walks_in_order():
             assert len(expected) == counts[name], (length, name)
             assert list(itertools.islice(stage, len(expected))) == expected, (length, name)
         assert next(stage, None) is None, length
+
+
+@given(data=st.binary(min_size=1, max_size=40), live=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_mask_folds_each_dead_run_of_flips_into_its_length(data, live):
+    """With a mask of live bits, the stage is the full stage with each run
+    of flips that sets no live bit replaced by its length: expanded, the
+    count is the full stage's, and every live mutant sits where it was.
+    Within a sub-stage, runs are maximal: no two lengths in a row."""
+    size = len(data)
+    if live.draw(st.booleans()):  # the campaign's mask: the bytes a layout keeps
+        cap = live.draw(st.integers(1, 20))
+        mask = sum((1 << 8 * k) - 1 << 8 * o for o, k in segment_layout(size, cap))
+    else:
+        mask = live.draw(st.integers(0, (1 << 8 * size) - 1))
+    full = list(deterministic_stage(data))
+    expanded = []
+    for item in deterministic_stage(data, mask):
+        expanded += [None] * item if isinstance(item, int) else [item]
+    assert len(expanded) == len(full)
+    word = int.from_bytes(data, "little")
+    for got, mutant in zip(expanded, full):
+        sets_live = (int.from_bytes(mutant, "little") ^ word) & mask
+        assert got == (mutant if sets_live else None)
+    for _, bits, step in DETERMINISTIC_SCHEDULE:
+        items = list(flips(data, bits, step, mask))
+        assert all(isinstance(n, int) and n > 0 for n in items if not isinstance(n, bytes))
+        assert not any(isinstance(a, int) and isinstance(b, int) for a, b in zip(items, items[1:]))
 
 
 def test_deterministic_stage_requires_input():
