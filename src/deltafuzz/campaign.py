@@ -2,10 +2,10 @@
 
 One campaign is one thread owning the queue, coverage, high score, and RNG.
 `_schedule` alone sets the mutant order, and owns the forked child that makes
-havoc mutants ahead (see there). Every candidate runs through the
-two-execution harness, but a stage flip of dropped bytes takes its entry's
-result; corpus.consider keeps a candidate iff it is a seed, reaches new
-coverage or strictly raises the delta high score. Progress lands in stats.csv
+havoc mutants and runs stage executions ahead (see there). Every candidate
+runs through the two-execution harness, in this process, but a stage flip of
+dropped bytes takes its entry's result; corpus.consider keeps a candidate iff
+it is a seed, reaches new coverage or strictly raises the delta high score. Progress lands in stats.csv
 at one row per second; the final report carries the verdict, the witness
 triple, and the reminder that finding nothing proves nothing.
 
@@ -21,16 +21,20 @@ from __future__ import annotations
 import csv
 import random
 import time
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .corpus import FuzzQueue, consider, load_seeds
-from .coverage import CoverageMap, GlobalCoverage
+from .coverage import _TOKENS, CoverageMap, GlobalCoverage
 from .driver import (
+    MEMO_ENTRIES,
     OUTCOME_HARNESS_ERROR,
     ConfigError,
     DiffResult,
     ParseReject,
+    _execute,
     _tracer,
     checked,
     default_parse,
@@ -56,6 +60,11 @@ SPLICE_ITERATIONS = 32
 # the havoc mutant counts after which the havoc child sends a chunk of them:
 # a small first chunk, so the campaign soon has mutants to evaluate
 _HAVOC_SENDS = frozenset(range(8, HAVOC_ITERATIONS, 24))
+# probes the campaign's fresh traced executions run before the child runs
+# stage executions ahead: below that, its help costs more than it saves
+STAGE_FORK_PROBES = 50_000
+# live mutants of a stage the campaign runs itself while the child starts
+_STAGE_LEAD = 24
 
 STATS_HEADER = ("seconds", "executions", "max_delta", "coverage_count", "queue_size")
 
@@ -127,36 +136,97 @@ class CampaignReport(NamedTuple):
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
-def _serve_havoc(requests, replies) -> None:
-    """The havoc child's loop: per request (data, max_len, rng state), the
-    visit's havoc mutants in chunks, each pickled as (mutants, end); end is
-    None until the last, then the final rng state. If havoc raises, the
-    mutants made before it go out as a chunk and the error is raised.
-    Returns when the campaign closes its end of the requests."""
+def _send(pipe, message) -> None:
     import pickle
 
-    rng = random.Random()
+    try:
+        pipe.write(pickle.dumps(message))
+        pipe.flush()
+    except BrokenPipeError:  # the reader is gone: receive says how, or a child reads EOF
+        pass
+
+
+def _serve(spec, requests, replies) -> None:
+    """The campaign child's loop, until the campaign closes its requests. Per
+    ("havoc", data, max_len, rng state): the visit's havoc mutants as chunks
+    (mutants, end), end None until the last, then the final rng state; if
+    havoc raises, the mutants before it go out and the error is raised. Per
+    ("stage", data, live, start): counting the live mutant at item start of
+    the stage as 0, the runs of mutants _STAGE_LEAD + 1, + 3, ..., each a
+    pair, in chunks of 1, then 8 pairs. A run is (cost, output, note, token,
+    edges), edges None if sent since the memo was last cleared; or None if
+    its output will not pickle."""
+    import pickle
+
+    rng, tracer, memo, sent = random.Random(), _tracer(spec), {}, set()
     while True:
         try:
-            data, max_len, state = pickle.load(requests)
+            kind, data, *args = pickle.load(requests)
         except EOFError:
             return
-        rng.setstate(state)
-        mutants, end = [], None
-        try:
-            for i in range(HAVOC_ITERATIONS):
-                if i in _HAVOC_SENDS:
-                    replies.write(pickle.dumps((mutants, None)))
-                    replies.flush()
-                    mutants = []
-                mutants.append(havoc(data, max_len, rng))
-            end = rng.getstate()
-        finally:
-            replies.write(pickle.dumps((mutants, end)))
-            replies.flush()
+        if kind == "havoc":
+            max_len, state = args
+            rng.setstate(state)
+            mutants, end = [], None
+            try:
+                for i in range(HAVOC_ITERATIONS):
+                    if i in _HAVOC_SENDS:
+                        _send(replies, (mutants, None))
+                        mutants = []
+                    mutants.append(havoc(data, max_len, rng))
+                end = rng.getstate()
+            finally:
+                _send(replies, (mutants, end))
+            continue
+        live, start = args
+        stage = (m for m in islice(deterministic_stage(data, live), start, None) if type(m) is bytes)
+        chunk = []
+        for n, mutant in enumerate(islice(stage, _STAGE_LEAD + 1, None, 2), 1):
+            pub, *secs = default_parse(mutant, spec.constraints)
+            chunk.append(pair := [])
+            for key in ((pub, sec) for sec in secs):
+                if key not in memo:
+                    if len(memo) >= MEMO_ENTRIES:  # then every token's edges go again
+                        memo.clear()
+                        sent.clear()
+                    cost, out, note, path = _execute(spec.target, tracer, *key)
+                    try:
+                        memo[key] = (cost, pickle.loads(pickle.dumps(out)), note, *path)
+                    except Exception:  # noqa: BLE001 - whatever the round trip raises
+                        memo[key] = None  # the campaign runs it
+                if (run := memo[key]) and run[3] in sent:
+                    run = (*run[:4], None)
+                elif run:
+                    sent.add(run[3])
+                pair.append(run)
+            if n % 8 == 1:
+                _send(replies, chunk)
+                chunk = []
+        if chunk:
+            _send(replies, chunk)
 
 
-def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, cap: Optional[int]):
+def _remember(memo: dict, paths: dict, triple: tuple, pair: list) -> None:
+    """Put the child's runs of triple's executions into memo where it lacks
+    them, under run_driver's rule. paths maps each child token to a fresh
+    token of coverage._TOKENS and its edges; a run whose token it lacks,
+    since it was cleared, is left for run_driver to run."""
+    pub, *secs = triple
+    for sec, run in zip(secs, pair):
+        if run is not None:
+            cost, out, note, token, edges = run
+            if edges is not None:
+                if len(paths) >= MEMO_ENTRIES:
+                    paths.clear()
+                paths[token] = next(_TOKENS), edges
+            if token in paths and (pub, sec) not in memo:
+                if len(memo) >= MEMO_ENTRIES:
+                    memo.clear()
+                memo[pub, sec] = cost, out, note, paths[token]
+
+
+def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
+              cap: Optional[int], spec, cov: CoverageMap):
     """(input, parent entry id) in evaluation order: the seeds, then the
     queue round-robin, in cycles over the entries present at each cycle's
     start. Per pick: the deterministic stage on the entry's first visit,
@@ -168,19 +238,27 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, c
     comes as (its length, parent).
 
     Evaluations stay in this process, since each can change the queue the
-    next pick and splice draw from; a pick's havoc mutants depend only on
-    the entry and the rng state at its start. So at the first havoc mutant
-    it forks one child of driver.fork_child if fork_cpus allows two CPUs;
-    havoc runs inline otherwise or if the fork fails. Per pick the child
-    gets the entry and the rng state, makes the mutants from its copy of
-    that state and sends them in chunks, the last with its final rng state,
-    which is taken here; so every later draw is inline havoc's. An error in
-    havoc is raised at the same point of the stream as inline. Closing the
-    generator kills and reaps the child."""
+    next pick and splice draw from; but a pick's havoc mutants depend only
+    on the entry and the rng state at its start, and a mutant's executions
+    on its bytes. So if fork_cpus allows two CPUs, a child serving _serve
+    makes both ahead, forked at the first havoc mutant or, once the fresh
+    traced executions have run STAGE_FORK_PROBES probes, the next stage
+    mutant. Each stage from then on, if its function takes the mask, goes
+    to the child: this process runs _STAGE_LEAD + 1 live mutants, then
+    every second, and puts the child's runs of each other one into cov's
+    memo before yielding it. Per pick the child gets the entry and the rng
+    state, makes the havoc mutants from its copy of that state and sends
+    them in chunks, the last with its final rng state, which is taken here;
+    so every later draw is inline havoc's. An error in havoc is raised at
+    the same point of the stream as inline. Closing the generator kills and
+    reaps the child."""
     for _, data in seeds:
         yield data, None
     child = None  # (pid, request writer, reply reader) once forked; () when inline
     visited = 0  # entries that earlier cycles covered
+    tracer = _tracer(spec) if cap is not None else None
+    fork_at = tracer.probes + STAGE_FORK_PROBES if tracer else 0
+    paths: dict = {}  # see _remember
     try:
         while True:
             n = len(queue.entries)
@@ -191,19 +269,26 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int, c
                 if cap is not None and parent >= visited:
                     live = sum((1 << 8 * k) - 1 << 8 * o for o, k in segment_layout(len(data), cap))
                     stage = deterministic_stage  # a tracer's stand-in may take no mask
-                    args = (data, live) if stage.__code__.co_argcount > 1 else (data,)
-                    for mutant in stage(*args):
+                    masked, ahead = stage.__code__.co_argcount > 1, None
+                    for i, mutant in enumerate(stage(data, live) if masked else stage(data)):
+                        if type(mutant) is bytes and ahead:
+                            j += 1
+                            if j > 0 and j % 2:
+                                triple = default_parse(mutant, spec.constraints)
+                                _remember(cov.memo, paths, triple, next(ahead))
+                        elif type(mutant) is bytes and masked and tracer.probes >= fork_at:
+                            if child is None:
+                                child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
+                            if child:
+                                _send(child[1], ("stage", data, live, i))
+                                # the child's pairs, a reply received when needed
+                                ahead = chain.from_iterable(iter(partial(receive, child, "stage"), None))
+                                j = -_STAGE_LEAD
                         yield mutant, parent
                 if child is None:
-                    child = fork_child(_serve_havoc) if fork_cpus() >= 2 else ()
+                    child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
                 if child:
-                    import pickle
-
-                    try:
-                        child[1].write(pickle.dumps((data, max_len, rng.getstate())))
-                        child[1].flush()
-                    except BrokenPipeError:  # the child is gone: receive says how
-                        pass
+                    _send(child[1], ("havoc", data, max_len, rng.getstate()))
                     end = None
                     while end is None:
                         mutants, end = receive(child, "havoc")
@@ -266,7 +351,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     stop_reason = "timeout"
     cap = spec.constraints.max_segment_len if config.deterministic_stage_enabled else None
-    schedule = _schedule(seeds, queue, rng, config.max_input_len, cap)
+    schedule = _schedule(seeds, queue, rng, config.max_input_len, cap, spec, cov)
     staged: dict[int, DiffResult] = {}  # by entry id: its untraced result, for its dead runs
     try:
         for data, parent_id in schedule:

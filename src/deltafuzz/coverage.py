@@ -42,15 +42,14 @@ _CLASS_BIT_OF_BYTE = bytes((1 << bisect_left(_BUCKET_LIMITS, n)) >> 1 for n in r
 
 class CoverageMap(dict):
     """Edge index -> raw hit count, saturating at 255, for one candidate's
-    executions, in first-touch order. It also holds run_driver's memo, table
-    of folded pairs and last result, under the rules run_driver states.
+    executions, in first-touch order. It also holds run_driver's memo and
+    table of folded pairs, under the rules run_driver states.
     """
 
     def __init__(self):
         super().__init__()
         self.memo: dict[tuple[bytes, bytes], tuple] = {}
         self.folded: set[tuple[int, int]] = set()
-        self.last: tuple | None = None  # (DiffResult, (token1, token2))
 
     nonzero_count = dict.__len__
 
@@ -268,12 +267,14 @@ class EdgeTracer:
         self._paths: dict[tuple[int, ...], tuple[int, list[tuple[int, int]]]] = {}
         self._cached_sites = 0
         self.last_path: tuple[int, list[tuple[int, int]]] = (-1, [])  # of the last run
+        self.probes = 0  # run by all its runs, in all
 
     def _fold(self) -> tuple[int, list[tuple[int, int]]]:
         """The path just run as its token and its (edge index, hits) pairs,
         reduced once per distinct cached path."""
         path = tuple(_SITES)
         _SITES.clear()
+        self.probes += len(path)
         fold = self._paths.get(path)
         if fold is None:
             fold = next(_TOKENS), _path_edges(path)

@@ -178,8 +178,9 @@ def run_driver(
     A traced execution is looked up in cov_map's memo by (pub, sec) first,
     whichever secret it stands for: the target must be a pure function of
     those, so a remembered execution is not run again, and its cost, output,
-    note and path stand in for it. So a mutant that changes one secret runs
-    the target once. The memo keeps up to MEMO_ENTRIES executions and starts
+    note and path stand in for it; as the keys do not name the target, one
+    map serves one target. So a mutant that changes one secret runs the
+    target once. The memo keeps up to MEMO_ENTRIES executions and starts
     afresh when full; a run again traces the same path, so only time
     depends on what it still holds. A map is a function of its two paths,
     and a GlobalCoverage only gains bits, so a pair of paths folded and
@@ -189,10 +190,11 @@ def run_driver(
     every non-empty map into one GlobalCoverage; a fresh map per call sees
     both executions folded. Remembered executions from different calls can
     still form a new pair or a new delta, so every call's result still
-    needs the caller's novelty check.
-    A traced call that decodes to the triple of the map's last result, its
-    pair still in the table, returns that result again and touches neither
-    memo nor map, as both lookups would hit; one map serves one target.
+    needs the caller's novelty check. A remembered execution may also have
+    run elsewhere, in a campaign's child that runs stage executions ahead:
+    by the same purity rule it stands in for a run here, and a path it
+    brings under a token of its own can at worst refold a pair of paths
+    already absorbed, which adds no bit.
     """
     try:
         pub, sec1, sec2 = decoded = default_parse(data, spec.constraints)
@@ -205,9 +207,6 @@ def run_driver(
             _execute(spec.target, None, pub, sec2),
         )
     else:
-        last = cov_map.last
-        if last is not None and last[0].decoded == decoded and last[1] in cov_map.folded:
-            return last[0]
         tracer, memo = _tracer(spec), cov_map.memo
         runs: list[Execution] = []
         for sec in (sec1, sec2):
@@ -228,7 +227,7 @@ def run_driver(
             folded.add(pair)
     failure = note1 if note1 is not None else note2
     # positional: keywords make this call, one per evaluation, twice as dear
-    result = DiffResult(
+    return DiffResult(
         OUTCOME_HARNESS_ERROR if failure else OUTCOME_OK,
         cost1.abs_diff(cost2),  # delta
         cost1,
@@ -237,9 +236,6 @@ def run_driver(
         failure is None and out1 != out2,  # output_mismatch
         failure,  # note
     )
-    if cov_map is not None:
-        cov_map.last = result, pair
-    return result
 
 
 def _execute(target, tracer: EdgeTracer | None, pub: bytes, sec: bytes) -> Execution:

@@ -322,7 +322,7 @@ def picks(monkeypatch, queue):
     monkeypatch.setattr(campaign_module, "HAVOC_ITERATIONS", 1)
     monkeypatch.setattr(campaign_module, "SPLICE_ITERATIONS", 0)
     set_fork_cpus(monkeypatch, 1)
-    schedule = campaign_module._schedule([], queue, random.Random(0), 48, None)
+    schedule = campaign_module._schedule([], queue, random.Random(0), 48, None, None, None)
     return (queue.entries[parent].data for _, parent in schedule)
 
 
@@ -923,3 +923,122 @@ def test_a_campaign_forks_only_with_two_cpus_and_one_thread(
     assert report.executions == 500  # havoc from the second evaluation on
     assert len(forked) == forks
     assert_no_child_left()
+
+
+# --- stage executions run ahead in the forked child -------------------------------
+
+
+def zero_seed_48(tmp_path):
+    return seeds_dir(tmp_path, {"zero": bytes(48)})
+
+
+def pwcheck_truth():
+    return structured_max_delta(get_driver("pwcheck_unsafe"), 16).max_delta
+
+
+def test_a_stop_inside_the_stage_equals_inline(tmp_path, monkeypatch, forked, deadline):
+    """Stopped at its truth inside the first stage, with the child running
+    executions ahead from the first stage mutant on."""
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 0)
+    (inline, inline_files), (fork, fork_files) = inline_then_forked(
+        tmp_path, monkeypatch, forked, seed_dir=zero_seed_48(tmp_path), pace=1000,
+        timeout_seconds=40.0, stop_on_delta=pwcheck_truth(),
+    )
+    assert fork == inline
+    assert fork_files == inline_files
+    assert fork.stop_reason == "delta-target-reached"
+    assert fork.executions < 27 * 48 - 8  # inside the seed's stage
+
+
+def test_no_child_outlives_a_campaign_interrupted_inside_the_stage(
+    tmp_path, monkeypatch, forked, deadline
+):
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 0)
+    evaluations = [0]
+
+    def interrupt_at_100(*args):
+        evaluations[0] += 1
+        if evaluations[0] == 100:
+            raise KeyboardInterrupt
+        return driver_module.run_driver(*args)
+
+    monkeypatch.setattr(campaign_module, "run_driver", interrupt_at_100)
+    set_fork_cpus(monkeypatch, 2)
+    report = run_campaign(paced_config(tmp_path, seed_dir=zero_seed_48(tmp_path)))
+    assert report.stop_reason == "interrupted"
+    assert 99 <= report.executions < 27 * 48 - 8  # inside the seed's stage
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+UNPICKLABLE_CALLS: list[bytes] = []
+
+
+def unpicklable_output(pub, sec, meter):
+    """pwcheck's prefix compare, returning a generator, which pickle refuses."""
+    UNPICKLABLE_CALLS.append(sec)
+    meter.tick(1)
+    for a, b in zip(pub, sec):
+        meter.tick(1)
+        if a != b:
+            break
+    return (match for match in (pub == sec,))
+
+
+def test_an_output_that_will_not_pickle_is_run_by_the_campaign(
+    tmp_path, monkeypatch, forked, deadline
+):
+    """The child marks such an execution not run ahead, so the campaign runs
+    every execution itself, as many as inline, and writes the same."""
+    spec = DriverSpec(name="unpicklable_output", target=unpicklable_output)
+    monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 0)
+    runs = []
+    for cpus in (1, 2):
+        set_fork_cpus(monkeypatch, cpus)
+        UNPICKLABLE_CALLS.clear()
+        out = tmp_path / f"cpus-{cpus}"
+        report = run_campaign(paced_config(
+            tmp_path, driver=spec.name, out_dir=str(out), seed_dir=zero_seed_48(tmp_path),
+            pace=1000, timeout_seconds=1.0,
+        ))
+        runs.append((report, artifacts(out), len(UNPICKLABLE_CALLS)))
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 0
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_a_cheap_campaign_forks_nothing_for_its_stage(tmp_path, monkeypatch, deadline):
+    """pwcheck_unsafe runs its deterministic stage to its truth from 48 zero
+    bytes without reaching STAGE_FORK_PROBES, so it stays in one process."""
+    forks = []
+    real = campaign_module.fork_child
+    monkeypatch.setattr(campaign_module, "fork_child", lambda serve: forks.append(serve) or real(serve))
+    set_fork_cpus(monkeypatch, 2)
+    report = run_campaign(paced_config(
+        tmp_path, seed_dir=zero_seed_48(tmp_path), pace=1000, timeout_seconds=40.0,
+        stop_on_delta=pwcheck_truth(),
+    ))
+    assert report.stop_reason == "delta-target-reached"
+    assert forks == []
+
+
+def test_the_childs_tokens_are_renamed_and_an_unknown_one_is_left_to_run():
+    """A child token may already name another path in this process: each
+    gets a fresh token of its own, kept while it repeats. A run whose token
+    came with no edges here (the table was cleared) is not remembered."""
+    from deltafuzz.coverage import _TOKENS
+    from deltafuzz.metering import CostReading
+
+    memo, paths, edges = {}, {}, [(7, 1)]
+    token = next(_TOKENS)  # a token this process already uses
+    cost = CostReading(ops=3)
+    runs = [(cost, True, None, token, edges), (cost, False, None, token, None)]
+    campaign_module._remember(memo, paths, (b"p", b"a", b"b"), runs)
+    (mine_a, edges_a), (mine_b, edges_b) = memo[b"p", b"a"][3], memo[b"p", b"b"][3]
+    assert mine_a == mine_b != token and edges_a is edges_b is edges
+    assert memo[b"p", b"a"][:3] == (cost, True, None) and memo[b"p", b"b"][1] is False
+    unknown = (cost, 1, None, token + 1000, None)  # a child token sent with no edges here
+    campaign_module._remember(memo, paths, (b"q", b"a", b"a"), [unknown, unknown])
+    assert (b"q", b"a") not in memo

@@ -7,6 +7,7 @@ here untouched; one that does changes them on purpose and says so.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -256,3 +257,59 @@ def test_dead_runs_change_no_artifact(tmp_path, monkeypatch, scheduled, name):
     assert report == every_flip
     if name.startswith("always_raises"):
         assert report.harness_error_count > 0
+
+
+# --- stage executions run ahead in the campaign's child ---------------------------
+
+# soak-style seeds: crime_compress's 4-symbol pattern, and a 63-bit exponent
+# as both modpow_unsafe secrets between public and filler bytes
+CRIME_SEED = b"ddacddcdcbbcbacbcaacdacdcbddcaaadadcbcabbbbdaacd".translate(
+    bytes.maketrans(b"abcd", b"\x1e\x63\xb4\xd9")
+)
+MODPOW_SOAK_SEED = b"\x07\x3c\x5e\xa1" + bytes(range(12)) + (b"\x55" * 8 + bytes(8)) * 2
+
+# name -> (CampaignConfig fields, seed, pace)
+AHEAD_CAMPAIGNS = {
+    "crime_compress": (
+        dict(driver_name="crime_compress", rng_seed=1, timeout_seconds=1.0), CRIME_SEED, 1000,
+    ),
+    "modpow_unsafe_soak": (
+        dict(driver_name="modpow_unsafe", rng_seed=2, timeout_seconds=1.0), MODPOW_SOAK_SEED, 1000,
+    ),
+    "modpow_unsafe_golden": (
+        dict(driver_name="modpow_unsafe", rng_seed=3, timeout_seconds=1.0), MODPOW_SEED, 1000,
+    ),
+    # harness errors, with their notes, come through the child
+    "always_raises_cap1": (
+        dict(driver_name=RAISING.name, rng_seed=7, timeout_seconds=1.0), bytes(12), 500,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AHEAD_CAMPAIGNS))
+def test_stage_executions_run_ahead_change_no_artifact(tmp_path, monkeypatch, forked, name):
+    """A campaign whose forked child runs stage executions ahead from the
+    first stage mutant on writes what a campaign in one process writes, and
+    reports the same in every field."""
+    monkeypatch.setitem(driver_module._REGISTRY, RAISING.name, RAISING)
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 0)
+    served = []  # each pair of runs the child sent
+    real = campaign_module._remember
+    monkeypatch.setattr(
+        campaign_module, "_remember", lambda *args: served.append(args[3]) or real(*args)
+    )
+    fields, seed, pace = AHEAD_CAMPAIGNS[name]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(campaign_module, "fork_cpus", lambda: cpus)
+        report, out_dir = run_paced(tmp_path / str(cpus), fields, seed, pace)
+        runs.append((report, campaign_digest(out_dir)))
+    assert runs[0] == runs[1]
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # no child outlived its campaign
+        os.waitpid(-1, os.WNOHANG)
+    taken = [run for pair in served for run in pair if run is not None]
+    assert taken  # the child ran executions the campaign took
+    if name.startswith("always_raises"):
+        assert report.harness_error_count > 0
+        assert {run[2] for run in taken} == {"ValueError: refused"}
