@@ -19,6 +19,7 @@ reported delta.
 from __future__ import annotations
 
 import csv
+import os
 import random
 import time
 from functools import partial
@@ -41,11 +42,11 @@ from .driver import (
     fork_child,
     fork_cpus,
     get_driver,
-    kill_child,
     receive,
     replay_check,
     run_driver,
     segment_layout,
+    stop_child,
     with_domain,
 )
 from .mutation import deterministic_stage, havoc, splice
@@ -60,9 +61,11 @@ SPLICE_ITERATIONS = 32
 # the havoc mutant counts after which the havoc child sends a chunk of them:
 # a small first chunk, so the campaign soon has mutants to evaluate
 _HAVOC_SENDS = frozenset(range(8, HAVOC_ITERATIONS, 24))
-# probes the campaign's fresh traced executions run before the child runs
-# stage executions ahead: below that, its help costs more than it saves
+# the child runs stage executions ahead once the campaign's fresh traced
+# executions have run STAGE_FORK_PROBES probes in all, or at once if they
+# average STAGE_FORK_MEAN: below both, its help costs more than it saves
 STAGE_FORK_PROBES = 50_000
+STAGE_FORK_MEAN = 256
 # live mutants of a stage the campaign runs itself while the child starts
 _STAGE_LEAD = 24
 
@@ -226,7 +229,7 @@ def _remember(memo: dict, paths: dict, triple: tuple, pair: list) -> None:
 
 
 def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
-              cap: Optional[int], spec, cov: CoverageMap):
+              cap: Optional[int], spec, cov: CoverageMap, killed: list):
     """(input, parent entry id) in evaluation order: the seeds, then the
     queue round-robin, in cycles over the entries present at each cycle's
     start. Per pick: the deterministic stage on the entry's first visit,
@@ -241,23 +244,26 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
     next pick and splice draw from; but a pick's havoc mutants depend only
     on the entry and the rng state at its start, and a mutant's executions
     on its bytes. So if fork_cpus allows two CPUs, a child serving _serve
-    makes both ahead, forked at the first havoc mutant or, once the fresh
-    traced executions have run STAGE_FORK_PROBES probes, the next stage
-    mutant. Each stage from then on, if its function takes the mask, goes
-    to the child: this process runs _STAGE_LEAD + 1 live mutants, then
-    every second, and puts the child's runs of each other one into cov's
-    memo before yielding it. Per pick the child gets the entry and the rng
-    state, makes the havoc mutants from its copy of that state and sends
-    them in chunks, the last with its final rng state, which is taken here;
-    so every later draw is inline havoc's. An error in havoc is raised at
-    the same point of the stream as inline. Closing the generator kills and
-    reaps the child."""
+    makes both ahead. It is forked at the first havoc mutant or, if earlier,
+    at the first live stage mutant at which this campaign's fresh traced
+    executions have run STAGE_FORK_PROBES probes in all or average
+    STAGE_FORK_MEAN. A stage whose function takes the mask goes to the
+    child from its first live mutant at which either holds: this process
+    runs _STAGE_LEAD + 1 live mutants from there, then every second, and
+    puts the child's runs of each other one into cov's memo before yielding
+    it. Per pick the child gets the entry and the rng state, makes the havoc
+    mutants from its copy of that state and sends them in chunks, the last
+    with its final rng state, which is taken here; so every later draw is
+    inline havoc's. An error in havoc is raised at the same point of the
+    stream as inline. Closing the generator kills the child and closes its
+    pipes, and puts its pid in killed, for the caller to reap once it has
+    no more use for this CPU."""
+    tracer = _tracer(spec) if cap is not None else None
+    probes, runs = (tracer.probes, tracer.runs) if tracer else (0, 0)  # tracers outlive campaigns
     for _, data in seeds:
         yield data, None
     child = None  # (pid, request writer, reply reader) once forked; () when inline
     visited = 0  # entries that earlier cycles covered
-    tracer = _tracer(spec) if cap is not None else None
-    fork_at = tracer.probes + STAGE_FORK_PROBES if tracer else 0
     paths: dict = {}  # see _remember
     try:
         while True:
@@ -276,7 +282,10 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
                             if j > 0 and j % 2:
                                 triple = default_parse(mutant, spec.constraints)
                                 _remember(cov.memo, paths, triple, next(ahead))
-                        elif type(mutant) is bytes and masked and tracer.probes >= fork_at:
+                        elif type(mutant) is bytes and masked and (
+                            (done := tracer.probes - probes) >= STAGE_FORK_PROBES
+                            or done >= STAGE_FORK_MEAN * max(tracer.runs - runs, 1)
+                        ):
                             if child is None:
                                 child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
                             if child:
@@ -304,8 +313,8 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
                         yield mutant, parent
             visited = n
     finally:
-        if child:
-            kill_child(child)
+        if child and (pid := stop_child(child)):
+            killed.append(pid)
 
 
 def _add_rows(rows: list, second: int, until: float, *snapshot: int) -> int:
@@ -351,83 +360,88 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     stop_reason = "timeout"
     cap = spec.constraints.max_segment_len if config.deterministic_stage_enabled else None
-    schedule = _schedule(seeds, queue, rng, config.max_input_len, cap, spec, cov)
+    killed: list[int] = []  # the child's pid once the schedule has killed it
+    schedule = _schedule(seeds, queue, rng, config.max_input_len, cap, spec, cov, killed)
     staged: dict[int, DiffResult] = {}  # by entry id: its untraced result, for its dead runs
     try:
-        for data, parent_id in schedule:
-            cov.clear()
-            if type(data) is int:  # a dead run: no map, no delta above the high score
-                if parent_id not in staged:
-                    staged[parent_id] = run_driver(spec, queue.entries[parent_id].data)
-                end, result = executions + data, staged[parent_id]
-            else:
-                end, result = executions + 1, run_driver(spec, data, cov)
-            delta = result.delta_of(dim)
-            improved = delta > best
-            keep = improved or parent_id is None  # every seed is queued
-            while executions < end:  # a pass per evaluation, of a repeat or a dead run too
-                executions += 1
-                # campaign time: evaluations/pace when paced, else elapsed seconds
-                at = time.monotonic() - start if pace is None else executions / pace
-                if cov or keep:
-                    consider(queue, data, delta, keep, cov, global_cov, parent_id)
-                    if improved:
-                        if first_positive is None:
-                            first_positive = at
-                        best, witness = delta, data
-                if result.outcome == OUTCOME_HARNESS_ERROR:
-                    harness_errors += 1
-                    if len(error_notes) < 8:
-                        error_notes.setdefault(result.note)
-                if at >= next_row_second:
-                    next_row_second = _add_rows(
-                        stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
-                    )
-                if stop_on_delta is not None and best >= stop_on_delta:
-                    stop_reason = "delta-target-reached"
-                if at >= timeout or stop_reason != "timeout":
-                    break
-            else:
-                continue
-            break
-    except KeyboardInterrupt:
-        # stop like any other stop: the artifacts below still get written
-        stop_reason = "interrupted"
-    finally:
-        schedule.close()  # on every stop, so no havoc child outlives the campaign
+        try:
+            for data, parent_id in schedule:
+                cov.clear()
+                if type(data) is int:  # a dead run: no map, no delta above the high score
+                    if parent_id not in staged:
+                        staged[parent_id] = run_driver(spec, queue.entries[parent_id].data)
+                    end, result = executions + data, staged[parent_id]
+                else:
+                    end, result = executions + 1, run_driver(spec, data, cov)
+                delta = result.delta_of(dim)
+                improved = delta > best
+                keep = improved or parent_id is None  # every seed is queued
+                while executions < end:  # a pass per evaluation, of a repeat or a dead run too
+                    executions += 1
+                    # campaign time: evaluations/pace when paced, else elapsed seconds
+                    at = time.monotonic() - start if pace is None else executions / pace
+                    if cov or keep:
+                        consider(queue, data, delta, keep, cov, global_cov, parent_id)
+                        if improved:
+                            if first_positive is None:
+                                first_positive = at
+                            best, witness = delta, data
+                    if result.outcome == OUTCOME_HARNESS_ERROR:
+                        harness_errors += 1
+                        if len(error_notes) < 8:
+                            error_notes.setdefault(result.note)
+                    if at >= next_row_second:
+                        next_row_second = _add_rows(
+                            stats_rows, next_row_second, at, executions, best, len(global_cov), len(queue)
+                        )
+                    if stop_on_delta is not None and best >= stop_on_delta:
+                        stop_reason = "delta-target-reached"
+                    if at >= timeout or stop_reason != "timeout":
+                        break
+                else:
+                    continue
+                break
+        except KeyboardInterrupt:
+            # stop like any other stop: the artifacts below still get written
+            stop_reason = "interrupted"
+        finally:
+            schedule.close()  # on every stop: it kills the child, reaped below
 
-    duration = time.monotonic() - start if pace is None else executions / pace
-    snapshot = (executions, best, len(global_cov), len(queue))
-    _add_rows(stats_rows, next_row_second, duration, *snapshot)
-    stats_rows.append((int(duration), *snapshot))  # final snapshot, even mid-second
+        duration = time.monotonic() - start if pace is None else executions / pace
+        snapshot = (executions, best, len(global_cov), len(queue))
+        _add_rows(stats_rows, next_row_second, duration, *snapshot)
+        stats_rows.append((int(duration), *snapshot))  # final snapshot, even mid-second
 
-    # with no positive delta, the first seed stands as the exhibit
-    witness_data = witness or seeds[0][1]
-    report = CampaignReport(
-        driver=spec.name,
-        dimension=dim,
-        verdict=verdict(best, config.report_epsilon),
-        max_delta=best,
-        witness_data=witness_data,
-        witness_decoded=default_parse(witness_data, spec.constraints),
-        first_positive_at=first_positive,
-        executions=executions,
-        coverage_count=len(global_cov),
-        queue_size=len(queue),
-        harness_error_count=harness_errors,
-        harness_error_notes=tuple(error_notes),
-        duration=duration,
-        stop_reason=stop_reason,
-        report_epsilon=config.report_epsilon,
-        stats_rows=tuple(stats_rows),
-    )
-    _write_outputs(out_dir, report)
-    # checked once the artifacts are on disk: a witness that does not replay
-    # is a fault of the target. With no evaluation done (Ctrl-C in the first
-    # run) there is nothing to check, and re-running could hang again.
-    if executions:
-        replay_check(spec, witness_data, best)
-    return report
+        # with no positive delta, the first seed stands as the exhibit
+        witness_data = witness or seeds[0][1]
+        report = CampaignReport(
+            driver=spec.name,
+            dimension=dim,
+            verdict=verdict(best, config.report_epsilon),
+            max_delta=best,
+            witness_data=witness_data,
+            witness_decoded=default_parse(witness_data, spec.constraints),
+            first_positive_at=first_positive,
+            executions=executions,
+            coverage_count=len(global_cov),
+            queue_size=len(queue),
+            harness_error_count=harness_errors,
+            harness_error_notes=tuple(error_notes),
+            duration=duration,
+            stop_reason=stop_reason,
+            report_epsilon=config.report_epsilon,
+            stats_rows=tuple(stats_rows),
+        )
+        _write_outputs(out_dir, report)
+        # checked once the artifacts are on disk: a witness that does not replay
+        # is a fault of the target. With no evaluation done (Ctrl-C in the first
+        # run) there is nothing to check, and re-running could hang again.
+        if executions:
+            replay_check(spec, witness_data, best)
+        return report
+    finally:  # on every exit, last: the kernel tears the child down meanwhile
+        for pid in killed:
+            os.waitpid(pid, 0)
 
 
 def triple_lines(decoded: tuple[bytes, bytes, bytes], prefix: str = "") -> list[str]:

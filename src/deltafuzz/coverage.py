@@ -268,6 +268,7 @@ class EdgeTracer:
         self._cached_sites = 0
         self.last_path: tuple[int, list[tuple[int, int]]] = (-1, [])  # of the last run
         self.probes = 0  # run by all its runs, in all
+        self.runs = 0  # so probes per run is probes / runs
 
     def _fold(self) -> tuple[int, list[tuple[int, int]]]:
         """The path just run as its token and its (edge index, hits) pairs,
@@ -275,6 +276,7 @@ class EdgeTracer:
         path = tuple(_SITES)
         _SITES.clear()
         self.probes += len(path)
+        self.runs += 1
         fold = self._paths.get(path)
         if fold is None:
             fold = next(_TOKENS), _path_edges(path)

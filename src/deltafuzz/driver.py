@@ -294,7 +294,7 @@ def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
     foreground group, so the child ignores SIGINT and only this process acts
     on it; SIGINT stays blocked across the fork, and a Ctrl-C that comes
     during it kills and reaps the child before it is raised here.
-    kill_child ends the child."""
+    kill_child ends the child, or stop_child and a later os.waitpid."""
     import signal
     requests, to_child = os.pipe()
     from_child, replies = os.pipe()
@@ -351,21 +351,28 @@ def receive(child: tuple, what: str):
     return reply
 
 
-def kill_child(child: tuple) -> Optional[int]:
-    """Kill and reap a child of fork_child, and close its pipes; its exit
-    status, or None if it was killed before."""
+def stop_child(child: tuple) -> Optional[int]:
+    """Kill a child of fork_child and close its pipes, without waiting while
+    the kernel tears it down; its pid, which the caller must reap with
+    os.waitpid, or None if it was killed before."""
     import signal
     pid, requests, replies = child
     if replies.closed:
         return None
     os.kill(pid, signal.SIGKILL)
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     replies.close()
     try:
         requests.close()  # flushes a request cut short by Ctrl-C, if any
     except BrokenPipeError:
         pass
-    return status
+    return pid
+
+
+def kill_child(child: tuple) -> Optional[int]:
+    """Kill and reap a child of fork_child, and close its pipes; its exit
+    status, or None if it was killed before."""
+    pid = stop_child(child)
+    return None if pid is None else os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 # by name: the spec, or for a stock driver not yet looked up, its loader

@@ -322,7 +322,7 @@ def picks(monkeypatch, queue):
     monkeypatch.setattr(campaign_module, "HAVOC_ITERATIONS", 1)
     monkeypatch.setattr(campaign_module, "SPLICE_ITERATIONS", 0)
     set_fork_cpus(monkeypatch, 1)
-    schedule = campaign_module._schedule([], queue, random.Random(0), 48, None, None, None)
+    schedule = campaign_module._schedule([], queue, random.Random(0), 48, None, None, None, [])
     return (queue.entries[parent].data for _, parent in schedule)
 
 
@@ -708,16 +708,22 @@ def test_havoc_only_witness_replays_for_every_driver(name, rng_seed):
     assert replayed.decoded == report.witness_decoded
 
 
-def test_witness_that_does_not_replay_fails_after_writing(tmp_path, monkeypatch):
+def drifting_spec(monkeypatch):
+    """A registered target whose cost grows with the number of its earlier
+    calls, so no delta replays."""
     calls = [0]
 
     def drifting(pub, sec, meter):
-        # cost grows with the number of earlier calls: no delta replays
         calls[0] += 1
         meter.tick(calls[0] ** 2)
 
     spec = DriverSpec(name="local_drifting", target=drifting)
     monkeypatch.setitem(driver_module._REGISTRY, spec.name, spec)
+    return spec
+
+
+def test_witness_that_does_not_replay_fails_after_writing(tmp_path, monkeypatch):
+    spec = drifting_spec(monkeypatch)
     with pytest.raises(RuntimeError, match="failed replay"):
         run_campaign(paced_config(tmp_path, driver=spec.name, timeout_seconds=1.0))
     out = tmp_path / "out"
@@ -1010,18 +1016,62 @@ def test_an_output_that_will_not_pickle_is_run_by_the_campaign(
 
 
 def test_a_cheap_campaign_forks_nothing_for_its_stage(tmp_path, monkeypatch, deadline):
-    """pwcheck_unsafe runs its deterministic stage to its truth from 48 zero
-    bytes without reaching STAGE_FORK_PROBES, so it stays in one process."""
+    """Each hunt campaign runs its deterministic stage to its truth from 48
+    zero bytes with executions that average fewer than STAGE_FORK_MEAN
+    probes and without reaching STAGE_FORK_PROBES, so it stays in one
+    process."""
     forks = []
     real = campaign_module.fork_child
     monkeypatch.setattr(campaign_module, "fork_child", lambda serve: forks.append(serve) or real(serve))
     set_fork_cpus(monkeypatch, 2)
-    report = run_campaign(paced_config(
-        tmp_path, seed_dir=zero_seed_48(tmp_path), pace=1000, timeout_seconds=40.0,
-        stop_on_delta=pwcheck_truth(),
-    ))
-    assert report.stop_reason == "delta-target-reached"
+    seed_dir = zero_seed_48(tmp_path)
+    for name, cap in (("pwcheck_unsafe", 16), ("straightline_unsafe", 4), ("pad_unsafe", 4),
+                      ("jetty_eq_unsafe", 4)):
+        report = run_campaign(paced_config(
+            tmp_path, driver=name, seed_dir=seed_dir, out_dir=str(tmp_path / name),
+            segment_cap=cap, pace=1000, timeout_seconds=40.0,
+            stop_on_delta=structured_max_delta(get_driver(name), cap).max_delta,
+        ))
+        assert report.stop_reason == "delta-target-reached", name
     assert forks == []
+
+
+def fail_to_write(out_dir, report):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["replay", "write"])
+def test_a_forked_campaign_that_fails_at_its_end_leaves_no_child(
+    tmp_path, monkeypatch, forked, deadline, fault
+):
+    """The child is killed when the schedule closes and reaped on the way out,
+    also when the witness fails its replay or an output cannot be written."""
+    driver = "pwcheck_unsafe"
+    if fault == "replay":
+        driver = drifting_spec(monkeypatch).name
+    else:
+        monkeypatch.setattr(campaign_module, "_write_outputs", fail_to_write)
+    set_fork_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError if fault == "replay" else OSError, match="replay|space"):
+        run_campaign(paced_config(tmp_path, driver=driver, timeout_seconds=1.0))
+    assert len(forked) == 1
+    assert_no_child_left()
+
+
+def test_the_child_is_reaped_after_the_outputs_are_written(tmp_path, monkeypatch, forked, deadline):
+    """The kernel tears the killed child down while the outputs are written."""
+    reaped = []  # (pid, whether report.txt was on disk then)
+    real = os.waitpid
+
+    def waitpid(pid, options):
+        reaped.append((pid, (tmp_path / "out" / "report.txt").is_file()))
+        return real(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    set_fork_cpus(monkeypatch, 2)
+    run_campaign(paced_config(tmp_path, timeout_seconds=1.0))
+    assert reaped == [(forked[0], True)]
+    assert_no_child_left()
 
 
 def test_the_childs_tokens_are_renamed_and_an_unknown_one_is_left_to_run():

@@ -313,3 +313,49 @@ def test_stage_executions_run_ahead_change_no_artifact(tmp_path, monkeypatch, fo
     if name.startswith("always_raises"):
         assert report.harness_error_count > 0
         assert {run[2] for run in taken} == {"ValueError: refused"}
+
+
+# AHEAD_CAMPAIGNS name -> (pace, traced evaluations before each fork)
+FORK_POINTS = {
+    # about 400 probes an execution: forked at the first live stage
+    # mutant, with the seed's evaluation the only one before it
+    "crime_compress": (1000, [1]),
+    # about 164 probes an execution: a soak job's 500 evaluations, all in the
+    # seed's stage, fork nothing
+    "modpow_unsafe_soak": (500, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORK_POINTS))
+def test_the_child_helps_a_costly_stage_from_its_first_mutant(tmp_path, monkeypatch, forked, name):
+    """With the probe total out of reach, a campaign whose executions average
+    STAGE_FORK_MEAN probes or more forks its child at its first live stage
+    mutant, and one whose executions average fewer forks none; either
+    writes what a campaign in one process writes."""
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 10**12)
+    evaluated, at_fork = [], []
+    real_run, real_fork = campaign_module.run_driver, campaign_module.fork_child
+
+    def run_driver(spec, data, cov_map=None):
+        if cov_map is not None:
+            evaluated.append(data)
+        return real_run(spec, data, cov_map)
+
+    monkeypatch.setattr(campaign_module, "run_driver", run_driver)
+    monkeypatch.setattr(
+        campaign_module, "fork_child", lambda serve: at_fork.append(len(evaluated)) or real_fork(serve)
+    )
+    pace, forks_after = FORK_POINTS[name]
+    fields, seed, _ = AHEAD_CAMPAIGNS[name]
+    runs = []
+    for cpus in (2, 1):
+        evaluated.clear()
+        monkeypatch.setattr(campaign_module, "fork_cpus", lambda: cpus)
+        report, out_dir = run_paced(tmp_path / str(cpus), fields, seed, pace)
+        runs.append((report, campaign_digest(out_dir)))
+    assert runs[0] == runs[1]
+    assert at_fork == forks_after
+    assert len(forked) == len(forks_after)
+    assert report.executions == pace  # a timeout of 1 s: all in the seed's stage
+    with pytest.raises(ChildProcessError):  # no child outlived its campaign
+        os.waitpid(-1, os.WNOHANG)
