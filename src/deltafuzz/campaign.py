@@ -5,9 +5,9 @@ One campaign is one thread owning the queue, coverage, high score, and RNG.
 havoc mutants and runs stage executions ahead (see there). Every candidate
 runs through the two-execution harness, in this process, but a stage flip of
 dropped bytes takes its entry's result; corpus.consider keeps a candidate iff
-it is a seed, reaches new coverage or strictly raises the delta high score. Progress lands in stats.csv
-at one row per second; the final report carries the verdict, the witness
-triple, and the reminder that finding nothing proves nothing.
+it is a seed, reaches new coverage or strictly raises the delta high score.
+stats.csv gets a row per second; the final report carries the verdict, the
+witness triple, and the reminder that finding nothing proves nothing.
 
 The clock has two modes: wall mode times out on real seconds, while paced
 mode derives time from the evaluation count, making an entire campaign a
@@ -23,14 +23,13 @@ import os
 import random
 import time
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .corpus import FuzzQueue, consider, load_seeds
 from .coverage import _TOKENS, CoverageMap, GlobalCoverage
 from .driver import (
-    MEMO_ENTRIES,
     OUTCOME_HARNESS_ERROR,
     ConfigError,
     DiffResult,
@@ -42,10 +41,12 @@ from .driver import (
     fork_child,
     fork_cpus,
     get_driver,
+    make_room,
     receive,
     replay_check,
     run_driver,
     segment_layout,
+    send,
     stop_child,
     with_domain,
 )
@@ -139,26 +140,16 @@ class CampaignReport(NamedTuple):
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
-def _send(pipe, message) -> None:
-    import pickle
-
-    try:
-        pipe.write(pickle.dumps(message))
-        pipe.flush()
-    except BrokenPipeError:  # the reader is gone: receive says how, or a child reads EOF
-        pass
-
-
 def _serve(spec, requests, replies) -> None:
     """The campaign child's loop, until the campaign closes its requests. Per
     ("havoc", data, max_len, rng state): the visit's havoc mutants as chunks
     (mutants, end), end None until the last, then the final rng state; if
     havoc raises, the mutants before it go out and the error is raised. Per
-    ("stage", data, live, start): counting the live mutant at item start of
-    the stage as 0, the runs of mutants _STAGE_LEAD + 1, + 3, ..., each a
-    pair, in chunks of 1, then 8 pairs. A run is (cost, output, note, token,
-    edges), edges None if sent since the memo was last cleared; or None if
-    its output will not pickle."""
+    ("stage", data, live): counting the stage's first live mutant as 0, the
+    runs of mutants _STAGE_LEAD + 1, + 3, ..., each a pair, in chunks of 1,
+    then 8 pairs. A run is (cost, output, note, token, edges), edges None if
+    its token is in the table of tokens sent, which make_room bounds as
+    _remember bounds its mirror; or None if its output will not pickle."""
     import pickle
 
     rng, tracer, memo, sent = random.Random(), _tracer(spec), {}, set()
@@ -174,24 +165,22 @@ def _serve(spec, requests, replies) -> None:
             try:
                 for i in range(HAVOC_ITERATIONS):
                     if i in _HAVOC_SENDS:
-                        _send(replies, (mutants, None))
+                        send(replies, (mutants, None))
                         mutants = []
                     mutants.append(havoc(data, max_len, rng))
                 end = rng.getstate()
             finally:
-                _send(replies, (mutants, end))
+                send(replies, (mutants, end))
             continue
-        live, start = args
-        stage = (m for m in islice(deterministic_stage(data, live), start, None) if type(m) is bytes)
+        (live,) = args
+        stage = (m for m in deterministic_stage(data, live) if type(m) is bytes)
         chunk = []
         for n, mutant in enumerate(islice(stage, _STAGE_LEAD + 1, None, 2), 1):
             pub, *secs = default_parse(mutant, spec.constraints)
             chunk.append(pair := [])
             for key in ((pub, sec) for sec in secs):
                 if key not in memo:
-                    if len(memo) >= MEMO_ENTRIES:  # then every token's edges go again
-                        memo.clear()
-                        sent.clear()
+                    make_room(memo)
                     cost, out, note, path = _execute(spec.target, tracer, *key)
                     try:
                         memo[key] = (cost, pickle.loads(pickle.dumps(out)), note, *path)
@@ -200,31 +189,30 @@ def _serve(spec, requests, replies) -> None:
                 if (run := memo[key]) and run[3] in sent:
                     run = (*run[:4], None)
                 elif run:
+                    make_room(sent)
                     sent.add(run[3])
                 pair.append(run)
             if n % 8 == 1:
-                _send(replies, chunk)
+                send(replies, chunk)
                 chunk = []
         if chunk:
-            _send(replies, chunk)
+            send(replies, chunk)
 
 
 def _remember(memo: dict, paths: dict, triple: tuple, pair: list) -> None:
     """Put the child's runs of triple's executions into memo where it lacks
     them, under run_driver's rule. paths maps each child token to a fresh
-    token of coverage._TOKENS and its edges; a run whose token it lacks,
-    since it was cleared, is left for run_driver to run."""
+    token of coverage._TOKENS and its edges; it mirrors the child's table of
+    tokens sent, insertions and clears alike, so it holds every run's token."""
     pub, *secs = triple
     for sec, run in zip(secs, pair):
         if run is not None:
             cost, out, note, token, edges = run
             if edges is not None:
-                if len(paths) >= MEMO_ENTRIES:
-                    paths.clear()
+                make_room(paths)
                 paths[token] = next(_TOKENS), edges
-            if token in paths and (pub, sec) not in memo:
-                if len(memo) >= MEMO_ENTRIES:
-                    memo.clear()
+            if (pub, sec) not in memo:
+                make_room(memo)
                 memo[pub, sec] = cost, out, note, paths[token]
 
 
@@ -244,20 +232,20 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
     next pick and splice draw from; but a pick's havoc mutants depend only
     on the entry and the rng state at its start, and a mutant's executions
     on its bytes. So if fork_cpus allows two CPUs, a child serving _serve
-    makes both ahead. It is forked at the first havoc mutant or, if earlier,
-    at the first live stage mutant at which this campaign's fresh traced
+    makes both ahead. A stage whose function takes the mask goes to the
+    child whole if, before its first mutant, this campaign's fresh traced
     executions have run STAGE_FORK_PROBES probes in all or average
-    STAGE_FORK_MEAN. A stage whose function takes the mask goes to the
-    child from its first live mutant at which either holds: this process
-    runs _STAGE_LEAD + 1 live mutants from there, then every second, and
-    puts the child's runs of each other one into cov's memo before yielding
-    it. Per pick the child gets the entry and the rng state, makes the havoc
-    mutants from its copy of that state and sends them in chunks, the last
-    with its final rng state, which is taken here; so every later draw is
-    inline havoc's. An error in havoc is raised at the same point of the
-    stream as inline. Closing the generator kills the child and closes its
-    pipes, and puts its pid in killed, for the caller to reap once it has
-    no more use for this CPU."""
+    STAGE_FORK_MEAN; else none of it does. This process runs the stage's
+    first _STAGE_LEAD + 1 live mutants, then every second, and puts the
+    child's runs of each other one into cov's memo before yielding it. The
+    child is forked for the first stage that goes to it or, if earlier, at
+    the first havoc mutant. Per pick the child gets the entry and the rng
+    state, makes the havoc mutants from its copy of that state and sends
+    them in chunks, the last with its final rng state, which is taken here;
+    so every later draw is inline havoc's. An error in havoc is raised at
+    the same point of the stream as inline. Closing the generator kills the
+    child and closes its pipes, and puts its pid in killed, for the caller
+    to reap once it has no more use for this CPU."""
     tracer = _tracer(spec) if cap is not None else None
     probes, runs = (tracer.probes, tracer.runs) if tracer else (0, 0)  # tracers outlive campaigns
     for _, data in seeds:
@@ -274,30 +262,28 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
                 data, parent = entry.data, entry.entry_id
                 if cap is not None and parent >= visited:
                     live = sum((1 << 8 * k) - 1 << 8 * o for o, k in segment_layout(len(data), cap))
-                    stage = deterministic_stage  # a tracer's stand-in may take no mask
-                    masked, ahead = stage.__code__.co_argcount > 1, None
-                    for i, mutant in enumerate(stage(data, live) if masked else stage(data)):
-                        if type(mutant) is bytes and ahead:
-                            j += 1
-                            if j > 0 and j % 2:
-                                triple = default_parse(mutant, spec.constraints)
-                                _remember(cov.memo, paths, triple, next(ahead))
-                        elif type(mutant) is bytes and masked and (
-                            (done := tracer.probes - probes) >= STAGE_FORK_PROBES
-                            or done >= STAGE_FORK_MEAN * max(tracer.runs - runs, 1)
-                        ):
-                            if child is None:
-                                child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
-                            if child:
-                                _send(child[1], ("stage", data, live, i))
-                                # the child's pairs, a reply received when needed
-                                ahead = chain.from_iterable(iter(partial(receive, child, "stage"), None))
-                                j = -_STAGE_LEAD
+                    stage, ahead = deterministic_stage, None
+                    masked = stage.__code__.co_argcount > 1  # a tracer's stand-in may take no mask
+                    if masked and (
+                        (done := tracer.probes - probes) >= STAGE_FORK_PROBES
+                        or done >= STAGE_FORK_MEAN * max(tracer.runs - runs, 1)
+                    ):
+                        if child is None:
+                            child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
+                        if child:
+                            send(child[1], ("stage", data, live))
+                            # the child's pairs, a reply received when needed
+                            ahead = chain.from_iterable(iter(partial(receive, child, "stage"), None))
+                            # whether each live mutant is one the child runs
+                            turns = chain(repeat(False, _STAGE_LEAD + 1), cycle((True, False)))
+                    for mutant in stage(data, live) if masked else stage(data):
+                        if ahead and type(mutant) is bytes and next(turns):
+                            _remember(cov.memo, paths, default_parse(mutant, spec.constraints), next(ahead))
                         yield mutant, parent
                 if child is None:
                     child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()
                 if child:
-                    _send(child[1], ("havoc", data, max_len, rng.getstate()))
+                    send(child[1], ("havoc", data, max_len, rng.getstate()))
                     end = None
                     while end is None:
                         mutants, end = receive(child, "havoc")

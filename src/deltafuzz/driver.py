@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from contextlib import suppress
 from typing import BinaryIO, Callable, NamedTuple, Optional
 
 from .coverage import CoverageMap, EdgeTracer, InstrumentError
@@ -213,8 +214,7 @@ def run_driver(
             key = (pub, sec)
             run = memo.get(key)
             if run is None:
-                if len(memo) >= MEMO_ENTRIES:
-                    memo.clear()
+                make_room(memo)
                 run = memo[key] = _execute(spec.target, tracer, pub, sec)
             runs.append(run)
         (cost1, out1, note1, path1), (cost2, out2, note2, path2) = runs
@@ -236,6 +236,13 @@ def run_driver(
         failure is None and out1 != out2,  # output_mismatch
         failure,  # note
     )
+
+
+def make_room(table) -> None:
+    """Clear table, before an insertion, if it holds MEMO_ENTRIES items: one
+    rule for every memo and token table, so tables fed alike clear alike."""
+    if len(table) >= MEMO_ENTRIES:
+        table.clear()
 
 
 def _execute(target, tracer: EdgeTracer | None, pub: bytes, sec: bytes) -> Execution:
@@ -337,6 +344,15 @@ def fork_child(serve: Callable[[BinaryIO, BinaryIO], None]) -> tuple:
     return child
 
 
+def send(pipe: BinaryIO, message) -> None:
+    """Pickle message to pipe, for receive. If the reader is gone, receive
+    says how, or a child reads EOF."""
+    import pickle
+    with suppress(BrokenPipeError):
+        pipe.write(pickle.dumps(message))
+        pipe.flush()
+
+
 def receive(child: tuple, what: str):
     """The next reply of a child of fork_child, unpickled. Raises the
     exception serve raised, if that is the reply; if the child exited
@@ -361,10 +377,8 @@ def stop_child(child: tuple) -> Optional[int]:
         return None
     os.kill(pid, signal.SIGKILL)
     replies.close()
-    try:
+    with suppress(BrokenPipeError):
         requests.close()  # flushes a request cut short by Ctrl-C, if any
-    except BrokenPipeError:
-        pass
     return pid
 
 

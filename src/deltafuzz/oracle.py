@@ -87,7 +87,6 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
     w = min(fork_cpus(), len(pubs))
     if w < 2:
         return _reduce(aspec, pubs, secs)
-    import pickle
     size = (len(pubs) - w) // _CHUNKS + 1  # so at most _CHUNKS chunks
     tokens, wr = os.pipe()
     os.write(wr, b"".join(i.to_bytes(4, "little") for i in range(w, len(pubs), size)))
@@ -100,13 +99,13 @@ def _sweep(aspec: DriverSpec, pubs: list[bytes], secs: list[bytes]) -> list[tupl
             done[i] = _reduce(aspec, pubs[i : i + size], secs)
         return done
 
-    def send(requests, replies) -> None:  # in the child of worker k's fork
-        replies.write(pickle.dumps(work(k)))
+    def serve(requests, replies) -> None:  # in the child of worker k's fork
+        driver.send(replies, work(k))
 
     children = []  # (pid, request writer, reply reader)
     try:
         for k in range(1, w):
-            child = driver.fork_child(send)
+            child = driver.fork_child(serve)
             if not child:  # EAGAIN or ENOMEM
                 break
             children.append(child)

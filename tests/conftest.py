@@ -6,7 +6,7 @@ the run so the acceptance gate can be read without scrolling the log.
 
 It also holds the fixtures that the oracle, campaign and CLI tests share to
 watch forked children: the exhaustive sweep's workers and a campaign's
-havoc child.
+child, which makes havoc mutants and runs stage executions ahead.
 """
 
 import os

@@ -1074,10 +1074,9 @@ def test_the_child_is_reaped_after_the_outputs_are_written(tmp_path, monkeypatch
     assert_no_child_left()
 
 
-def test_the_childs_tokens_are_renamed_and_an_unknown_one_is_left_to_run():
+def test_the_childs_tokens_are_renamed():
     """A child token may already name another path in this process: each
-    gets a fresh token of its own, kept while it repeats. A run whose token
-    came with no edges here (the table was cleared) is not remembered."""
+    gets a fresh token of its own, kept while it repeats."""
     from deltafuzz.coverage import _TOKENS
     from deltafuzz.metering import CostReading
 
@@ -1089,6 +1088,3 @@ def test_the_childs_tokens_are_renamed_and_an_unknown_one_is_left_to_run():
     (mine_a, edges_a), (mine_b, edges_b) = memo[b"p", b"a"][3], memo[b"p", b"b"][3]
     assert mine_a == mine_b != token and edges_a is edges_b is edges
     assert memo[b"p", b"a"][:3] == (cost, True, None) and memo[b"p", b"b"][1] is False
-    unknown = (cost, 1, None, token + 1000, None)  # a child token sent with no edges here
-    campaign_module._remember(memo, paths, (b"q", b"a", b"a"), [unknown, unknown])
-    assert (b"q", b"a") not in memo

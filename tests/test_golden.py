@@ -317,8 +317,8 @@ def test_stage_executions_run_ahead_change_no_artifact(tmp_path, monkeypatch, fo
 
 # AHEAD_CAMPAIGNS name -> (pace, traced evaluations before each fork)
 FORK_POINTS = {
-    # about 400 probes an execution: forked at the first live stage
-    # mutant, with the seed's evaluation the only one before it
+    # about 400 probes an execution: forked at the start of the seed's
+    # stage, with the seed's evaluation the only one before it
     "crime_compress": (1000, [1]),
     # about 164 probes an execution: a soak job's 500 evaluations, all in the
     # seed's stage, fork nothing
@@ -329,9 +329,9 @@ FORK_POINTS = {
 @pytest.mark.parametrize("name", sorted(FORK_POINTS))
 def test_the_child_helps_a_costly_stage_from_its_first_mutant(tmp_path, monkeypatch, forked, name):
     """With the probe total out of reach, a campaign whose executions average
-    STAGE_FORK_MEAN probes or more forks its child at its first live stage
-    mutant, and one whose executions average fewer forks none; either
-    writes what a campaign in one process writes."""
+    STAGE_FORK_MEAN probes or more forks its child at the start of its first
+    stage, and one whose executions average fewer forks none; either writes
+    what a campaign in one process writes."""
     monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 10**12)
     evaluated, at_fork = [], []
     real_run, real_fork = campaign_module.run_driver, campaign_module.fork_child
@@ -357,5 +357,65 @@ def test_the_child_helps_a_costly_stage_from_its_first_mutant(tmp_path, monkeypa
     assert at_fork == forks_after
     assert len(forked) == len(forks_after)
     assert report.executions == pace  # a timeout of 1 s: all in the seed's stage
+    with pytest.raises(ChildProcessError):  # no child outlived its campaign
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_child_takes_a_stage_whole_or_not_at_all(tmp_path, monkeypatch, forked):
+    """The fork rule is settled once per stage, before its first mutant. A
+    soak-style modpow_unsafe campaign (about 164 probes an execution) passes
+    a probe total of 2,000 inside its seed's stage, which stays in this
+    process whole; the child is forked at the seed's first havoc mutant, and
+    it runs a later entry's stage. The campaign writes what a campaign in
+    one process writes."""
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 2000)
+    requests = []  # (kind, data) of each request to the child
+    real = campaign_module.send
+    monkeypatch.setattr(
+        campaign_module, "send", lambda pipe, message: requests.append(message[:2]) or real(pipe, message)
+    )
+    fields = dict(driver_name="modpow_unsafe", rng_seed=2, timeout_seconds=3.0)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(campaign_module, "fork_cpus", lambda: cpus)
+        report, out_dir = run_paced(tmp_path / str(cpus), fields, MODPOW_SOAK_SEED)
+        runs.append((report, campaign_digest(out_dir)))
+    assert runs[0] == runs[1]
+    assert len(forked) == 1
+    assert requests[0] == ("havoc", MODPOW_SOAK_SEED)
+    assert any(kind == "stage" and data != MODPOW_SOAK_SEED for kind, data in requests)
+    with pytest.raises(ChildProcessError):  # no child outlived its campaign
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_childs_table_of_tokens_sent_mirrors_the_campaigns(tmp_path, monkeypatch, forked):
+    """driver.make_room bounds the child's table of tokens sent and the
+    campaign's table of child tokens by one rule, and both see the same
+    insertions. So with MEMO_ENTRIES at 4 both clear many times, in step:
+    every run the child sends finds its token in the campaign's table, and
+    the campaign writes what a campaign in one process writes."""
+    monkeypatch.setattr(driver_module, "MEMO_ENTRIES", 4)
+    edges, found = [], []  # per run taken: whether it came with edges; whether its token was here
+    real = campaign_module._remember
+
+    def remember(memo, paths, triple, pair):
+        pub, *secs = triple
+        for sec, run in zip(secs, pair):
+            real(memo, paths, (pub, sec), [run])
+            if run is not None:
+                edges.append(run[4] is not None)
+                found.append(run[3] in paths)
+
+    monkeypatch.setattr(campaign_module, "_remember", remember)
+    fields, seed, pace = AHEAD_CAMPAIGNS["crime_compress"]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(campaign_module, "fork_cpus", lambda: cpus)
+        report, out_dir = run_paced(tmp_path / str(cpus), fields, seed, pace)
+        runs.append((report, campaign_digest(out_dir)))
+    assert runs[0] == runs[1]
+    assert len(forked) == 1
+    assert sum(edges) > 10 * 4 and not all(edges)  # many clears, and runs sent without edges
+    assert all(found)
     with pytest.raises(ChildProcessError):  # no child outlived its campaign
         os.waitpid(-1, os.WNOHANG)
