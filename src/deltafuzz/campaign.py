@@ -23,12 +23,12 @@ import os
 import random
 import time
 from functools import partial
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, compress, cycle, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .corpus import FuzzQueue, consider, load_seeds
-from .coverage import _TOKENS, CoverageMap, GlobalCoverage
+from .coverage import CoverageMap, GlobalCoverage
 from .driver import (
     OUTCOME_HARNESS_ERROR,
     ConfigError,
@@ -140,19 +140,25 @@ class CampaignReport(NamedTuple):
     stats_rows: tuple[tuple[int, int, int, int, int], ...] = ()
 
 
+def _turns():
+    """Per live mutant of a stage the child helps, whether the child runs its
+    executions: none of the first _STAGE_LEAD + 1, then every second."""
+    return chain(repeat(False, _STAGE_LEAD + 1), cycle((True, False)))
+
+
 def _serve(spec, requests, replies) -> None:
     """The campaign child's loop, until the campaign closes its requests. Per
     ("havoc", data, max_len, rng state): the visit's havoc mutants as chunks
     (mutants, end), end None until the last, then the final rng state; if
     havoc raises, the mutants before it go out and the error is raised. Per
-    ("stage", data, live): counting the stage's first live mutant as 0, the
-    runs of mutants _STAGE_LEAD + 1, + 3, ..., each a pair, in chunks of 1,
-    then 8 pairs. A run is (cost, output, note, token, edges), edges None if
-    its token is in the table of tokens sent, which make_room bounds as
-    _remember bounds its mirror; or None if its output will not pickle."""
+    ("stage", data, live): the runs of the live mutants _turns gives the
+    child, each a pair, in chunks of 1, then 8 pairs. A run is an execution
+    whose path token is complemented, so negative: a name the campaign, whose
+    tokens count up from 0, never draws. It is None if its output will not
+    pickle."""
     import pickle
 
-    rng, tracer, memo, sent = random.Random(), _tracer(spec), {}, set()
+    rng, tracer, memo = random.Random(), _tracer(spec), {}
     while True:
         try:
             kind, data, *args = pickle.load(requests)
@@ -175,23 +181,18 @@ def _serve(spec, requests, replies) -> None:
         (live,) = args
         stage = (m for m in deterministic_stage(data, live) if type(m) is bytes)
         chunk = []
-        for n, mutant in enumerate(islice(stage, _STAGE_LEAD + 1, None, 2), 1):
+        for n, mutant in enumerate(compress(stage, _turns()), 1):
             pub, *secs = default_parse(mutant, spec.constraints)
             chunk.append(pair := [])
             for key in ((pub, sec) for sec in secs):
                 if key not in memo:
                     make_room(memo)
-                    cost, out, note, path = _execute(spec.target, tracer, *key)
+                    cost, out, note, (token, edges) = _execute(spec.target, tracer, *key)
                     try:
-                        memo[key] = (cost, pickle.loads(pickle.dumps(out)), note, *path)
+                        memo[key] = (cost, pickle.loads(pickle.dumps(out)), note, (~token, edges))
                     except Exception:  # noqa: BLE001 - whatever the round trip raises
                         memo[key] = None  # the campaign runs it
-                if (run := memo[key]) and run[3] in sent:
-                    run = (*run[:4], None)
-                elif run:
-                    make_room(sent)
-                    sent.add(run[3])
-                pair.append(run)
+                pair.append(memo[key])
             if n % 8 == 1:
                 send(replies, chunk)
                 chunk = []
@@ -199,21 +200,14 @@ def _serve(spec, requests, replies) -> None:
             send(replies, chunk)
 
 
-def _remember(memo: dict, paths: dict, triple: tuple, pair: list) -> None:
-    """Put the child's runs of triple's executions into memo where it lacks
-    them, under run_driver's rule. paths maps each child token to a fresh
-    token of coverage._TOKENS and its edges; it mirrors the child's table of
-    tokens sent, insertions and clears alike, so it holds every run's token."""
+def _remember(memo: dict, triple: tuple, pair: list) -> None:
+    """Put the child's runs of triple's executions into memo, unchanged,
+    where it lacks them, under run_driver's rule."""
     pub, *secs = triple
     for sec, run in zip(secs, pair):
-        if run is not None:
-            cost, out, note, token, edges = run
-            if edges is not None:
-                make_room(paths)
-                paths[token] = next(_TOKENS), edges
-            if (pub, sec) not in memo:
-                make_room(memo)
-                memo[pub, sec] = cost, out, note, paths[token]
+        if run is not None and (pub, sec) not in memo:
+            make_room(memo)
+            memo[pub, sec] = run
 
 
 def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
@@ -235,9 +229,9 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
     makes both ahead. A stage whose function takes the mask goes to the
     child whole if, before its first mutant, this campaign's fresh traced
     executions have run STAGE_FORK_PROBES probes in all or average
-    STAGE_FORK_MEAN; else none of it does. This process runs the stage's
-    first _STAGE_LEAD + 1 live mutants, then every second, and puts the
-    child's runs of each other one into cov's memo before yielding it. The
+    STAGE_FORK_MEAN; else none of it does. _turns says which live mutants
+    the child runs; this process runs the others, and puts the child's runs
+    of each of the child's into cov's memo before yielding it. The
     child is forked for the first stage that goes to it or, if earlier, at
     the first havoc mutant. Per pick the child gets the entry and the rng
     state, makes the havoc mutants from its copy of that state and sends
@@ -252,7 +246,6 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
         yield data, None
     child = None  # (pid, request writer, reply reader) once forked; () when inline
     visited = 0  # entries that earlier cycles covered
-    paths: dict = {}  # see _remember
     try:
         while True:
             n = len(queue.entries)
@@ -274,11 +267,10 @@ def _schedule(seeds: list, queue: FuzzQueue, rng: random.Random, max_len: int,
                             send(child[1], ("stage", data, live))
                             # the child's pairs, a reply received when needed
                             ahead = chain.from_iterable(iter(partial(receive, child, "stage"), None))
-                            # whether each live mutant is one the child runs
-                            turns = chain(repeat(False, _STAGE_LEAD + 1), cycle((True, False)))
+                            turns = _turns()
                     for mutant in stage(data, live) if masked else stage(data):
                         if ahead and type(mutant) is bytes and next(turns):
-                            _remember(cov.memo, paths, default_parse(mutant, spec.constraints), next(ahead))
+                            _remember(cov.memo, default_parse(mutant, spec.constraints), next(ahead))
                         yield mutant, parent
                 if child is None:
                     child = fork_child(partial(_serve, spec)) if fork_cpus() >= 2 else ()

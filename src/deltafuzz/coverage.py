@@ -108,7 +108,8 @@ PATH_CACHE_SITES = 65536
 
 # Tokens name folded paths, one per path a tracer caches and one per fold of
 # a path too long to cache; drawn from one counter, so none is ever reused
-# in the process, by any tracer or after a cache clear.
+# in the process, by any tracer or after a cache clear. None is negative: a
+# campaign's child sends its tokens complemented (campaign._serve).
 _TOKENS = itertools.count()
 
 

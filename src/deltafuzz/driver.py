@@ -194,8 +194,8 @@ def run_driver(
     needs the caller's novelty check. A remembered execution may also have
     run elsewhere, in a campaign's child that runs stage executions ahead:
     by the same purity rule it stands in for a run here, and a path it
-    brings under a token of its own can at worst refold a pair of paths
-    already absorbed, which adds no bit.
+    brings carries a token this process never draws, so at worst it
+    refolds a pair of paths already absorbed, which adds no bit.
     """
     try:
         pub, sec1, sec2 = decoded = default_parse(data, spec.constraints)
@@ -240,7 +240,7 @@ def run_driver(
 
 def make_room(table) -> None:
     """Clear table, before an insertion, if it holds MEMO_ENTRIES items: one
-    rule for every memo and token table, so tables fed alike clear alike."""
+    rule for every memo."""
     if len(table) >= MEMO_ENTRIES:
         table.clear()
 

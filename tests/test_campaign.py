@@ -1074,17 +1074,34 @@ def test_the_child_is_reaped_after_the_outputs_are_written(tmp_path, monkeypatch
     assert_no_child_left()
 
 
-def test_the_childs_tokens_are_renamed():
-    """A child token may already name another path in this process: each
-    gets a fresh token of its own, kept while it repeats."""
-    from deltafuzz.coverage import _TOKENS
-    from deltafuzz.metering import CostReading
+def test_the_childs_tokens_are_negative_and_the_campaigns_are_not(
+    tmp_path, monkeypatch, forked, deadline
+):
+    """A run the child sends names its path by the complement of the child's
+    token: every token the campaign takes from its child is negative, every
+    token of its own executions is not, so a token never names two paths."""
+    monkeypatch.setattr(campaign_module, "STAGE_FORK_PROBES", 0)
+    taken, own = [], []  # the tokens of runs from the child; of this process's executions
+    real_remember, real_execute = campaign_module._remember, driver_module._execute
 
-    memo, paths, edges = {}, {}, [(7, 1)]
-    token = next(_TOKENS)  # a token this process already uses
-    cost = CostReading(ops=3)
-    runs = [(cost, True, None, token, edges), (cost, False, None, token, None)]
-    campaign_module._remember(memo, paths, (b"p", b"a", b"b"), runs)
-    (mine_a, edges_a), (mine_b, edges_b) = memo[b"p", b"a"][3], memo[b"p", b"b"][3]
-    assert mine_a == mine_b != token and edges_a is edges_b is edges
-    assert memo[b"p", b"a"][:3] == (cost, True, None) and memo[b"p", b"b"][1] is False
+    def remember(memo, triple, pair):
+        taken.extend(run[3][0] for run in pair if run is not None)
+        real_remember(memo, triple, pair)
+
+    def execute(target, tracer, pub, sec):
+        run = real_execute(target, tracer, pub, sec)
+        if tracer is not None:
+            own.append(run[3][0])
+        return run
+
+    monkeypatch.setattr(campaign_module, "_remember", remember)
+    monkeypatch.setattr(driver_module, "_execute", execute)
+    set_fork_cpus(monkeypatch, 2)
+    run_campaign(paced_config(
+        tmp_path, driver="crime_compress", seed_dir=zero_seed_48(tmp_path), pace=1000,
+        timeout_seconds=1.0,
+    ))
+    assert len(forked) == 1
+    assert taken and all(token < 0 for token in taken)
+    assert own and all(token >= 0 for token in own)
+    assert_no_child_left()

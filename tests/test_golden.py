@@ -296,7 +296,7 @@ def test_stage_executions_run_ahead_change_no_artifact(tmp_path, monkeypatch, fo
     served = []  # each pair of runs the child sent
     real = campaign_module._remember
     monkeypatch.setattr(
-        campaign_module, "_remember", lambda *args: served.append(args[3]) or real(*args)
+        campaign_module, "_remember", lambda *args: served.append(args[-1]) or real(*args)
     )
     fields, seed, pace = AHEAD_CAMPAIGNS[name]
     runs = []
@@ -388,25 +388,18 @@ def test_the_child_takes_a_stage_whole_or_not_at_all(tmp_path, monkeypatch, fork
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_childs_table_of_tokens_sent_mirrors_the_campaigns(tmp_path, monkeypatch, forked):
-    """driver.make_room bounds the child's table of tokens sent and the
-    campaign's table of child tokens by one rule, and both see the same
-    insertions. So with MEMO_ENTRIES at 4 both clear many times, in step:
-    every run the child sends finds its token in the campaign's table, and
-    the campaign writes what a campaign in one process writes."""
+def test_memos_that_clear_often_change_no_artifact(tmp_path, monkeypatch, forked):
+    """driver.make_room bounds the child's memo and the campaign's by one
+    rule, but each clears at its own insertions. With MEMO_ENTRIES at 4 both
+    clear many times, and the campaign still writes what a campaign in one
+    process writes."""
     monkeypatch.setattr(driver_module, "MEMO_ENTRIES", 4)
-    edges, found = [], []  # per run taken: whether it came with edges; whether its token was here
+    taken = []  # the runs the campaign took from its child
     real = campaign_module._remember
-
-    def remember(memo, paths, triple, pair):
-        pub, *secs = triple
-        for sec, run in zip(secs, pair):
-            real(memo, paths, (pub, sec), [run])
-            if run is not None:
-                edges.append(run[4] is not None)
-                found.append(run[3] in paths)
-
-    monkeypatch.setattr(campaign_module, "_remember", remember)
+    monkeypatch.setattr(
+        campaign_module, "_remember",
+        lambda memo, triple, pair: taken.extend(filter(None, pair)) or real(memo, triple, pair),
+    )
     fields, seed, pace = AHEAD_CAMPAIGNS["crime_compress"]
     runs = []
     for cpus in (1, 2):
@@ -415,7 +408,6 @@ def test_the_childs_table_of_tokens_sent_mirrors_the_campaigns(tmp_path, monkeyp
         runs.append((report, campaign_digest(out_dir)))
     assert runs[0] == runs[1]
     assert len(forked) == 1
-    assert sum(edges) > 10 * 4 and not all(edges)  # many clears, and runs sent without edges
-    assert all(found)
+    assert len(taken) > 10 * 4  # many more runs than either memo holds
     with pytest.raises(ChildProcessError):  # no child outlived its campaign
         os.waitpid(-1, os.WNOHANG)
